@@ -1,12 +1,26 @@
 """Exact arithmetic for univariate polynomials over Q and Q(i).
 
-Dense polynomials carry `Fraction` or `GaussianRational` coefficients and are
-immutable.  Gcds are computed with the subresultant polynomial remainder
-sequence: denominators are cleared once, the PRS runs over Z (or Z[i]) with
-the Brown/Knuth reduction factors g*h**delta keeping every division exact, and
-the last nonzero remainder's primitive part is returned monic.  This keeps
-intermediate coefficient growth polynomial in the input size, unlike the naive
-Euclidean remainder sequence whose numerators explode.
+A polynomial is stored as integer numerators over one positive denominator:
+a tuple of ints for the real parts of its coefficients, a second tuple for the
+imaginary parts only when one of them is nonzero, and the denominator.  The
+form is reduced: the leading numerator is nonzero and the gcd of all
+numerators and the denominator is 1.  Equal polynomials then have equal
+tuples (the denominator is the least common denominator of the coefficients,
+and the numerators follow from it), so `==` and `hash` compare integers and
+nothing is ever re-normalized.  Arithmetic runs on the numerators; the
+`Fraction`/`GaussianRational` view of the coefficients exists only at the API
+and JSON boundary and is built on demand.  Division first multiplies the
+divisor by the conjugate of its leading numerator, which makes that
+coefficient a positive integer, and then pseudo-divides over Z or Z[i].
+
+Gcds and resultants come from one subresultant polynomial remainder sequence
+(Collins 1967; Brown and Traub 1971), run on the numerators over Z or over
+Z[i]: the reduction factors g*h**delta keep every division exact and the
+intermediate coefficient growth polynomial in the input size, unlike the
+naive Euclidean remainder sequence whose numerators explode.  The gcd is the
+last nonzero remainder made monic; the resultant is read off the last
+constant term (Cohen, A Course in Computational Algebraic Number Theory,
+Algorithm 3.3.7).
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built once per squarefree factor over Z with positive content stripped at
@@ -25,6 +39,7 @@ failure raises `NonConvergenceError` after deterministic restarts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -179,60 +194,183 @@ class GaussianRational:
 Scalar = Union[Fraction, GaussianRational]
 
 
-def _canonical_scalar(x) -> Scalar:
-    """Coerce int/Fraction/GaussianRational to canonical exact form."""
-    if isinstance(x, GaussianRational):
-        return x.re if x.im == 0 else x
-    if isinstance(x, int):
-        return Fraction(x)
+def _scalar_parts(x) -> tuple:
+    """Integers (re, im, den) with x = (re + im*i)/den and den > 0."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, 0, x.denominator
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, GaussianRational):
+        dr, di = x.re.denominator, x.im.denominator
+        den = math.lcm(dr, di)
+        return x.re.numerator * (den // dr), x.im.numerator * (den // di), den
     raise TypeError(
         f"exact coefficient required, got {type(x).__name__}; "
         "wrap floats explicitly via Fraction(x) if that is intended"
     )
 
 
-def conjugate_scalar(x: Scalar) -> Scalar:
-    return x.conjugate() if isinstance(x, GaussianRational) else x
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """The canonical exact value of (re + im*i)/den: a Fraction when real."""
+    if im:
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return Fraction(re, den)
 
 
-def _scalar_inv(x: Scalar) -> Scalar:
-    if isinstance(x, GaussianRational):
-        return (GaussianRational(Fraction(1), Fraction(0)) / x).canonical()
-    return Fraction(1) / x
+# ---------------------------------------------------------------------------
+# integer numerator lists; an imaginary part of None means all zeros
+# ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _conv(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _lin(sa: int, a: Sequence[int], sb: int, b: Sequence[int]) -> list:
+    """sa*a + sb*b, padding the shorter list with zeros."""
+    if len(a) < len(b):
+        a = list(a) + [0] * (len(b) - len(a))
+    elif len(b) < len(a):
+        b = list(b) + [0] * (len(a) - len(b))
+    return [sa * x + sb * y for x, y in zip(a, b)]
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """(ar + i*ai) * (br + i*bi) on numerator lists."""
+    re = _conv(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    if ai is None:
+        return re, _conv(ar, bi)
+    if bi is None:
+        return re, _conv(ai, br)
+    return _lin(1, re, -1, _conv(ai, bi)), _lin(1, _conv(ar, bi), 1, _conv(ai, br))
+
+
+def _reduce(re: Sequence[int], im, den: int) -> tuple:
+    """Reduced form of (re + i*im)/den, for lists of equal length and den != 0:
+    trailing zeros stripped, an all-zero imaginary part dropped, den > 0 and
+    coprime to the numerators."""
+    n = len(re)
+    if im is None:
+        while n and not re[n - 1]:
+            n -= 1
+    else:
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        im = tuple(im[:n]) if any(im[:n]) else None
+    if not n:
+        return (), None, 1
+    re = tuple(re[:n])
+    if den < 0:
+        re, den = tuple(-c for c in re), -den
+        im = im and tuple(-c for c in im)
+    if den != 1:
+        g = math.gcd(den, *re, *(im or ()))
+        if g > 1:
+            re, den = tuple(c // g for c in re), den // g
+            im = im and tuple(c // g for c in im)
+    return re, im, den
+
+
+def _poly(re: Sequence[int], im=None, den: int = 1) -> "ExactPolynomial":
+    return ExactPolynomial._raw(*_reduce(re, im, den))
+
+
+def _pdivmod(ar, ai, br, bi, lead: int) -> tuple:
+    """Pseudo-division by a divisor whose leading numerator is the positive
+    integer `lead`: (q_re, q_im, r_re, r_im, s) with s*a = q*b + r and
+    deg r < deg b.  A step scales the running remainder (and quotient) only by
+    the part of `lead` its leading coefficient lacks, so s stays small."""
+    db = len(br) - 1
+    nq = len(ar) - db
+    if ai is None and bi is None:
+        r, q, s = list(ar), [0] * nq, 1
+        for k in range(nq - 1, -1, -1):
+            c = r[db + k]
+            if not c:
+                continue
+            m = lead // math.gcd(lead, c)
+            if m > 1:
+                s *= m
+                r, q, c = [m * x for x in r], [m * x for x in q], c * m
+            c //= lead
+            q[k] = c
+            for i, x in enumerate(br, k):
+                r[i] -= c * x
+        return q, None, r[:db], None, s
+    rr = list(ar)
+    ri = list(ai) if ai is not None else [0] * len(ar)
+    bi = bi if bi is not None else (0,) * len(br)
+    qr, qi, s = [0] * nq, [0] * nq, 1
+    for k in range(nq - 1, -1, -1):
+        cr, ci = rr[db + k], ri[db + k]
+        if not (cr or ci):
+            continue
+        m = lead // math.gcd(lead, cr, ci)
+        if m > 1:
+            s *= m
+            rr, ri = [m * x for x in rr], [m * x for x in ri]
+            qr, qi = [m * x for x in qr], [m * x for x in qi]
+            cr, ci = cr * m, ci * m
+        cr, ci = cr // lead, ci // lead
+        qr[k], qi[k] = cr, ci
+        for i, x, y in zip(range(k, k + db + 1), br, bi):
+            rr[i] -= cr * x - ci * y
+            ri[i] -= cr * y + ci * x
+    return qr, qi, rr[:db], ri[:db], s
+
+
 class ExactPolynomial:
-    """Dense univariate polynomial, coefficients ascending by degree.
+    """Dense univariate polynomial over Q or Q(i), immutable.
 
-    Real values are always stored as Fraction; a GaussianRational coefficient
-    is kept only when its imaginary part is nonzero, so `is_real` is a purely
-    structural test.  The zero polynomial has an empty coefficient tuple and
+    Stored as integer numerators over one positive denominator: `_re` holds
+    the real parts of the coefficients ascending by degree, `_im` the
+    imaginary parts, or None when all of them are zero (so `is_real` is a
+    structural test), and `_den` the denominator.  The numerators and the
+    denominator have no common factor and the leading coefficient is
+    nonzero, which makes the form unique: equality and hashing compare the
+    three fields.  The zero polynomial has no numerators, denominator 1 and
     degree -1.
+
+    `coefficients` is the exact view, a tuple of `Fraction` values and
+    `GaussianRational` ones for nonreal coefficients, built on each access.
     """
 
-    coefficients: tuple
+    def __init__(self, coefficients: Iterable = ()):
+        parts = [_scalar_parts(c) for c in coefficients]
+        den = math.lcm(*[d for _, _, d in parts])
+        re = [a * (den // d) for a, _, d in parts]
+        im = [b * (den // d) for _, b, d in parts] if any(b for _, b, _ in parts) else None
+        self._re, self._im, self._den = _reduce(re, im, den)
 
-    def __post_init__(self):
-        coeffs = [_canonical_scalar(c) for c in self.coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    @classmethod
+    def _raw(cls, re: tuple, im: Optional[tuple], den: int) -> "ExactPolynomial":
+        # fields already in reduced form
+        p = object.__new__(cls)
+        p._re, p._im, p._den = re, im, den
+        return p
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero() -> "ExactPolynomial":
-        return ExactPolynomial(())
+        return ExactPolynomial._raw((), None, 1)
 
     @staticmethod
     def one() -> "ExactPolynomial":
-        return ExactPolynomial((1,))
+        return ExactPolynomial._raw((1,), None, 1)
 
     @staticmethod
     def variable() -> "ExactPolynomial":
-        return ExactPolynomial((0, 1))
+        return ExactPolynomial._raw((0, 1), None, 1)
 
     @staticmethod
     def constant(c) -> "ExactPolynomial":
@@ -240,73 +378,106 @@ class ExactPolynomial:
 
     @staticmethod
     def from_roots(roots: Iterable, lead=1) -> "ExactPolynomial":
-        out = ExactPolynomial.constant(lead)
+        # each root (p + q*i)/d contributes the integer factor d*z - p - q*i
+        re, im, den = [1], None, 1
         for r in roots:
-            out = out * ExactPolynomial((-_canonical_scalar(r), 1))
-        return out
+            p, q, d = _scalar_parts(r)
+            den *= d
+            if im is None and not q:
+                re = [d * a - p * b for a, b in zip([0] + re, re + [0])]
+                continue
+            if im is None:
+                im = [0] * len(re)
+            re, im = (
+                [d * a - p * b + q * c for a, b, c in zip([0] + re, re + [0], im + [0])],
+                [d * a - p * b - q * c for a, b, c in zip([0] + im, im + [0], re + [0])],
+            )
+        lp, lq, ld = _scalar_parts(lead)
+        re, im = _cmul(re, im, (lp,), (lq,) if lq else None)
+        return _poly(re, im, den * ld)
 
     # -- structure ----------------------------------------------------------
     @property
+    def _im_parts(self) -> tuple:
+        """The imaginary numerators, zeros included."""
+        return self._im or (0,) * len(self._re)
+
+    @property
+    def coefficients(self) -> tuple:
+        """Ascending exact coefficients: Fraction, or GaussianRational when nonreal."""
+        return tuple(_scalar(a, b, self._den) for a, b in zip(self._re, self._im_parts))
+
+    @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._re
 
     @property
     def is_real(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.coefficients)
+        return self._im is None
 
     @property
     def leading_coefficient(self) -> Scalar:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return self.coefficient(self.degree)
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading_coefficient == 1
+        return (
+            not self.is_zero
+            and self._re[-1] == self._den
+            and (self._im is None or not self._im[-1])
+        )
 
     def coefficient(self, k: int) -> Scalar:
-        return self.coefficients[k] if 0 <= k <= self.degree else Fraction(0)
+        if not 0 <= k <= self.degree:
+            return Fraction(0)
+        return _scalar(self._re[k], self._im[k] if self._im else 0, self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactPolynomial):
+            return NotImplemented
+        return (
+            self._re == other._re and self._im == other._im and self._den == other._den
+        )
+
+    def __hash__(self):
+        return hash((self._re, self._im, self._den))
 
     # -- ring operations ------------------------------------------------------
-    def __add__(self, other):
+    def _add(self, other, sign: int) -> "ExactPolynomial":
         other = _as_poly(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPolynomial(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        den = math.lcm(self._den, other._den)
+        sf, sg = den // self._den, sign * (den // other._den)
+        re = _lin(sf, self._re, sg, other._re)
+        im = None
+        if self._im is not None or other._im is not None:
+            im = _lin(sf, self._im_parts, sg, other._im_parts)
+        return _poly(re, im, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPolynomial(
-            tuple(self.coefficient(k) - other.coefficient(k) for k in range(n))
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return _as_poly(other) - self
 
     def __neg__(self):
-        return ExactPolynomial(tuple(-c for c in self.coefficients))
+        im = self._im and tuple(-c for c in self._im)
+        return ExactPolynomial._raw(tuple(-c for c in self._re), im, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return ExactPolynomial(tuple(c * other for c in self.coefficients))
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return ExactPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return ExactPolynomial(tuple(out))
+        re, im = _cmul(self._re, self._im, other._re, other._im)
+        return _poly(re, im, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -326,20 +497,20 @@ class ExactPolynomial:
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        dq = len(rem) - len(other.coefficients)
-        if dq < 0:
+        if self.degree < other.degree:
             return ExactPolynomial.zero(), self
-        inv_lead = _scalar_inv(other.leading_coefficient)
-        quo = [Fraction(0)] * (dq + 1)
-        db = other.degree
-        for k in range(dq, -1, -1):
-            c = rem[db + k] * inv_lead
-            quo[k] = c
-            if c:
-                for i, b in enumerate(other.coefficients):
-                    rem[i + k] = rem[i + k] - c * b
-        return ExactPolynomial(tuple(quo)), ExactPolynomial(tuple(rem[:db]))
+        # multiplying the divisor by u = conj(lc), or by the sign of a real
+        # lc, makes its leading numerator a positive integer
+        lr = other._re[-1]
+        li = other._im[-1] if other._im else 0
+        ur, ui = (lr, -li) if li else (1 if lr > 0 else -1, 0)
+        br, bi = _cmul(other._re, other._im, (ur,), (ui,) if ui else None)
+        qr, qi, rr, ri, s = _pdivmod(self._re, self._im, br, bi, br[-1])
+        # s*N = Q*(u*M) + R for self = N/n and other = M/m, hence
+        # self = (Q*u*m/(s*n)) * other + R/(s*n)
+        m, sn = other._den, s * self._den
+        qr, qi = _cmul(qr, qi, (ur * m,), (ui * m,) if ui else None)
+        return _poly(qr, qi, sn), _poly(rr, ri, sn)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -356,40 +527,55 @@ class ExactPolynomial:
     def derivative(self, order: int = 1) -> "ExactPolynomial":
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        out = self
-        for _ in range(order):
-            out = ExactPolynomial(
-                tuple(k * c for k, c in enumerate(out.coefficients) if k >= 1)
-            )
-        return out
+        if order == 0:
+            return self
+
+        def diff(cs):
+            return [math.perm(k, order) * c for k, c in enumerate(cs) if k >= order]
+
+        return _poly(diff(self._re), self._im and diff(self._im), self._den)
 
     def monic(self) -> "ExactPolynomial":
         if self.is_zero:
             raise ValueError("cannot make the zero polynomial monic")
         if self.is_monic:
             return self
-        return self * _scalar_inv(self.leading_coefficient)
+        lr = self._re[-1]
+        li = self._im[-1] if self._im else 0
+        if not li:
+            return _poly(self._re, self._im, lr)
+        # N/(lr + i*li) = N*(lr - i*li)/(lr^2 + li^2)
+        re, im = _cmul(self._re, self._im, (lr,), (-li,))
+        return _poly(re, im, lr * lr + li * li)
 
     def conjugate(self) -> "ExactPolynomial":
-        return ExactPolynomial(tuple(conjugate_scalar(c) for c in self.coefficients))
+        im = self._im and tuple(-c for c in self._im)
+        return ExactPolynomial._raw(self._re, im, self._den)
 
     # -- evaluation ------------------------------------------------------------
     @cached_property
     def complex_coefficients(self) -> tuple:
-        return tuple(complex(c) for c in self.coefficients)
+        den = self._den
+        return tuple(complex(a / den, b / den) for a, b in zip(self._re, self._im_parts))
 
     @cached_property
     def float_coefficients(self) -> tuple:
         if not self.is_real:
             raise ValueError("polynomial has nonreal coefficients")
-        return tuple(float(c) for c in self.coefficients)
+        return tuple(a / self._den for a in self._re)
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction, GaussianRational)):
-            acc: Scalar = Fraction(0)
-            for c in reversed(self.coefficients):
-                acc = acc * x + c
-            return acc.canonical() if isinstance(acc, GaussianRational) else acc
+            if self.is_zero:
+                return Fraction(0)
+            # Horner on x = (p + q*i)/d scaled by d**degree stays in Z[i]
+            p, q, d = _scalar_parts(x)
+            sr = si = 0
+            scale = 1
+            for a, b in zip(reversed(self._re), reversed(self._im_parts)):
+                sr, si = sr * p - si * q + a * scale, sr * q + si * p + b * scale
+                scale *= d
+            return _scalar(sr, si, self._den * d**self.degree)
         if isinstance(x, complex):
             acc_c = 0j
             for c in reversed(self.complex_coefficients):
@@ -434,29 +620,12 @@ def _as_poly(x) -> ExactPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# gcd over Z via the subresultant PRS
+# the subresultant PRS over Z and over Z[i]; Z[i] elements are (re, im) pairs
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(f: ExactPolynomial) -> list:
-    """Clear denominators; the result spans the same ideal up to units."""
-    L = 1
-    for c in f.coefficients:
-        L = L * c.denominator // math.gcd(L, c.denominator)
-    return [int(c * L) for c in f.coefficients]
-
-
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _int_primitive(cs: Sequence[int]) -> list:
-    g = _int_content(cs)
+    g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else list(cs)
 
 
@@ -475,57 +644,12 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> list:
     return r
 
 
-def _int_prs_gcd(a: list, b: list) -> list:
-    """Primitive gcd of primitive integer polynomials, deg a >= deg b >= 1."""
-    g = h = 1
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_prem(a, b)
-        if not r:
-            return _int_primitive(b)
-        if len(r) == 1:
-            return [1]
-        div = g * h**delta
-        a, b = b, [c // div for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-
-
-# ---------------------------------------------------------------------------
-# gcd over Z[i]; elements are (re, im) integer pairs
-# ---------------------------------------------------------------------------
-
-
-def _gauss_coeffs(f: ExactPolynomial) -> list:
-    L = 1
-    for c in f.coefficients:
-        if isinstance(c, GaussianRational):
-            for d in (c.re.denominator, c.im.denominator):
-                L = L * d // math.gcd(L, d)
-        else:
-            L = L * c.denominator // math.gcd(L, c.denominator)
-    out = []
-    for c in f.coefficients:
-        if isinstance(c, GaussianRational):
-            out.append((int(c.re * L), int(c.im * L)))
-        else:
-            out.append((int(c * L), 0))
-    return out
-
-
 def _g_is_zero(a) -> bool:
     return a[0] == 0 and a[1] == 0
 
 
 def _g_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _g_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def _round_div(x: int, n: int) -> int:
@@ -594,28 +718,77 @@ def _g_prem(a: list, b: list) -> list:
     return r
 
 
-def _g_prs_gcd(a: list, b: list) -> list:
-    g, h = (1, 0), (1, 0)
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _g_prem(a, b)
-        if not r:
-            return _g_primitive(b)
-        if len(r) == 1:
-            return [(1, 0)]
-        div = _g_mul(g, _g_pow(h, delta))
-        a, b = b, [_g_divexact(c, div) for c in r]
+class _Z:
+    """The integers as the PRS sees them."""
+
+    one = 1
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.floordiv)  # only ever called on exact quotients
+    pow = staticmethod(pow)
+    prem = staticmethod(_int_prem)
+    primitive = staticmethod(_int_primitive)
+
+    @staticmethod
+    def numerators(f: ExactPolynomial) -> list:
+        return list(f._re)
+
+    @staticmethod
+    def polynomial(cs: list) -> ExactPolynomial:
+        return _poly(cs)
+
+    @staticmethod
+    def scalar(x: int, den: int) -> Scalar:
+        return Fraction(x, den)
+
+
+class _ZI:
+    """The Gaussian integers as the PRS sees them: (re, im) int pairs."""
+
+    one = (1, 0)
+    mul = staticmethod(_g_mul)
+    div = staticmethod(_g_divexact)
+    pow = staticmethod(_g_pow)
+    prem = staticmethod(_g_prem)
+    primitive = staticmethod(_g_primitive)
+
+    @staticmethod
+    def numerators(f: ExactPolynomial) -> list:
+        return list(zip(f._re, f._im_parts))
+
+    @staticmethod
+    def polynomial(cs: list) -> ExactPolynomial:
+        return _poly([x for x, _ in cs], [y for _, y in cs])
+
+    @staticmethod
+    def scalar(x: tuple, den: int) -> Scalar:
+        return _scalar(x[0], x[1], den)
+
+
+def _ring(*polys: ExactPolynomial):
+    return _Z if all(f.is_real for f in polys) else _ZI
+
+
+def _prs(a: list, b: list, ring) -> tuple:
+    """Run the subresultant PRS from deg a >= deg b >= 1 until a remainder
+    of degree < 1.  Returns (a, b, h, s): the last two terms (b is [] when
+    the final pseudo-remainder vanished, else one constant), the last
+    subresultant factor h, and the sign s the degree parities give the
+    resultant."""
+    g = h = ring.one
+    s = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            s = -s
+        r = ring.prem(a, b)
+        div = ring.mul(g, ring.pow(h, delta))
+        a, b = b, [ring.div(c, div) for c in r]
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _g_divexact(_g_pow(g, delta), _g_pow(h, delta - 1))
-
-
-def _poly_from_gauss(cs: list) -> ExactPolynomial:
-    return ExactPolynomial(
-        tuple(GaussianRational(Fraction(x), Fraction(y)) for x, y in cs)
-    )
+            h = ring.div(ring.pow(g, delta), ring.pow(h, delta - 1))
+    return a, b, h, s
 
 
 def gcd_exact(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
@@ -628,16 +801,14 @@ def gcd_exact(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
         return f.monic()
     if f.degree == 0 or g.degree == 0:
         return ExactPolynomial.one()
-    if f.is_real and g.is_real:
-        a, b = _int_primitive(_int_coeffs(f)), _int_primitive(_int_coeffs(g))
-        if len(a) < len(b):
-            a, b = b, a
-        raw = _int_prs_gcd(a, b)
-        return ExactPolynomial(tuple(raw)).monic()
-    a2, b2 = _g_primitive(_gauss_coeffs(f)), _g_primitive(_gauss_coeffs(g))
-    if len(a2) < len(b2):
-        a2, b2 = b2, a2
-    return _poly_from_gauss(_g_prs_gcd(a2, b2)).monic()
+    ring = _ring(f, g)
+    a, b = ring.primitive(ring.numerators(f)), ring.primitive(ring.numerators(g))
+    if len(a) < len(b):
+        a, b = b, a
+    last, rem, _, _ = _prs(a, b, ring)
+    if rem:
+        return ExactPolynomial.one()
+    return ring.polynomial(last).monic()
 
 
 def gcd_many(polys: Sequence[ExactPolynomial]) -> ExactPolynomial:
@@ -904,7 +1075,7 @@ def real_roots_exact(f: ExactPolynomial) -> list:
         return []
     roots = []
     for factor, mult in squarefree_decomposition(f):
-        ics = tuple(_int_primitive(_int_coeffs(factor)))
+        ics = tuple(_int_primitive(factor._re))
         for lo, hi, s_lo in _isolate_squarefree(ics):
             roots.append(RealRoot(lo, hi, mult, ics, s_lo))
     # roots of coprime factors are distinct: refine until intervals separate
@@ -941,7 +1112,7 @@ def count_distinct_real_roots(f: ExactPolynomial) -> int:
         return 0
     g = gcd_exact(f, f.derivative())
     w = f.exact_div(g) if g.degree > 0 else f
-    cs = _int_primitive(_int_coeffs(w))
+    cs = _int_primitive(w._re)
     if len(cs) == 2:
         return 1
     chain = _sturm_chain(cs)
@@ -958,17 +1129,11 @@ def cauchy_root_bound(polys: Sequence[ExactPolynomial]) -> Fraction:
             raise ValueError("the zero polynomial has unbounded roots")
         if f.degree == 0:
             continue
-        lead = f.leading_coefficient
-        if isinstance(lead, GaussianRational):
-            lead_low = max(abs(lead.re), abs(lead.im))  # <= |lead|
-        else:
-            lead_low = abs(lead)
-        m = Fraction(0)
-        for c in f.coefficients[:-1]:
-            mag = abs(c.re) + abs(c.im) if isinstance(c, GaussianRational) else abs(c)
-            if mag > m:
-                m = mag
-        best = max(best, 1 + m / lead_low)
+        # the common denominator cancels from the ratio
+        im = f._im_parts
+        lead_low = max(abs(f._re[-1]), abs(im[-1]))  # <= |lead|
+        m = max(abs(a) + abs(b) for a, b in zip(f._re[:-1], im[:-1]))
+        best = max(best, 1 + Fraction(m, lead_low))
     return best
 
 
@@ -993,15 +1158,25 @@ def _aberth_batch(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarra
     """Run Aberth-Ehrlich on a batch of monic polynomials of equal degree.
 
     coeffs: (B, d+1) complex, ascending, last column all ones. Returns (B, d).
+    A root stops moving once its residual is at rounding level, so a row
+    whose roots have all stopped is final; such rows leave the working set,
+    and the rows still moving give bit-for-bit the same iterates.  The
+    (B, d, d) pairwise terms, the one large intermediate, live in buffers
+    made once per call rather than in fresh arrays on every iteration.
     """
     batch, dp1 = coeffs.shape
     d = dp1 - 1
     radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
     angles = 2.0 * np.pi * np.arange(d) / d + offset
     z = radius[:, None] * np.exp(1j * angles)[None, :]
+    out = z
+    rows = np.arange(batch)
     dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
     abs_coeffs = np.abs(coeffs)
     active = np.ones((batch, d), dtype=bool)
+    pair_buf = np.empty((batch, d, d), dtype=complex)
+    mag_buf = np.empty((batch, d, d))
+    tiny_buf = np.empty((batch, d, d), dtype=bool)
     for _ in range(max_iter):
         p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
         for k in range(d - 1, -1, -1):
@@ -1020,27 +1195,39 @@ def _aberth_batch(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarra
             break
         dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
         newton = p / dp
-        diff = z[:, :, None] - z[:, None, :]
+        n = len(z)
+        diff, mag, tiny = pair_buf[:n], mag_buf[:n], tiny_buf[:n]
+        np.subtract(z[:, :, None], z[:, None, :], out=diff)
         np.einsum("bii->bi", diff)[:] = np.inf
-        diff = np.where(np.abs(diff) < 1e-290, 1e-290, diff)
-        ssum = (1.0 / diff).sum(axis=2)
+        np.less(np.abs(diff, out=mag), 1e-290, out=tiny)
+        np.copyto(diff, 1e-290, where=tiny)
+        ssum = np.divide(1.0, diff, out=diff).sum(axis=2)
         denom = 1.0 - newton * ssum
         denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
         w = np.where(active, newton / denom, 0.0)
         z = z - w
         if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
             break
-    return z
+        moving = active.any(axis=1)
+        if not moving.all():
+            out[rows[~moving]] = z[~moving]
+            rows, z, active = rows[moving], z[moving], active[moving]
+            coeffs, dcoeffs, abs_coeffs = coeffs[moving], dcoeffs[moving], abs_coeffs[moving]
+    out[rows] = z
+    return out
 
 
 def _cluster_roots(roots: Sequence[complex], tol: float) -> list:
     """Single-linkage clusters at radius tol, merged until pairwise disjoint."""
-    clusters = [[r] for r in sorted(roots, key=lambda c: (c.real, c.imag))]
+    pts = sorted(roots, key=lambda c: (c.real, c.imag))
+    clusters = [[r] for r in pts]
 
     def center(c):
         return sum(c) / len(c)
 
-    merged = True
+    # roots that are pairwise farther apart than tol, the common case, stay
+    # singletons: the merge scan below would find nothing to merge
+    merged = any(abs(a - b) <= tol for i, a in enumerate(pts) for b in pts[i + 1 :])
     while merged and len(clusters) > 1:
         merged = False
         for i in range(len(clusters)):
@@ -1055,8 +1242,13 @@ def _cluster_roots(roots: Sequence[complex], tol: float) -> list:
                 break
     out = []
     for c in clusters:
-        z0 = center(c)
-        rad = max((abs(a - z0) for a in c), default=0.0)
+        if len(c) == 1:
+            # center(c) and the radius below, for a single root
+            z0 = (0 + c[0]) / 1
+            rad = abs(c[0] - z0)
+        else:
+            z0 = center(c)
+            rad = max(abs(a - z0) for a in c)
         out.append(RootCluster(z0, max(rad, tol / 10), len(c)))
     out.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return out
@@ -1065,14 +1257,19 @@ def _cluster_roots(roots: Sequence[complex], tol: float) -> list:
 def _validate_clusters(f: ExactPolynomial, clusters: list) -> float:
     """Max relative backward error of cluster centers; inf when degenerate."""
     worst = 0.0
-    cs = f.complex_coefficients
+    top_down = f.complex_coefficients[::-1]
+    mags = [abs(c) for c in top_down]
     for cl in clusters:
         z = cl.center
         az = max(1.0, abs(z))
         s = 0.0
-        for k in range(len(cs) - 1, -1, -1):
-            s = s * az + abs(cs[k])
-        err = abs(f(z)) / s
+        for m in mags:
+            s = s * az + m
+        # f(z) by Horner, exactly as ExactPolynomial.__call__ evaluates it
+        v = 0j
+        for c in top_down:
+            v = v * z + c
+        err = abs(v) / s
         # an m-fold cluster center is accurate to about the cluster radius,
         # so its residual scales like radius**m
         allowed = max(1e-9, (4.0 * max(cl.radius, 1e-15)) ** cl.multiplicity)
@@ -1100,22 +1297,18 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
     for d, indices in by_degree.items():
         for start in range(0, len(indices), 4096):
             chunk = indices[start : start + 4096]
-            mat = np.empty((len(chunk), d + 1), dtype=complex)
-            for row, idx in enumerate(chunk):
-                f = polys[idx]
-                cc = np.array(f.complex_coefficients, dtype=complex)
-                mat[row] = cc / cc[-1]
+            mat = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
+            mat = mat / mat[:, -1:]
             pending = list(range(len(chunk)))
             for attempt, offset in enumerate(_ABERTH_RESTARTS):
                 roots = _aberth_batch(
                     mat[pending], max_iter=120 * (attempt + 1), offset=offset
                 )
                 still = []
-                for row_pos, row in enumerate(pending):
+                for row, rts in zip(pending, roots.tolist()):
                     idx = chunk[row]
                     f = polys[idx]
-                    rts = [complex(v) for v in roots[row_pos]]
-                    scale = max(1.0, max(abs(r) for r in rts))
+                    scale = max(1.0, max(map(abs, rts)))
                     # double roots blur to ~1e-7 in binary64, so "coincident"
                     # defaults to a 1e-6 resolution
                     tol = cluster_tol if cluster_tol is not None else 1e-6 * scale
@@ -1140,48 +1333,32 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
 # ---------------------------------------------------------------------------
 
 
-def resultant_exact(f: ExactPolynomial, g: ExactPolynomial):
-    """Resultant of f and g over Q or Q(i), as an exact scalar."""
+def resultant_exact(f: ExactPolynomial, g: ExactPolynomial) -> Scalar:
+    """Resultant of f and g over Q or Q(i), as an exact scalar (a Fraction
+    when real), from the subresultant PRS of the numerators:
+    res(Nf/df, Ng/dg) = res(Nf, Ng) / (df**deg g * dg**deg f)."""
     if f.is_zero or g.is_zero:
         return Fraction(0)
     m, n = f.degree, g.degree
+    ring = _ring(f, g)
+    a, b = ring.numerators(f), ring.numerators(g)
+    den = f._den**n * g._den**m
     if m == 0:
-        return (f.coefficients[0] ** n) if n else Fraction(1)
+        return ring.scalar(ring.pow(a[0], n), den)
     if n == 0:
-        return g.coefficients[0] ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coefficients))
-    gc = list(reversed(g.coefficients))
-    for k in range(n):
-        rows.append([Fraction(0)] * k + fc + [Fraction(0)] * (size - m - 1 - k))
-    for k in range(m):
-        rows.append([Fraction(0)] * k + gc + [Fraction(0)] * (size - n - 1 - k))
-    det: Scalar = Fraction(1)
+        return ring.scalar(ring.pow(b[0], m), den)
     sign = 1
-    for col in range(size):
-        pivot_row = None
-        for r in range(col, size):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det = det * pivot
-        inv = _scalar_inv(pivot)
-        for r in range(col + 1, size):
-            factor = rows[r][col]
-            if factor:
-                scaled = factor * inv
-                rows[r] = [
-                    rows[r][c] - scaled * rows[col][c] for c in range(size)
-                ]
-    det = det * sign
-    return det.canonical() if isinstance(det, GaussianRational) else det
+    if m < n:
+        a, b = b, a
+        if m & n & 1:
+            sign = -1
+    a, b, h, s = _prs(a, b, ring)
+    if not b:
+        return Fraction(0)
+    d = len(a) - 1
+    res = ring.div(ring.pow(b[0], d), ring.pow(h, d - 1))
+    # the sign rides on the denominator; the scalar constructors normalize it
+    return ring.scalar(res, sign * s * den)
 
 
 # ---------------------------------------------------------------------------

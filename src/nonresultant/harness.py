@@ -6,8 +6,9 @@ any rational parameter the interpolated tuple is exact, so membership there
 is a certainty, not an estimate.  For the pair-resultant shapes ((2,1) via
 res(f1, f2), (1,2) via res(f, f')) the boundary locus along the path is the
 real root set of an exact polynomial in the parameter, recovered by Lagrange
-interpolation from exact resultant values; locating violations this way also
-catches even-order touches that boolean sampling can never see.
+interpolation from exact resultant values (over C, of the gcd of its real and
+imaginary parts); locating violations this way also catches even-order
+touches that boolean sampling can never see.
 
 Sweeps draw every trial from a per-index seed, so serial and parallel runs
 agree, and reports serialize to canonical JSON bytes for reproducibility
@@ -28,8 +29,8 @@ from .case31 import Model31, i_d_loop, pi1_winding, r_tilde
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
-    RootCluster,
     complex_roots_many,
+    gcd_exact,
     real_roots_exact,
     resultant_exact,
 )
@@ -189,8 +190,12 @@ _MERGE_REL = 2e-2  # well above the mult-4 blur, well below the lattice gap
 
 def _merge_clusters(clusters: list, tol: float) -> list:
     """Single-linkage merge of root clusters whose centers sit within tol
-    (plus their own radii) of each other."""
+    (plus their own radii) of each other, as (center, radius, multiplicity)
+    tuples."""
     k = len(clusters)
+    centers = [c.center for c in clusters]
+    radii = [c.radius for c in clusters]
+    mults = [c.multiplicity for c in clusters]
     parent = list(range(k))
 
     def find(x):
@@ -200,19 +205,26 @@ def _merge_clusters(clusters: list, tol: float) -> list:
         return x
 
     for i in range(k):
+        ci, ri = centers[i], radii[i]
         for j in range(i + 1, k):
-            gap = tol + 5.0 * (clusters[i].radius + clusters[j].radius)
-            if abs(clusters[i].center - clusters[j].center) <= gap:
+            if abs(ci - centers[j]) <= tol + 5.0 * (ri + radii[j]):
                 parent[find(i)] = find(j)
     groups: dict = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(clusters[i])
+        groups.setdefault(find(i), []).append(i)
     merged = []
     for members in groups.values():
-        total = sum(c.multiplicity for c in members)
-        center = sum(c.center * c.multiplicity for c in members) / total
-        radius = max(abs(c.center - center) + c.radius for c in members)
-        merged.append(RootCluster(center, radius, total))
+        if len(members) == 1:
+            # the sums and the max below, each over one member
+            i = members[0]
+            total = mults[i]
+            center = (0 + centers[i] * total) / total
+            merged.append((center, abs(centers[i] - center) + radii[i], total))
+            continue
+        total = sum(mults[i] for i in members)
+        center = sum(centers[i] * mults[i] for i in members) / total
+        radius = max(abs(centers[i] - center) + radii[i] for i in members)
+        merged.append((center, radius, total))
     return merged
 
 
@@ -242,16 +254,16 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple], cluster_tol: fl
         per_poly = coarse[pos : pos + t.m]
         pos += t.m
         best = 0
-        for cand in per_poly[0]:
-            mult = cand.multiplicity
+        for cand_center, cand_radius, cand_mult in per_poly[0]:
+            mult = cand_mult
+            base = cluster_tol if cluster_tol is not None else _MERGE_REL * max(
+                1.0, abs(cand_center)
+            )
             for clusters in per_poly[1:]:
                 match = 0
-                base = cluster_tol if cluster_tol is not None else _MERGE_REL * max(
-                    1.0, abs(cand.center)
-                )
-                for c in clusters:
-                    if abs(c.center - cand.center) <= base + 5.0 * (cand.radius + c.radius):
-                        match = max(match, c.multiplicity)
+                for center, radius, multiplicity in clusters:
+                    if abs(center - cand_center) <= base + 5.0 * (cand_radius + radius):
+                        match = max(match, multiplicity)
                 mult = min(mult, match)
                 if mult == 0:
                     break
@@ -305,7 +317,7 @@ def _lagrange(nodes: Sequence[Fraction], values: Sequence) -> ExactPolynomial:
                 continue
             basis = basis * (z - ExactPolynomial.constant(xj))
             denom *= xi - xj
-        total = total + basis * (Fraction(yi) / denom)
+        total = total + basis * (yi / denom)
     return total
 
 
@@ -369,6 +381,13 @@ def locate_violation(
         kind = "resultant_root" if a.m == 2 else "discriminant_root"
         if g.is_zero:
             return ViolationCertificate(kind, Fraction(0), Fraction(1), False)
+        if not g.is_real:
+            # over C the resultant is Gaussian; a real t is a root of it
+            # exactly when t is a root of its real and imaginary parts
+            half = Fraction(1, 2)
+            re_part = (g + g.conjugate()) * half
+            im_part = (g - g.conjugate()) * GaussianRational(0, -half)
+            g = gcd_exact(re_part, im_part)
         inside = []
         for r in real_roots_exact(g):
             r = r.refine(width)

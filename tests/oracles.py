@@ -4,7 +4,7 @@ Each oracle deliberately avoids the code path it checks: gcds come from
 factor multisets instead of remainder sequences, windings from brute-force
 dense sampling instead of adaptive refinement, real-axis degrees from the
 Cauchy index instead of any argument lift, resultants from the root-product
-formula instead of determinants.
+formula or the Sylvester determinant instead of remainder sequences.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nonresultant.exactalg import ExactPolynomial, real_roots_exact
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, real_roots_exact
 
 
 def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
@@ -39,6 +39,99 @@ def resultant_from_roots(f: ExactPolynomial, g: ExactPolynomial) -> complex:
     for a in roots:
         out *= g(complex(a))
     return out
+
+
+def resultant_sylvester(f: ExactPolynomial, g: ExactPolynomial):
+    """res(f, g) as the determinant of the Sylvester matrix, by exact
+    Gaussian elimination over Q or Q(i) on the coefficient view; canonical
+    (a Fraction when real)."""
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    m, n = f.degree, g.degree
+    size = m + n
+    fc = list(reversed(f.coefficients))
+    gc = list(reversed(g.coefficients))
+    rows = [[0] * k + fc + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + gc + [0] * (m - 1 - k) for k in range(m)]
+    det = GaussianRational(Fraction(1), Fraction(0))
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        pivot = rows[col][col]
+        det = det * pivot
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                factor = GaussianRational.of(rows[r][col]) / pivot
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det.canonical()
+
+
+def aberth_every_row(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarray:
+    """Batched Aberth-Ehrlich iterates with every row updated on every
+    iteration in fresh arrays (a row whose roots have all stopped gets a zero
+    step); the kernel must reproduce these bits."""
+    batch, dp1 = coeffs.shape
+    d = dp1 - 1
+    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
+    z = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + offset))[None, :]
+    dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
+    abs_coeffs = np.abs(coeffs)
+    active = np.ones((batch, d), dtype=bool)
+    for _ in range(max_iter):
+        p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
+        for k in range(d - 1, -1, -1):
+            p = p * z + coeffs[:, k][:, None]
+        dp = np.broadcast_to(dcoeffs[:, -1][:, None], z.shape).copy()
+        for k in range(d - 2, -1, -1):
+            dp = dp * z + dcoeffs[:, k][:, None]
+        az = np.maximum(1.0, np.abs(z))
+        s = np.broadcast_to(abs_coeffs[:, -1][:, None], z.shape).copy()
+        for k in range(d - 1, -1, -1):
+            s = s * az + abs_coeffs[:, k][:, None]
+        active &= ~(np.abs(p) <= 1e-14 * s)
+        if not active.any():
+            break
+        dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
+        newton = p / dp
+        diff = z[:, :, None] - z[:, None, :]
+        np.einsum("bii->bi", diff)[:] = np.inf
+        diff = np.where(np.abs(diff) < 1e-290, 1e-290, diff)
+        denom = 1.0 - newton * (1.0 / diff).sum(axis=2)
+        denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
+        w = np.where(active, newton / denom, 0.0)
+        z = z - w
+        if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
+            break
+    return z
+
+
+def cluster_roots_scan(roots, tol: float) -> list:
+    """(center, radius, multiplicity) of single-linkage clusters at radius
+    tol, by rescanning all cluster pairs after every merge, with no shortcut
+    for well separated roots."""
+    clusters = [[r] for r in sorted(roots, key=lambda c: (c.real, c.imag))]
+    merged = True
+    while merged and len(clusters) > 1:
+        merged = False
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                if min(abs(a - b) for a in clusters[i] for b in clusters[j]) <= tol:
+                    clusters[i] = clusters[i] + clusters[j]
+                    del clusters[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    out = []
+    for c in clusters:
+        z0 = sum(c) / len(c)
+        rad = max((abs(a - z0) for a in c), default=0.0)
+        out.append((z0, max(rad, tol / 10), len(c)))
+    return sorted(out, key=lambda cl: (cl[0].real, cl[0].imag))
 
 
 def winding_dense(loop, samples: int = 200_000) -> int:

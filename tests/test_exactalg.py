@@ -26,17 +26,33 @@ from nonresultant.exactalg import (
     squarefree_decomposition,
 )
 
-from oracles import gcd_from_factor_multisets, resultant_from_roots
+from nonresultant.exactalg import _aberth_batch, _cluster_roots
+from oracles import (
+    aberth_every_row,
+    cluster_roots_scan,
+    gcd_from_factor_multisets,
+    resultant_from_roots,
+    resultant_sylvester,
+)
 
 z = ExactPolynomial.variable()
 i_unit = GaussianRational(F(0), F(1))
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+# each example draws all its polynomials over Q or all over Q(i)
+fields = st.sampled_from([small_fractions, small_gaussians])
 
 
-def poly_strategy(max_degree=5):
-    return st.lists(small_fractions, min_size=0, max_size=max_degree + 1).map(
+def poly_strategy(max_degree=5, coeffs=small_fractions):
+    return st.lists(coeffs, min_size=0, max_size=max_degree + 1).map(
         lambda cs: ExactPolynomial(tuple(cs))
+    )
+
+
+def polys_over_a_field(*max_degrees):
+    return fields.flatmap(
+        lambda c: st.tuples(*(poly_strategy(d, c) for d in max_degrees))
     )
 
 
@@ -72,6 +88,52 @@ def test_construction_canonical():
     assert p.coefficients[0] == F(3)
     with pytest.raises(TypeError):
         ExactPolynomial((0.5, 1))
+    with pytest.raises(TypeError):
+        z * 0.5
+    with pytest.raises(TypeError):
+        ExactPolynomial.from_roots([0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_over_a_field(6))
+def test_coefficient_view_round_trips(polys):
+    (p,) = polys
+    assert ExactPolynomial(p.coefficients) == p
+    assert hash(ExactPolynomial(p.coefficients)) == hash(p)
+    assert p.is_real == all(isinstance(c, F) for c in p.coefficients)
+    assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_equal_polynomials_hash_equal():
+    half = F(1, 2)
+    built = [
+        ExactPolynomial.from_roots([half, -i_unit]),
+        (z - half) * (z + i_unit),
+        ExactPolynomial((GaussianRational(F(0), -half), GaussianRational(F(-1, 2), F(1)), 1)),
+        ((2 * z - 1) * (3 * z + 3 * i_unit)) * F(1, 6),
+        (z * z + z * (i_unit - half)) - half * i_unit,
+        ExactPolynomial.from_roots([F(2, 4), GaussianRational(F(0), F(-3, 3))], lead=GaussianRational(F(1), F(0))),
+    ]
+    assert all(p == built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1
+    reals = [z - half, ExactPolynomial((F(-2, 4), GaussianRational(F(1), F(0)))), (2 * z - 1) * half]
+    assert len(set(reals)) == 1
+    assert reals[0].is_real and reals[1].is_real
+    assert (z - i_unit).conjugate() == z + i_unit
+    assert hash(ExactPolynomial.zero()) == hash(z - z)
+
+
+def test_divmod_by_gaussian_leading_coefficient():
+    lead = GaussianRational(F(2), F(-3))
+    g = z**2 * lead + F(1, 3) * z + i_unit
+    f = ExactPolynomial.from_roots([F(1, 2), i_unit, F(-2), GaussianRational(F(1), F(1, 5))])
+    q, r = divmod(f, g)
+    assert f == q * g + r
+    assert r.degree < g.degree
+    assert (f * g).exact_div(g) == f
+    assert (g * g).exact_div(g) == g
+    assert g.monic().leading_coefficient == 1
+    assert g.monic() * lead == g
 
 
 def test_gaussian_scalar_arithmetic():
@@ -109,17 +171,21 @@ def test_derivative_rules():
         assert lhs == rhs
 
 
-@settings(max_examples=60, deadline=None)
-@given(poly_strategy(), poly_strategy(), poly_strategy())
-def test_ring_identities(f, g, h):
+@settings(max_examples=80, deadline=None)
+@given(polys_over_a_field(5, 5, 5))
+def test_ring_identities(polys):
+    f, g, h = polys
     assert (f + g) * h == f * h + g * h
     assert f * g == g * f
     assert f - f == ExactPolynomial.zero()
+    assert (f - g) + g == f
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
-@settings(max_examples=60, deadline=None)
-@given(poly_strategy(), poly_strategy(4))
-def test_divmod_reconstruction(f, g):
+@settings(max_examples=80, deadline=None)
+@given(polys_over_a_field(5, 4))
+def test_divmod_reconstruction(polys):
+    f, g = polys
     if g.is_zero:
         with pytest.raises(ZeroDivisionError):
             divmod(f, g)
@@ -127,6 +193,7 @@ def test_divmod_reconstruction(f, g):
     q, r = divmod(f, g)
     assert f == q * g + r
     assert r.degree < g.degree
+    assert (f * g).exact_div(g) == f
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +243,14 @@ def test_gcd_matches_factor_multiset_oracle_gaussian():
 
 def test_gcd_common_factor_property():
     rng = random.Random(44)
-    for _ in range(60):
-        # build f, g coprime by giving them disjoint root sets
-        f = ExactPolynomial.from_roots([F(k) for k in rng.sample(range(1, 9), 2)])
+    for k in range(90):
+        # build f, g coprime by giving them disjoint root sets; every third
+        # case runs over Q(i)
+        gaussian = k % 3 == 2
+        unit = i_unit if gaussian else F(1)
+        f = ExactPolynomial.from_roots([F(k) * unit for k in rng.sample(range(1, 9), 2)])
         g = ExactPolynomial.from_roots([F(-k) for k in rng.sample(range(1, 9), 2)])
-        h = random_poly(rng, rng.randint(1, 3))
+        h = random_poly(rng, rng.randint(1, 3), monic=False, gaussian=gaussian)
         assert gcd_exact(f * h, g * h) == h.monic() * gcd_exact(f, g)
 
 
@@ -366,6 +436,36 @@ def test_complex_roots_planted_products():
     assert hits >= 990
 
 
+def test_aberth_batch_matches_every_row_iteration_bitwise():
+    # rows retire once all their roots stop; the rest must see the same bits
+    rng = np.random.default_rng(51)
+    for _ in range(60):
+        d = int(rng.integers(1, 10))
+        rows = int(rng.integers(1, 40))
+        roots = rng.integers(-3, 4, size=(rows, d)) + 1j * rng.integers(-2, 3, size=(rows, d))
+        roots[: rows // 2, : d // 2] = roots[: rows // 2, :1]  # planted multiple roots
+        coeffs = np.array([np.poly(r)[::-1] for r in roots], dtype=complex)
+        coeffs = coeffs / coeffs[:, -1:]
+        for max_iter, offset in ((120, 0.41), (9, 1.13)):
+            got = _aberth_batch(coeffs.copy(), max_iter, offset)
+            want = aberth_every_row(coeffs.copy(), max_iter, offset)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_cluster_roots_matches_full_scan_bitwise():
+    rng = random.Random(52)
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        base = [complex(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(k)]
+        # near-coincident pairs exercise merging; spread ones the shortcut
+        roots = [b + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-9, -1)
+                 for b in base]
+        tol = 10.0 ** rng.randint(-8, 0)
+        got = [(c.center, c.radius, c.multiplicity) for c in _cluster_roots(roots, tol)]
+        want = cluster_roots_scan(roots, tol)
+        assert repr(got) == repr(want)
+
+
 def test_complex_roots_multiplicity_sums():
     rng = random.Random(50)
     for _ in range(20):
@@ -404,6 +504,31 @@ def test_resultant_matches_root_product_oracle():
 def test_resultant_gaussian():
     r = resultant_exact(z - i_unit, z + i_unit)
     assert r == GaussianRational(F(0), F(2))
+
+
+def test_resultant_matches_sylvester_oracle():
+    rng = random.Random(52)
+    for k in range(120):
+        gaussian = k % 2 == 1
+        f = random_poly(rng, rng.randint(0, 5), monic=False, gaussian=gaussian)
+        g = random_poly(rng, rng.randint(0, 5), monic=k % 3 == 0, gaussian=gaussian and k % 4 == 1)
+        exact = resultant_exact(f, g)
+        assert exact == resultant_sylvester(f, g)
+        assert isinstance(exact, F) or not exact.is_real
+    # a shared root makes the resultant vanish over Q(i) as over Q
+    f = random_poly(rng, 3, gaussian=True) * (z - i_unit)
+    assert resultant_exact(f, (z - i_unit) * (z + 3)) == 0 == resultant_sylvester(f, z - i_unit)
+
+
+def test_resultant_constant_inputs_are_canonical():
+    one_i = ExactPolynomial((i_unit,))
+    r = resultant_exact(one_i, z**2 + 1)
+    assert r == F(-1) and type(r) is F
+    assert resultant_exact(z**2 + 1, one_i) == F(-1)
+    assert resultant_exact(one_i, z**3) == GaussianRational(F(0), F(-1))
+    assert resultant_exact(one_i, one_i) == 1
+    assert resultant_exact(ExactPolynomial.constant(F(2, 3)), 2 * z**2 + 1) == F(4, 9)
+    assert resultant_exact(3 * z - 1, ExactPolynomial.constant(F(-1, 2))) == F(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonresultant.case21 import component_of_21, representative_21
-from nonresultant.exactalg import ExactPolynomial, resultant_exact
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, resultant_exact
 from nonresultant.harness import (
     certify_path,
     invariant_sweep,
@@ -27,6 +28,7 @@ from nonresultant.nonres import (
 )
 
 z = ExactPolynomial.variable()
+i_unit = GaussianRational(F(0), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +190,47 @@ def test_planted_bad_midpoint_flips_certification():
     assert not is_member(mid)
 
 
+def test_complex_field_paths_are_certified_exactly():
+    # (z - i, z - 1) -> (z - 1, z - i): the roots meet at (1 + i)/2 at t = 1/2
+    a = SystemTuple((z - i_unit, z - 1), 1, FIELD_COMPLEX)
+    b = SystemTuple((z - 1, z - i_unit), 1, FIELD_COMPLEX)
+    cert = locate_violation(a, b)
+    assert (cert.kind, cert.lo, cert.hi) == ("resultant_root", F(1, 2), F(1, 2))
+    assert not is_member(path_tuple(a, b, F(1, 2)))
+    assert certify_path(a, b).violations == (cert,)
+    # (z - i, z - 1) -> (z - 2 - i, z - i): the roots i + 2t and 1 - t + ti
+    # never meet
+    c = SystemTuple((z - 2 - i_unit, z - i_unit), 1, FIELD_COMPLEX)
+    assert locate_violation(a, c) is None
+    path = certify_path(a, c)
+    assert path.certified and path.violations == ()
+    # (1,2): z^2 - (1+i)z + (1-t)i has a double root exactly at t = 1/2
+    f = SystemTuple((z**2 - z * (1 + i_unit) + i_unit,), 2, FIELD_COMPLEX)
+    g = SystemTuple((z**2 - z * (1 + i_unit),), 2, FIELD_COMPLEX)
+    cert = locate_violation(f, g)
+    assert (cert.kind, cert.lo, cert.hi) == ("discriminant_root", F(1, 2), F(1, 2))
+    assert not certify_path(f, g).certified
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+
+# sha256 of the report bytes as the Fraction-coefficient kernel wrote them: a
+# change of polynomial representation must leave every report byte alone
+# (the CLI prints the same bytes plus a newline)
+@pytest.mark.parametrize(
+    "case, d, digest",
+    [
+        ("21", 4, "254ad14ccd5bccff58880585b35c0b469b9d9fab330f0c7a77c3d35d4c8934f2"),
+        ("12", 5, "d5397d5a6ffb0eb93d9402bc4531c199814ca536291eb0c37e6cc137e31d0655"),
+        ("31", 3, "843975a2b624b2298648413f8b7653108b050872a9c1ec45d24055a04e82960e"),
+    ],
+)
+def test_sweep_report_bytes_are_pinned(case, d, digest):
+    report = invariant_sweep(case, d, 40, seed=5)
+    assert hashlib.sha256(report.to_bytes()).hexdigest() == digest
 
 
 def test_sweep_reports_are_byte_identical():
