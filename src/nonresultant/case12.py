@@ -145,10 +145,13 @@ def to_configuration(f: ExactPolynomial) -> HalfPlaneConfig:
     """Split the roots of a squarefree monic real polynomial.
 
     Real roots come from exact isolation; the conjugate pairs from the
-    numeric root finder, cross-checked against the exact real-root count."""
+    numeric root finder, cross-checked against the exact real-root count.
+    When every root is real there are no pairs, and no numeric call."""
     _check_squarefree(f)
     real_roots = real_roots_exact(f)
     reals = tuple(r.float_value() for r in real_roots)
+    if len(reals) == f.degree:
+        return HalfPlaneConfig(reals, ())
     clusters = complex_roots_numeric(f)
     nonreal = sorted(clusters, key=lambda c: abs(c.center.imag))[len(reals):]
     uppers = tuple(c.center for c in nonreal if c.center.imag > 0)

@@ -30,7 +30,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import ExactPolynomial, GaussianRational, gcd_many, poly_from_json, poly_to_json, real_roots_exact
+from .exactalg import (
+    ExactPolynomial,
+    GaussianRational,
+    NonConvergenceError,
+    gcd_many,
+    poly_from_json,
+    poly_to_json,
+    real_roots_exact,
+)
 from .mapdeg import WindingError, sample_loop
 from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
@@ -152,19 +160,37 @@ def r_tilde(m: Model31) -> complex:
 
 def _refined_value(m: Model31, root) -> complex:
     """(f2 + i f3) at an isolated irrational root, with the interval bisected
-    until two successive midpoint evaluations agree to 1e-12 relative."""
+    until two successive midpoint evaluations agree to 1e-12 relative.
+
+    The first four widths are absolute, max(1, |lo|, |hi|) / 2**k for
+    k = 60, 120, 240, 480, and do not resolve a root far below 1 in size.
+    Past them the interval is bisected until it excludes 0 (isolation meets
+    a root at 0 exactly, so a non-exact root is never 0) and the same four
+    steps are taken relative to min(|lo|, |hi|); by the last of them the
+    midpoint's float stops changing unless the root lies within a relative
+    2**-480 of a point halfway between two floats.  If no two successive
+    values agree even then, NonConvergenceError carries the interval and the
+    last two values."""
     scale = max(Fraction(1), abs(root.lo), abs(root.hi))
-    previous = None
-    for k in (60, 120, 240, 480):
-        root = root.refine(scale / 2**k)
+    previous = before = None
+    for rung in range(8):
+        if rung == 4:
+            while root.lo <= 0 <= root.hi:
+                root = root.refine((root.hi - root.lo) / 2)
+            scale = min(abs(root.lo), abs(root.hi))
+        root = root.refine(scale / 2 ** (60 << (rung % 4)))
         if root.is_exact:
             return complex(GaussianRational(m.f2(root.lo), m.f3(root.lo)))
         x = float(root.midpoint)
         v = complex(m.f2(x), m.f3(x))
         if previous is not None and abs(v - previous) <= 1e-12 * max(abs(v), 1e-300):
             return v
-        previous = v
-    return previous
+        before, previous = previous, v
+    raise NonConvergenceError(
+        "f2 + i f3 did not settle at a real root of f1",
+        interval=(root.lo, root.hi),
+        values=(before, previous),
+    )
 
 
 def r_tilde_exact(m: Model31):

@@ -8,6 +8,7 @@ usage error (bad flags or malformed input).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -196,7 +197,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="nonresultant",
         description="Spaces of polynomial tuples without common roots of "

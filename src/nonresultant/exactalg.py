@@ -24,10 +24,11 @@ Algorithm 3.3.7).
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built once per squarefree factor over Z with positive content stripped at
-each step, sign variations are counted by exact integer evaluation at
-rational points, and bisection produces refinable isolating intervals whose
-endpoints are dyadic rationals.  An exact rational hit during bisection is
-returned as a degenerate interval [r, r].
+each step, and sign variations are counted at p/q from the integer
+q**d * f(p/q).  Bisection runs on integer numerators only, over an explicit
+worklist of dyadic intervals, and produces refinable isolating intervals
+whose endpoints are dyadic rationals.  An exact rational hit during
+bisection is returned as a degenerate interval [r, r].
 
 Complex roots are approximated by the Aberth-Ehrlich simultaneous iteration
 (vectorised, with a batch entry point so many same-degree polynomials share
@@ -71,7 +72,13 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """The numeric root finder could not certify its clusters."""
+    """A numeric procedure could not certify its result.  `diagnostics`
+    holds the data needed to reproduce the failure (empty when there is
+    nothing beyond the message)."""
+
+    def __init__(self, message: str, **diagnostics):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 def _to_fraction(x) -> Fraction:
@@ -853,6 +860,17 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
 
 # ---------------------------------------------------------------------------
 # real root isolation (Sturm)
+#
+# Every point the bisection visits is p/q with integers p and q > 0, and
+# `_sign_at` decides the sign of f there from q**d * f(p/q) by Horner on
+# integers; no Fraction is built inside a bisection loop.  Isolation starts
+# from (-2**e, 2**e) with 2**e above the Cauchy bound, and works through an
+# explicit worklist of dyadic intervals (a/2**k, b/2**k, count): an interval
+# holding one root is output, one holding more is halved, and a midpoint that
+# is itself a root is output as [r, r] with a root-free strip around it cut
+# out of the interval.  Sturm variation counts are cached per point, keyed by
+# the reduced (numerator, k).  `RealRoot.refine` brings lo and hi over one
+# denominator and bisects the numerators.
 # ---------------------------------------------------------------------------
 
 
@@ -864,9 +882,8 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(cs: Sequence[int], x: Fraction) -> int:
-    # sign of sum a_k p^k q^(d-k) = q^d f(p/q), exact
-    p, q = x.numerator, x.denominator
+def _sign_at(cs: Sequence[int], p: int, q: int) -> int:
+    """Sign of f(p/q) for q > 0: the sign of sum a_k p**k q**(d-k), exactly."""
     s = 0
     qq = 1
     for a in reversed(cs):
@@ -908,10 +925,6 @@ def _variations(signs: Iterable[int]) -> int:
     return out
 
 
-def _variations_at(chain: list, x: Fraction) -> int:
-    return _variations(_sign_at(cs, x) for cs in chain)
-
-
 def _variations_at_inf(chain: list, positive: bool) -> int:
     if positive:
         return _variations(_sign(cs[-1]) for cs in chain)
@@ -922,9 +935,18 @@ def _variations_at_inf(chain: list, positive: bool) -> int:
 
 @dataclass(frozen=True)
 class RealRoot:
-    """One real root: an isolating open interval (lo, hi) with rational
-    endpoints not themselves roots, or an exact rational root when lo == hi.
-    `refine` bisects down to a requested width and returns a new value."""
+    """One real root of the primitive squarefree integer factor `_factor`:
+    an open isolating interval (lo, hi) whose rational endpoints are not
+    roots, or an exact rational root when lo == hi.  `_sign_lo` is the sign
+    of the factor at lo (0 for an exact root).
+
+    `refine` returns a new value whose interval is at most `max_width` wide.
+    It puts lo and hi over one common denominator q and bisects the integer
+    numerators: each step doubles them and q and takes their sum as the
+    midpoint, so the interval's numerator width stays fixed and the width
+    test is one integer comparison.  The signs come from `_sign_at`; a
+    midpoint where the factor vanishes becomes an exact root.  The endpoints
+    are built as Fractions once, at the end."""
 
     lo: Fraction
     hi: Fraction
@@ -944,19 +966,28 @@ class RealRoot:
         return float(self.midpoint)
 
     def refine(self, max_width: Fraction) -> "RealRoot":
-        lo, hi, s_lo = self.lo, self.hi, self._sign_lo
-        while hi - lo > max_width:
-            mid = (lo + hi) / 2
-            s = _sign_at(self._factor, mid)
+        if self.is_exact:
+            return self
+        lo, hi = self.lo, self.hi
+        q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+        a = lo.numerator * (q // lo.denominator)
+        b = hi.numerator * (q // hi.denominator)
+        w = Fraction(max_width)
+        # (b - a) / q > w, cross-multiplied; b - a never changes
+        width, bound = (b - a) * w.denominator, w.numerator * q
+        cs, s_lo = self._factor, self._sign_lo
+        while width > bound:
+            m = a + b
+            a, b, q, bound = a << 1, b << 1, q << 1, bound << 1
+            s = _sign_at(cs, m, q)
             if s == 0:
-                lo = hi = mid
-                s_lo = 0
-                break
+                root = Fraction(m, q)
+                return RealRoot(root, root, self.multiplicity, cs, 0)
             if s == s_lo:
-                lo = mid
+                a = m
             else:
-                hi = mid
-        return RealRoot(lo, hi, self.multiplicity, self._factor, s_lo)
+                b = m
+        return RealRoot(Fraction(a, q), Fraction(b, q), self.multiplicity, cs, s_lo)
 
     def float_value(self, rel: float = 1e-16) -> float:
         """Float approximation refined until the width is negligible."""
@@ -981,28 +1012,37 @@ class RealRoot:
         if r.is_exact:
             return r.lo
         candidate = _simplest_between(r.lo, r.hi)
-        if _sign_at(self._factor, candidate) == 0:
+        if _sign_at(self._factor, candidate.numerator, candidate.denominator) == 0:
             return candidate
         return None
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Minimal-denominator rational in [lo, hi] (standard mediant recursion)."""
+    """Minimal-denominator rational in [lo, hi], by the continued fraction
+    the two endpoints share: while no integer lies in [lo, hi], the common
+    integer part n becomes the next term and the search goes on in
+    [1/(hi - n), 1/(lo - n)]; p/q and p0/q0 are the convergents so far, and
+    the answer is the Moebius image (p*t + p0) / (q*t + q0) of the last term t.
+    """
     if lo > hi:
         raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    cl, fl = math.ceil(lo), math.floor(hi)
-    if cl <= fl:
-        if cl <= 0 <= fl:
-            return Fraction(0)
-        return Fraction(cl if cl > 0 else fl)
-    n = math.floor(lo)
-    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
+    p, q, p0, q0 = 1, 0, 0, 1
+    while lo != hi:
+        cl, fl = math.ceil(lo), math.floor(hi)
+        if cl <= fl:
+            t = 0 if cl <= 0 <= fl else (cl if cl > 0 else fl)
+            break
+        n = math.floor(lo)
+        p, q, p0, q0 = n * p + p0, n * q + q0, p, q
+        lo, hi = 1 / (hi - n), 1 / (lo - n)
+    else:
+        t = lo
+    return Fraction(p * t + p0) / (q * t + q0)
 
 
 def _isolate_squarefree(cs: Sequence[int]) -> list:
-    """Isolating intervals/exact points for a squarefree integer polynomial."""
+    """Isolating intervals/exact points for a squarefree integer polynomial,
+    as sorted (lo, hi, sign of f at lo) triples of Fractions."""
     d = len(cs) - 1
     if d < 1:
         return []
@@ -1010,51 +1050,58 @@ def _isolate_squarefree(cs: Sequence[int]) -> list:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
     chain = _sturm_chain(cs)
+    # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
     lead = abs(cs[-1])
-    bound = 1 + max(abs(c) for c in cs[:-1]) / Fraction(lead)
-    b = Fraction(1)
-    while b < bound:
-        b *= 2
-    out = []
+    top = lead + max(abs(c) for c in cs[:-1])
+    b = 1
+    while b * lead < top:
+        b <<= 1
     var_cache = {}
 
-    def var(x: Fraction) -> int:
-        if x not in var_cache:
-            var_cache[x] = _variations_at(chain, x)
-        return var_cache[x]
+    def var(p: int, k: int) -> int:
+        # sign variations of the chain at p / 2**k
+        z = min((p & -p).bit_length() - 1, k) if p else k
+        key = (p >> z, k - z)
+        v = var_cache.get(key)
+        if v is None:
+            q = 1 << key[1]
+            v = var_cache[key] = _variations(_sign_at(c, key[0], q) for c in chain)
+        return v
 
-    def rec(lo: Fraction, hi: Fraction, count: int):
-        # invariant: f(lo) != 0 != f(hi), count = #roots in (lo, hi)
+    out = []
+    # invariant: f(lo) != 0 != f(hi), count = #roots in (lo/2**k, hi/2**k)
+    work = [(-b, b, 0, var(-b, 0) - var(b, 0))]
+    while work:
+        lo, hi, k, count = work.pop()
         if count == 0:
-            return
+            continue
         if count == 1:
-            out.append((lo, hi, _sign_at(cs, lo)))
-            return
-        mid = (lo + hi) / 2
-        if _sign_at(cs, mid) == 0:
-            # exact rational hit: record it and excise a root-free strip so
-            # recursion endpoints are never themselves roots
-            out.append((mid, mid, 0))
-            eps = (hi - lo) / 8
+            q = 1 << k
+            out.append((Fraction(lo, q), Fraction(hi, q), _sign_at(cs, lo, q)))
+            continue
+        mid, lo, hi, k = lo + hi, lo << 1, hi << 1, k + 1
+        if _sign_at(cs, mid, 1 << k) == 0:
+            # exact rational hit: record it and excise a root-free strip
+            # (mid - eps, mid + eps) so interval endpoints are never roots;
+            # eps = e / 2**k starts at a quarter of the half-width, so the
+            # strip lies inside (lo, hi)
+            r = Fraction(mid, 1 << k)
+            out.append((r, r, 0))
+            e = hi - lo
+            mid, lo, hi, k = mid << 3, lo << 3, hi << 3, k + 3
             while True:
-                a, b2 = mid - eps, mid + eps
-                if (
-                    a > lo
-                    and b2 < hi
-                    and _sign_at(cs, a) != 0
-                    and _sign_at(cs, b2) != 0
-                    and var(a) - var(b2) == 1
-                ):
+                a, b2 = mid - e, mid + e
+                q = 1 << k
+                if _sign_at(cs, a, q) and _sign_at(cs, b2, q) and var(a, k) - var(b2, k) == 1:
                     break
-                eps /= 2
-            rec(lo, a, var(lo) - var(a))
-            rec(b2, hi, var(b2) - var(hi))
+                # halve eps: same numerator one level deeper
+                mid, lo, hi, k = mid << 1, lo << 1, hi << 1, k + 1
+            work.append((lo, a, k, var(lo, k) - var(a, k)))
+            work.append((b2, hi, k, var(b2, k) - var(hi, k)))
         else:
-            v = var(mid)
-            rec(lo, mid, var(lo) - v)
-            rec(mid, hi, v - var(hi))
-
-    rec(-b, b, var(-b) - var(b))
+            v = var(mid, k)
+            work.append((lo, mid, k, var(lo, k) - v))
+            work.append((mid, hi, k, v - var(hi, k)))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

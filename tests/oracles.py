@@ -4,7 +4,9 @@ Each oracle deliberately avoids the code path it checks: gcds come from
 factor multisets instead of remainder sequences, windings from brute-force
 dense sampling instead of adaptive refinement, real-axis degrees from the
 Cauchy index instead of any argument lift, resultants from the root-product
-formula or the Sylvester determinant instead of remainder sequences.
+formula or the Sylvester determinant instead of remainder sequences, real
+root isolation and refinement by recursive bisection on Fractions instead of
+integer numerators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from nonresultant.exactalg import ExactPolynomial, GaussianRational, real_roots_exact
+from nonresultant.exactalg import (
+    ExactPolynomial,
+    GaussianRational,
+    RealRoot,
+    _int_primitive,
+    _sturm_chain,
+    _variations,
+    real_roots_exact,
+    squarefree_decomposition,
+)
 
 
 def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
@@ -198,3 +209,177 @@ def braid_winding_pairwise(points_path) -> int:
             total += cmath.phase(val / prev)
         prev = val
     return round(total / (2.0 * math.pi))
+
+
+# ---------------------------------------------------------------------------
+# real roots by recursive bisection on Fractions: the integer bisection in
+# nonresultant.exactalg must reproduce every interval of these exactly
+# ---------------------------------------------------------------------------
+
+
+def _sign_at_fraction(cs, x: Fraction) -> int:
+    # sign of sum a_k p^k q^(d-k) = q^d f(p/q), exact
+    p, q = x.numerator, x.denominator
+    s = 0
+    qq = 1
+    for a in reversed(cs):
+        s = s * p + a * qq
+        qq *= q
+    return _sign_of(s)
+
+
+def isolate_squarefree_fractions(cs) -> list:
+    """Isolating intervals/exact points of a squarefree integer polynomial,
+    as sorted (lo, hi, sign at lo), by recursive Sturm bisection of
+    Fraction intervals starting from (-b, b), b the power of 2 at or above
+    the Cauchy bound."""
+    d = len(cs) - 1
+    if d < 1:
+        return []
+    if d == 1:
+        r = Fraction(-cs[0], cs[1])
+        return [(r, r, 0)]
+    chain = _sturm_chain(cs)
+    lead = abs(cs[-1])
+    bound = 1 + max(abs(c) for c in cs[:-1]) / Fraction(lead)
+    b = Fraction(1)
+    while b < bound:
+        b *= 2
+    out = []
+    var_cache = {}
+
+    def var(x: Fraction) -> int:
+        if x not in var_cache:
+            var_cache[x] = _variations(_sign_at_fraction(c, x) for c in chain)
+        return var_cache[x]
+
+    def rec(lo: Fraction, hi: Fraction, count: int):
+        # invariant: f(lo) != 0 != f(hi), count = #roots in (lo, hi)
+        if count == 0:
+            return
+        if count == 1:
+            out.append((lo, hi, _sign_at_fraction(cs, lo)))
+            return
+        mid = (lo + hi) / 2
+        if _sign_at_fraction(cs, mid) == 0:
+            # exact rational hit: record it and excise a root-free strip so
+            # recursion endpoints are never themselves roots
+            out.append((mid, mid, 0))
+            eps = (hi - lo) / 8
+            while True:
+                a, b2 = mid - eps, mid + eps
+                if (
+                    a > lo
+                    and b2 < hi
+                    and _sign_at_fraction(cs, a) != 0
+                    and _sign_at_fraction(cs, b2) != 0
+                    and var(a) - var(b2) == 1
+                ):
+                    break
+                eps /= 2
+            rec(lo, a, var(lo) - var(a))
+            rec(b2, hi, var(b2) - var(hi))
+        else:
+            v = var(mid)
+            rec(lo, mid, var(lo) - v)
+            rec(mid, hi, v - var(hi))
+
+    rec(-b, b, var(-b) - var(b))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return out
+
+
+def refine_fractions(root: RealRoot, max_width) -> RealRoot:
+    """Bisect the Fraction interval (lo, hi) until it is at most max_width
+    wide or a midpoint is the root."""
+    lo, hi, s_lo = root.lo, root.hi, root._sign_lo
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        s = _sign_at_fraction(root._factor, mid)
+        if s == 0:
+            lo = hi = mid
+            s_lo = 0
+            break
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RealRoot(lo, hi, root.multiplicity, root._factor, s_lo)
+
+
+def float_value_fractions(root: RealRoot, rel: float = 1e-16) -> float:
+    """`RealRoot.float_value` on top of `refine_fractions`."""
+    if root.is_exact:
+        return float(root.lo)
+    scale = max(Fraction(1), abs(root.lo), abs(root.hi))
+    return float(refine_fractions(root, Fraction(rel) * scale).midpoint)
+
+
+def simplest_between_recursive(lo: Fraction, hi: Fraction) -> Fraction:
+    """Minimal-denominator rational in [lo, hi] (mediant recursion)."""
+    if lo > hi:
+        raise ValueError("empty interval")
+    if lo == hi:
+        return lo
+    cl, fl = math.ceil(lo), math.floor(hi)
+    if cl <= fl:
+        if cl <= 0 <= fl:
+            return Fraction(0)
+        return Fraction(cl if cl > 0 else fl)
+    n = math.floor(lo)
+    return n + 1 / simplest_between_recursive(1 / (hi - n), 1 / (lo - n))
+
+
+def rational_value_fractions(root: RealRoot):
+    """`RealRoot.rational_value` on top of `refine_fractions`."""
+    if root.is_exact:
+        return root.lo
+    lc = abs(root._factor[-1])
+    r = refine_fractions(root, Fraction(1, 2 * lc * lc))
+    if r.is_exact:
+        return r.lo
+    candidate = simplest_between_recursive(r.lo, r.hi)
+    return candidate if _sign_at_fraction(root._factor, candidate) == 0 else None
+
+
+def real_roots_fractions(f: ExactPolynomial) -> list:
+    """`real_roots_exact` on top of the Fraction isolation and refinement:
+    isolate each squarefree factor, then refine overlapping intervals of
+    different factors, the wider one to a quarter, until all are disjoint."""
+    roots = []
+    for factor, mult in squarefree_decomposition(f):
+        ics = tuple(_int_primitive(factor._re))
+        for lo, hi, s_lo in isolate_squarefree_fractions(ics):
+            roots.append(RealRoot(lo, hi, mult, ics, s_lo))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(roots)):
+            for j in range(i + 1, len(roots)):
+                a, b = roots[i], roots[j]
+                if a._factor is b._factor or a.hi <= b.lo or b.hi <= a.lo:
+                    continue
+                w_a, w_b = a.hi - a.lo, b.hi - b.lo
+                if w_b == 0 or (w_a >= w_b and w_a > 0):
+                    roots[i] = refine_fractions(a, w_a / 4)
+                else:
+                    roots[j] = refine_fractions(b, w_b / 4)
+                changed = True
+    roots.sort(key=lambda r: (r.lo, r.hi))
+    return roots
+
+
+def alternating_value_refined(m, width: Fraction) -> complex:
+    """r_tilde of a triple model (f1, f2, f3) from the Fraction oracles:
+    each odd-multiplicity real root of f1 is refined to `width` and f2, f3
+    are evaluated exactly at the interval's midpoint; exponents alternate
+    with the root's position counted with multiplicity."""
+    total = GaussianRational(Fraction(1), Fraction(0))
+    position = 1
+    for root in real_roots_fractions(m.f1):
+        if root.multiplicity % 2:
+            x = refine_fractions(root, width).midpoint
+            v = GaussianRational(m.f2(x), m.f3(x))
+            total = total * v if position % 2 else total / v
+        position += root.multiplicity
+    return complex(total)

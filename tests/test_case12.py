@@ -24,7 +24,7 @@ from nonresultant.exactalg import ExactPolynomial, cauchy_root_bound
 from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
-from oracles import braid_winding_pairwise
+from oracles import braid_winding_pairwise, float_value_fractions, real_roots_fractions
 
 z = ExactPolynomial.variable()
 
@@ -83,6 +83,21 @@ def test_to_configuration_splits_roots():
     assert cmath.isclose(cfg.upper_points[0], 3j, rel_tol=0, abs_tol=1e-9)
     assert cfg.j == 1
     assert cfg.degree == 4
+
+
+def test_to_configuration_all_real_needs_no_numeric_roots(monkeypatch):
+    def no_numeric(*args, **kwargs):
+        raise AssertionError("numeric root finder called")
+
+    monkeypatch.setattr("nonresultant.case12.complex_roots_numeric", no_numeric)
+    for f in (
+        (z - 1) * (z + 2) * (z - F(1, 3)),
+        (z * z - 2) * (z - F(5, 7)),
+        (z - F(1, 2**30)) * (z + F(1, 2**30)) * (z * z - 3) * (z - 8),
+        z - F(4, 9),
+    ):
+        expected = tuple(float_value_fractions(r) for r in real_roots_fractions(f))
+        assert to_configuration(f) == HalfPlaneConfig(expected, ())
 
 
 def test_configuration_polynomial_round_trip():

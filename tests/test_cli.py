@@ -198,3 +198,28 @@ def test_module_entry_point():
     )
     assert run_proc.returncode == 0
     assert run_proc.stdout.strip() == "7"
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # one process serves many calls with one parser; a usage error in
+    # between must not change what a later call prints
+    calls = [
+        (["r-d"], json.dumps(model_to_json(i_d_loop(3, 0.7)))),
+        (["member"], "{not json"),
+        (["stability-dim", "--d", "7", "--m", "3", "--n", "1", "--bogus"], ""),
+        (["r-d"], json.dumps(model_to_json(i_d_loop(3, 0.7)))),
+    ]
+    for argv, stdin_text in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nonresultant", *argv],
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -26,13 +26,25 @@ from nonresultant.exactalg import (
     squarefree_decomposition,
 )
 
-from nonresultant.exactalg import _aberth_batch, _cluster_roots
+from nonresultant.exactalg import (
+    _aberth_batch,
+    _cluster_roots,
+    _int_primitive,
+    _isolate_squarefree,
+    _simplest_between,
+)
 from oracles import (
     aberth_every_row,
     cluster_roots_scan,
+    float_value_fractions,
     gcd_from_factor_multisets,
+    isolate_squarefree_fractions,
+    rational_value_fractions,
+    real_roots_fractions,
+    refine_fractions,
     resultant_from_roots,
     resultant_sylvester,
+    simplest_between_recursive,
 )
 
 z = ExactPolynomial.variable()
@@ -348,6 +360,71 @@ def test_real_root_refine_and_exact_hit():
     assert r0.hi - r0.lo <= F(1, 2**40)
     # dyadic roots are eventually hit exactly by dyadic bisection
     assert r0.is_exact or (r0.lo < F(1, 2) < r0.hi)
+
+
+# factors of a real polynomial whose roots bisection meets in every way:
+# dyadic roots (hit exactly), non-dyadic rationals, clusters down to 2**-60
+# or 3**-40 apart, irrational pairs +-sqrt(c) and conjugate pairs
+dyadic_roots = st.builds(lambda p, k: F(p, 2**k), st.integers(-40, 40), st.integers(0, 6))
+odd_roots = st.builds(F, st.integers(-40, 40), st.sampled_from([3, 5, 7, 9, 15, 21]))
+cluster_roots = st.builds(
+    lambda base, gap, n: [base + j * gap for j in range(n)],
+    st.one_of(dyadic_roots, odd_roots),
+    st.sampled_from([F(1, 2**20), F(1, 2**60), F(1, 3**40), F(5, 7**12)]),
+    st.integers(2, 3),
+)
+real_factors = st.one_of(
+    dyadic_roots.map(lambda r: z - r),
+    odd_roots.map(lambda r: z - r),
+    cluster_roots.map(ExactPolynomial.from_roots),
+    st.builds(lambda c: z**2 - c, st.fractions(1, 30, max_denominator=4)),
+    st.builds(lambda a, b: (z - a) ** 2 + b * b, small_fractions, small_fractions.filter(bool)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(real_factors, st.integers(1, 3)), min_size=1, max_size=4))
+def test_real_roots_match_fraction_bisection_oracle(factors):
+    f = ExactPolynomial.one()
+    for factor, mult in factors:
+        f = f * factor**mult
+    for factor, _ in squarefree_decomposition(f):
+        ics = tuple(_int_primitive(factor._re))
+        assert _isolate_squarefree(ics) == isolate_squarefree_fractions(ics)
+    roots = real_roots_exact(f)
+    assert roots == real_roots_fractions(f)
+    for r in roots:
+        for width in (F(1, 10**6), F(3, 7**20), F(1, 2**90), F(1, 10**40)):
+            assert r.refine(width) == refine_fractions(r, width)
+        assert r.float_value() == float_value_fractions(r)
+        assert r.float_value(1e-40) == float_value_fractions(r, 1e-40)
+        assert r.rational_value() == rational_value_fractions(r)
+
+
+def test_real_roots_far_below_the_recursion_limit():
+    # 1900 bisection levels separate the first two roots; a recursive
+    # bisection raised RecursionError here
+    e = F(1, 3**1200)
+    planted = [e, 2 * e, F(1)]
+    roots = real_roots_exact(ExactPolynomial.from_roots(planted))
+    assert [r.rational_value() for r in roots] == planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-50, 50, max_denominator=10**6), st.fractions(0, 3, max_denominator=10**6))
+def test_simplest_between_matches_recursive_oracle(lo, width):
+    assert _simplest_between(lo, lo + width) == simplest_between_recursive(lo, lo + width)
+
+
+def test_rational_root_with_a_long_continued_fraction():
+    # F(1500)/F(1501) has 1500 partial quotients; a recursive search for the
+    # simplest rational in its interval raised RecursionError
+    a, b = 1, 1
+    for _ in range(1500):
+        a, b = b, a + b
+    f = ExactPolynomial.from_roots([F(a, b)]) * (z**2 - 2)
+    values = [r.rational_value() for r in real_roots_exact(f)]
+    assert values == [None, F(a, b), None]
 
 
 def test_count_distinct_real_roots():
