@@ -2,19 +2,20 @@
 
 A squarefree monic real f of degree d splits its roots into d - 2j reals and
 j conjugate pairs; j in {0, ..., floor(d/2)} labels the floor(d/2) + 1
-components.  The equivalent configuration view keeps the real roots and the
+components.  The label is exact: one signed remainder sequence of f and f'
+decides squarefreeness (it ends in their gcd) and counts the real roots.
+The equivalent configuration view keeps the real roots and the
 upper-half-plane representatives of the pairs.
 
 The electric field of a configuration is E(w) = 1 + sum 1/(w - a_k), which
 equals (f + f')/f for f with the a_k as roots.  Built from the j upper points
 alone, w -> [f(w) : (f + f')(w)] is a rational self-map of the sphere whose
-topological degree is j; it is computed here by the argument principle as the
-circle winding of (1 - i)f + f' (the preimage count of the target i).  The
-abelianised braid of a loop of configurations is the total winding of the
-discriminant of the upper points alone: real points cannot braid on the line,
-mixed differences stay in one half-plane, and the conjugate mirror exactly
-cancels the upper contribution, so the upper discriminant carries the whole
-exponent sum.
+topological degree is the number of distinct points, j - deg gcd(f, f'),
+so j for a configuration.  The abelianised braid of a loop of
+configurations is the total winding of the discriminant of the upper points
+alone: real points cannot braid on the line, mixed differences stay in one
+half-plane, and the conjugate mirror exactly cancels the upper contribution,
+so the upper discriminant carries the whole exponent sum.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ import numpy as np
 from .exactalg import (
     ExactPolynomial,
     NonConvergenceError,
+    cauchy_index,
     cauchy_root_bound,
     complex_roots_numeric,
-    count_distinct_real_roots,
-    gcd_exact,
     real_roots_exact,
 )
-from .mapdeg import WindingError, _adaptive_lift
+from .mapdeg import WindingError, arg_steps, whole_turns
 from .nonres import FIELD_REAL, SystemTuple
 
 __all__ = [
@@ -61,19 +61,22 @@ def legal_labels_12(d: int) -> list:
     return list(range(0, d // 2 + 1))
 
 
-def _check_squarefree(f: ExactPolynomial) -> None:
+def _check_squarefree(f: ExactPolynomial) -> int:
+    """Reject all but squarefree monic real polynomials of positive degree;
+    return the number of real roots.  One signed remainder sequence of f and
+    f' gives both: it ends in gcd(f, f'), and its variations count the roots."""
     if f.degree < 1 or not f.is_monic or not f.is_real:
         raise ValueError("expected a monic real polynomial of positive degree")
-    if gcd_exact(f, f.derivative()).degree != 0:
+    real_count, repeated = cauchy_index(f, f.derivative())
+    if repeated:
         raise ValueError("the polynomial has a repeated root")
+    return real_count
 
 
 def component_of_12(f: ExactPolynomial) -> int:
     """Number of conjugate root pairs of a squarefree monic real polynomial,
     computed exactly by Sturm counting."""
-    _check_squarefree(f)
-    real_count = count_distinct_real_roots(f)
-    return (f.degree - real_count) // 2
+    return (f.degree - _check_squarefree(f)) // 2
 
 
 @dataclass(frozen=True)
@@ -193,36 +196,17 @@ def electric_field(config, w: complex) -> complex:
     return total
 
 
-def electric_degree(config, refinement_cap: int = 2**20) -> int:
+def electric_degree(config) -> int:
     """Topological degree of the sphere map alpha -> [f(alpha) : (f+f')(alpha)]
-    with f built from the configuration's points: the argument-principle count
-    of preimages of the off-axis target w0 = i, i.e. the circle winding of
-    (1 - i)*f + f', whose roots the circle encloses.
+    with f the product of z - a over the configuration's points.
 
-    A HalfPlaneConfig contributes its j upper points (the point set the map is
-    built from); a bare iterable of complex points is used as given.
+    Cancelling gcd(f, f + f') = gcd(f, f') leaves coprime entries of degree
+    j - deg gcd(f, f'), the number of distinct points; that is the degree.
+    A HalfPlaneConfig contributes its j upper points (the point set the map
+    is built from); a bare iterable of complex points is used as given.
     """
-    pts = config.upper_points if isinstance(config, HalfPlaneConfig) else tuple(config)
-    j = len(pts)
-    if j == 0:
-        return 0
-    coeffs = np.array([1.0 + 0.0j], dtype=complex)
-    for a in pts:
-        coeffs = np.convolve(coeffs, np.array([1.0, -complex(a)], dtype=complex))
-    h = (1.0 - 1.0j) * coeffs
-    h[1:] += coeffs[:-1] * np.arange(j, 0, -1)
-    radius = 2.0 * (1.0 + float(np.max(np.abs(h[1:])) / abs(h[0])))
-
-    def circle(theta):
-        w = radius * np.exp(1j * np.asarray(theta, dtype=float))
-        return np.polyval(h, w)
-
-    _, _, lifted = _adaptive_lift(circle, 0.0, 2.0 * math.pi, refinement_cap)
-    turns = (lifted[-1] - lifted[0]) / (2.0 * math.pi)
-    count = round(turns)
-    if abs(turns - count) > 0.05:
-        raise WindingError("circle winding did not settle on an integer")
-    return count
+    pts = config.upper_points if isinstance(config, HalfPlaneConfig) else config
+    return len({complex(a) for a in pts})
 
 
 def abelian_braid_invariant(loop) -> int:
@@ -238,8 +222,7 @@ def abelian_braid_invariant(loop) -> int:
         raise ValueError("loop endpoints lie in different configuration spaces")
     if first.j <= 1:
         return 0
-    total = 0.0
-    prev = None
+    values = []
     for cfg in configs:
         if cfg.j != first.j:
             raise ValueError("the number of upper points must stay constant")
@@ -250,19 +233,11 @@ def abelian_braid_invariant(loop) -> int:
                 val *= (ups[a] - ups[b]) ** 2
         if val == 0:
             raise ValueError("coincident upper points along the loop")
-        if prev is not None:
-            step = math.atan2((val / prev).imag, (val / prev).real)
-            if abs(step) >= math.pi / 2:
-                raise WindingError(
-                    "discriminant step of pi/2 or more: sample the loop more densely"
-                )
-            total += step
-        prev = val
-    turns = total / (2.0 * math.pi)
-    out = round(turns)
-    if abs(turns - out) > 0.05:
-        raise WindingError("braid winding did not close up to a whole number")
-    return out
+        values.append(val)
+    steps, bad = arg_steps(np.array(values))
+    if bad.any():
+        raise WindingError("discriminant step of pi/2 or more: sample the loop more densely")
+    return whole_turns(float(np.sum(steps)))
 
 
 def stabilize_12(f: ExactPolynomial, T: Fraction) -> ExactPolynomial:
@@ -306,10 +281,11 @@ def census_12(d: int, samples: int, seed: int) -> dict:
         ]
         coeffs.append(Fraction(1))
         f = ExactPolynomial(tuple(coeffs))
-        if gcd_exact(f, f.derivative()).degree != 0:
+        real_count, repeated = cauchy_index(f, f.derivative())
+        if repeated:
             rejected += 1
             continue
-        jj = (d - count_distinct_real_roots(f)) // 2
+        jj = (d - real_count) // 2
         counts[jj] = counts.get(jj, 0) + 1
         produced += 1
     if rejected:

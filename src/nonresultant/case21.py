@@ -1,11 +1,14 @@
 """Components of the space of coprime monic pairs (m = 2, n = 1, real).
 
 The space has exactly d + 1 connected components, indexed by the real-axis
-degree j in {-d, -d+2, ..., d-2, d}: the half-winding of f2 + i*f1 along the
-compactified real line.  `representative_21` realises every legal label by an
-explicit pair: |j| interlaced linear factors (the f2 root sits just left of
-its f1 partner for positive j, just right for negative j) padded with
-root-free quadratics, which contribute nothing to the half-winding.
+degree j in {-d, -d+2, ..., d-2, d}: the degree of the compactified real
+line through (f1, f2), which is the Cauchy index of f2/f1 and is read
+exactly from the signed remainder sequence of f1 and f2 - f1 (the same
+sequence ends in gcd(f1, f2), so it also rejects non-members).
+`representative_21` realises every legal label by an explicit pair: |j|
+interlaced linear factors (the f2 root sits just left of its f1 partner for
+positive j, just right for negative j) padded with root-free quadratics,
+which contribute nothing to the index.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .exactalg import ExactPolynomial
 from .mapdeg import rp1_degree
-from .nonres import FIELD_REAL, SystemTuple, is_member
+from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
 __all__ = [
     "ComponentLabel21",
@@ -58,10 +61,9 @@ def _check_pair(t: SystemTuple) -> None:
 
 
 def component_of_21(t: SystemTuple) -> ComponentLabel21:
-    """Label of the component containing a member pair."""
+    """Label of the component containing a member pair; a pair with a
+    common root raises MembershipError."""
     _check_pair(t)
-    if not is_member(t):
-        raise ValueError("the pair has a common root and lies in no component")
     f1, f2 = t.polys
     return ComponentLabel21(f1.degree, rp1_degree(f1, f2))
 
@@ -98,11 +100,11 @@ def census_21(d: int, samples: int, seed: int) -> dict:
     rejected = 0
     produced = 0
     while produced < samples:
-        t = _random_pair(rng, d)
-        if not is_member(t):
+        try:
+            label = component_of_21(_random_pair(rng, d))
+        except MembershipError:
             rejected += 1
             continue
-        label = component_of_21(t)
         counts[label.j] = counts.get(label.j, 0) + 1
         produced += 1
     if rejected:

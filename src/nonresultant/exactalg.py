@@ -55,6 +55,7 @@ __all__ = [
     "RealRoot",
     "RootCluster",
     "Scalar",
+    "cauchy_index",
     "cauchy_root_bound",
     "complex_roots_many",
     "complex_roots_numeric",
@@ -892,24 +893,27 @@ def _sign_at(cs: Sequence[int], p: int, q: int) -> int:
     return _sign(s)
 
 
-def _sturm_chain(cs: Sequence[int]) -> list:
-    """Sturm chain of a squarefree primitive integer polynomial.
+def _sturm_chain(a: Sequence[int], b: Sequence[int]) -> list:
+    """Signed remainder sequence a, b, -rem(a, b), ... of two integer
+    polynomials with deg b < deg a, up to and including gcd(a, b): the last
+    element is the gcd up to a positive factor, a constant when a and b are
+    coprime.  With b = a' this is the Sturm chain of a.
 
     Each element is the negated remainder of the previous two, rescaled by a
     positive rational; positivity of the rescaling is what preserves the sign
     variation count, so the pseudo-remainder's leading-coefficient power is
     sign-corrected before stripping content.
     """
-    chain = [list(cs), _int_primitive(_int_derivative(cs))]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_prem(a, b)
-        if not r:
-            raise ValueError("input was not squarefree")
-        mult_sign = _sign(b[-1]) if (delta + 1) % 2 else 1
-        nxt = [c * (-mult_sign) for c in r]
-        chain.append(_int_primitive(nxt))
+    chain = [_int_primitive(a)]
+    while b:
+        b = _int_primitive(b)
+        chain.append(b)
+        if len(b) == 1:
+            break
+        a = chain[-2]
+        # prem(a, b) = lc(b)**(deg a - deg b + 1) * rem(a, b)
+        s = -1 if (len(a) - len(b)) % 2 or b[-1] > 0 else 1
+        b = [s * c for c in _int_prem(a, b)]
     return chain
 
 
@@ -931,6 +935,27 @@ def _variations_at_inf(chain: list, positive: bool) -> int:
     return _variations(
         _sign(cs[-1]) * (-1 if (len(cs) - 1) % 2 else 1) for cs in chain
     )
+
+
+def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
+    """(Ind(g/f), deg gcd(f, g)) for real f != 0 and deg g < deg f.
+
+    Ind(g/f) is the Cauchy index of g/f over the real line: the number of
+    real poles where g/f jumps from -inf to +inf minus the number where it
+    jumps back.  By Sylvester's theorem it is V(-inf) - V(+inf), the sign
+    variations of the signed remainder sequence of f and g at the two ends
+    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, Thm 2.58);
+    the last term of that sequence is the gcd.
+    """
+    if f.is_zero:
+        raise ValueError("the Cauchy index needs a nonzero denominator")
+    if not (f.is_real and g.is_real):
+        raise ValueError("Sturm counting needs real coefficients")
+    if g.degree >= f.degree:
+        raise ValueError("the Cauchy index needs deg g < deg f")
+    chain = _sturm_chain(f._re, g._re)
+    index = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    return index, len(chain[-1]) - 1
 
 
 @dataclass(frozen=True)
@@ -1002,19 +1027,25 @@ class RealRoot:
 
         A rational root p/q of the primitive integer factor has q dividing
         the leading coefficient, and two rationals with denominator <= lc
-        differ by more than 1/lc^2; so after refining below that, the
-        simplest rational in the interval is the only candidate.
+        differ by more than 1/lc^2; so once the interval is below that, the
+        simplest rational in it is the only candidate.  When that width lies
+        more than 64 bits down, the simplest rational is also tried at widths
+        2**-64, 2**-128, ... on the way, so a root whose denominator is far
+        smaller than lc is found long before it.
         """
-        if self.is_exact:
-            return self.lo
         lc = abs(self._factor[-1])
-        r = self.refine(Fraction(1, 2 * lc * lc))
-        if r.is_exact:
-            return r.lo
-        candidate = _simplest_between(r.lo, r.hi)
-        if _sign_at(self._factor, candidate.numerator, candidate.denominator) == 0:
-            return candidate
-        return None
+        r, bits = self, 64
+        while True:
+            last = bits > 2 * lc.bit_length()
+            r = r.refine(Fraction(1, 2 * lc * lc) if last else Fraction(1, 1 << bits))
+            if r.is_exact:
+                return r.lo
+            candidate = _simplest_between(r.lo, r.hi)
+            if _sign_at(self._factor, candidate.numerator, candidate.denominator) == 0:
+                return candidate
+            if last:
+                return None
+            bits <<= 1
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -1049,7 +1080,7 @@ def _isolate_squarefree(cs: Sequence[int]) -> list:
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    chain = _sturm_chain(cs)
+    chain = _sturm_chain(cs, _int_derivative(cs))
     # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
     lead = abs(cs[-1])
     top = lead + max(abs(c) for c in cs[:-1])
@@ -1150,20 +1181,13 @@ def real_roots_exact(f: ExactPolynomial) -> list:
 
 
 def count_distinct_real_roots(f: ExactPolynomial) -> int:
-    """Number of distinct real roots, by Sturm variations at minus/plus infinity."""
+    """Number of distinct real roots: the Cauchy index of f'/f, which jumps
+    from -inf to +inf at every real root of f, whatever its multiplicity."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     if not f.is_real:
         raise ValueError("Sturm counting needs real coefficients")
-    if f.degree == 0:
-        return 0
-    g = gcd_exact(f, f.derivative())
-    w = f.exact_div(g) if g.degree > 0 else f
-    cs = _int_primitive(w._re)
-    if len(cs) == 2:
-        return 1
-    chain = _sturm_chain(cs)
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
+    return cauchy_index(f, f.derivative())[0]
 
 
 def cauchy_root_bound(polys: Sequence[ExactPolynomial]) -> Fraction:

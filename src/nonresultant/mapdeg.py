@@ -1,18 +1,15 @@
-"""Degrees of the natural maps, computed by winding numbers.
+"""Degrees of the natural maps, and the argument lifts of analytic loops.
 
 The point map sends alpha to the projective point whose mn coordinates are
 the jet components of the tuple's entries evaluated at alpha, and sends the
 point at infinity to [1 : ... : 1] (every component is monic of the same
-degree, so the leading terms dominate together).
+degree, so the leading terms dominate together).  Its degree is d minus the
+degree of the gcd of the jet components (d for members), computed exactly.
+The real-axis degree of a pair is the Cauchy index of f2/f1 over the real
+line, read from a signed remainder sequence in integer arithmetic.
 
-Degrees are extracted with the argument principle.  A random covector lambda
-turns the map into the scalar polynomial p_lambda = sum lambda_ki (f_k +
-f_k^(i)); its zero count inside a circle enclosing every zero is read off the
-winding of p_lambda around that circle.  The real-axis degree of a pair is
-the half-winding of the compactified real line through f2 + i*f1, evaluated
-in the homogeneous chart so the point at infinity needs no special casing.
-
-Argument lifts are adaptive: a parameter segment whose endpoint values turn
+Argument lifts remain for the analytic windings (the pi_1 class of r_tilde
+and the abelianised braid): a parameter segment whose endpoint values turn
 by pi/2 or more is split in half, so any crossing of the branch cut is
 resolved before the lift accumulates; failure to settle under the sample cap
 signals a loop passing too close to zero.
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import ExactPolynomial, GaussianRational
+from .exactalg import ExactPolynomial, GaussianRational, cauchy_index, gcd_many
 from .nonres import MembershipError, SystemTuple, jet
 
 __all__ = [
@@ -33,10 +30,12 @@ __all__ = [
     "LoopSample",
     "ProjectivePoint",
     "WindingError",
+    "arg_steps",
     "eval_natural_map",
     "map_degree",
     "rp1_degree",
     "sample_loop",
+    "whole_turns",
     "winding_number",
 ]
 
@@ -127,6 +126,22 @@ def _eval_vectorized(fn, params: np.ndarray) -> np.ndarray:
     return np.array([complex(fn(float(t))) for t in params], dtype=complex)
 
 
+def arg_steps(values: np.ndarray) -> tuple:
+    """Argument turns between adjacent nonzero samples, and the mask of the
+    turns of pi/2 or more, which a lift may not take in one step."""
+    steps = np.angle(values[1:] / values[:-1])
+    return steps, np.abs(steps) >= _JUMP_LIMIT
+
+
+def whole_turns(angle: float) -> int:
+    """The whole number of turns in an accumulated lift of a closed loop."""
+    turns = angle / (2.0 * math.pi)
+    out = round(turns)
+    if abs(turns - out) > 0.05:
+        raise WindingError("accumulated lift is far from a whole turn count")
+    return out
+
+
 def _adaptive_lift(fn, a: float, b: float, cap: int):
     """Sample fn on [a, b] until adjacent values turn by < pi/2 each.
 
@@ -139,8 +154,7 @@ def _adaptive_lift(fn, a: float, b: float, cap: int):
     while True:
         if np.any(values == 0):
             raise WindingError("path passes through zero")
-        steps = np.angle(values[1:] / values[:-1])
-        bad = np.abs(steps) >= _JUMP_LIMIT
+        steps, bad = arg_steps(values)
         if not bad.any():
             lifted = np.concatenate(([0.0], np.cumsum(steps)))
             return params, values, lifted
@@ -178,9 +192,7 @@ def sample_loop(fn, refinement_cap: int = _DEFAULT_CAP) -> LoopSample:
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:
         raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")
-    total = (lifted[-1] - lifted[0]) / (2.0 * math.pi)
-    if abs(total - round(total)) > 0.05:
-        raise WindingError("accumulated lift is far from a whole turn count")
+    whole_turns(lifted[-1] - lifted[0])
     base = lifted[0] + math.atan2(values[0].imag, values[0].real)
     return LoopSample(
         tuple(float(p) for p in params),
@@ -199,44 +211,26 @@ def winding_number(fn, refinement_cap: int = _DEFAULT_CAP) -> int:
 # ---------------------------------------------------------------------------
 
 
-def map_degree(t: SystemTuple, lam, refinement_cap: int = _DEFAULT_CAP) -> int:
-    """Degree of the point map, by the argument principle.
+def map_degree(t: SystemTuple, lam) -> int:
+    """Degree of the point map: d - deg gcd(jet components).
 
-    lam is a covector of m*n complex weights; the weighted combination
-    p_lambda of the jet components is a degree-d polynomial whose zeros all
-    lie inside a Cauchy circle, and the winding of p_lambda around that
-    circle counts them.  The result is independent of lam for members; a
-    degenerate lam (leading terms cancelling) is rejected.
+    The common zeros of the jet components are removable points of the map;
+    after cancelling the gcd the components have no common zero, so the map
+    extends to a regular map of the sphere of degree d minus the gcd's
+    degree (d for members).  lam is the covector of m*n complex weights the
+    argument-principle count would use; it is checked (length, and that the
+    leading terms do not cancel) but does not change the degree.
     """
     if len({f.degree for f in t.polys}) != 1:
         raise ValueError("the point map needs entries of one common degree")
     lam = [complex(x) for x in lam]
     if len(lam) != t.m * t.n:
         raise ValueError(f"lambda must have {t.m * t.n} entries")
-    comps = [c for f in t.polys for c in jet(f, t.n).components]
-    d = comps[0].degree
-    coeffs = np.zeros(d + 1, dtype=complex)
-    for weight, comp in zip(lam, comps):
-        cc = np.asarray(comp.complex_coefficients, dtype=complex)
-        coeffs[: len(cc)] += weight * cc
-    lead = coeffs[-1]
-    lam_scale = max(abs(x) for x in lam)
-    if abs(lead) < 1e-8 * max(lam_scale, 1e-300):
+    # every jet component is monic, so the leading term of the combination is sum(lam)
+    if abs(sum(lam)) < 1e-8 * max(max(abs(x) for x in lam), 1e-300):
         raise ValueError("degenerate lambda: leading terms cancel")
-    radius = 2.0 * (1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(lead))
-    for _ in range(5):
-        def on_circle(theta, _r=radius):
-            zs = _r * np.exp(1j * np.asarray(theta))
-            acc = np.full_like(zs, coeffs[-1])
-            for k in range(d - 1, -1, -1):
-                acc = acc * zs + coeffs[k]
-            return acc
-
-        try:
-            return winding_number(on_circle, refinement_cap)
-        except WindingError:
-            radius *= 2.0
-    raise WindingError("no valid counting circle found after retries")
+    comps = [c for f in t.polys for c in jet(f, t.n).components]
+    return comps[0].degree - gcd_many(comps).degree
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +238,14 @@ def map_degree(t: SystemTuple, lam, refinement_cap: int = _DEFAULT_CAP) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rp1_degree(f1: ExactPolynomial, f2: ExactPolynomial, refinement_cap: int = _DEFAULT_CAP) -> int:
+def rp1_degree(f1: ExactPolynomial, f2: ExactPolynomial) -> int:
     """Degree of the compactified real line through the pair (f1, f2).
 
-    Computed as the half-winding of s -> cos(s)^d * (f2 + i*f1)(tan(s)) for s
-    from -pi/2 to pi/2, i.e. the Cauchy index of f1/f2 over the closed real
-    line.  The two ends are finite and nonzero (both entries are monic), the
-    result has the parity of d and absolute value at most d.
+    This is the Cauchy index of f2/f1 over the real line, equal to that of
+    (f2 - f1)/f1, whose numerator has lower degree; it is read exactly from
+    the signed remainder sequence of f1 and f2 - f1.  The result has the
+    parity of d and absolute value at most d.  A pair with a common root
+    lies in no component and raises MembershipError.
     """
     if f1.degree != f2.degree or f1.degree < 1:
         raise ValueError("the pair must share one positive degree")
@@ -258,34 +253,7 @@ def rp1_degree(f1: ExactPolynomial, f2: ExactPolynomial, refinement_cap: int = _
         raise ValueError("the pair must be monic")
     if not (f1.is_real and f2.is_real):
         raise ValueError("the real-axis degree needs real coefficients")
-    d = f1.degree
-    coeffs = np.array(
-        [complex(b) + 1j * complex(a)
-         for a, b in zip(f1.complex_coefficients, f2.complex_coefficients)],
-        dtype=complex,
-    )
-    rev = coeffs[::-1]
-
-    def homogeneous(s):
-        s = np.asarray(s, dtype=float)
-        t, c = np.sin(s), np.cos(s)
-        small_t = np.abs(t) <= np.abs(c)
-        out = np.empty(s.shape, dtype=complex)
-        # |t| <= |c|: evaluate c^d * P(t/c); otherwise t^d * P_rev(c/t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = np.where(small_t, t / np.where(c == 0, 1.0, c), c / np.where(t == 0, 1.0, t))
-        acc_a = np.full_like(u, coeffs[-1], dtype=complex)
-        for k in range(d - 1, -1, -1):
-            acc_a = acc_a * u + coeffs[k]
-        acc_b = np.full_like(u, rev[-1], dtype=complex)
-        for k in range(d - 1, -1, -1):
-            acc_b = acc_b * u + rev[k]
-        out = np.where(small_t, acc_a * c**d, acc_b * t**d)
-        return out
-
-    _, _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2, refinement_cap)
-    half_turns = (lifted[-1] - lifted[0]) / math.pi
-    j = round(half_turns)
-    if abs(half_turns - j) > 0.2 or (j - d) % 2 != 0:
-        raise WindingError("real-axis lift did not land on a consistent degree")
-    return j
+    index, common = cauchy_index(f1, f2 - f1)
+    if common:
+        raise MembershipError("the pair has a common root and lies in no component")
+    return index

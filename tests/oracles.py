@@ -1,10 +1,12 @@
 """Independent oracles used to derive frozen expected values in the tests.
 
 Each oracle deliberately avoids the code path it checks: gcds come from
-factor multisets instead of remainder sequences, windings from brute-force
-dense sampling instead of adaptive refinement, real-axis degrees from the
-Cauchy index instead of any argument lift, resultants from the root-product
-formula or the Sylvester determinant instead of remainder sequences, real
+factor multisets instead of remainder sequences; windings from brute-force
+dense sampling instead of adaptive refinement; real-axis degrees from the
+Cauchy index at isolated poles instead of a remainder sequence; map,
+real-axis and electric degrees of members also from float argument lifts
+instead of gcds and remainder sequences; resultants from the root-product
+formula or the Sylvester determinant instead of remainder sequences; real
 root isolation and refinement by recursive bisection on Fractions instead of
 integer numerators.
 """
@@ -21,12 +23,15 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     RealRoot,
+    _int_derivative,
     _int_primitive,
     _sturm_chain,
     _variations,
     real_roots_exact,
     squarefree_decomposition,
 )
+from nonresultant.mapdeg import WindingError, _adaptive_lift, winding_number
+from nonresultant.nonres import jet
 
 
 def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
@@ -191,6 +196,84 @@ def cauchy_index_real_line(f1: ExactPolynomial, f2: ExactPolynomial) -> int:
     return total
 
 
+def rp1_degree_lift(f1: ExactPolynomial, f2: ExactPolynomial, cap: int = 2**20) -> int:
+    """Real-axis degree of a member pair as the half-winding of
+    s -> cos(s)^d * (f2 + i*f1)(tan(s)) for s from -pi/2 to pi/2, by the
+    adaptive float argument lift, evaluated in the homogeneous chart so the
+    point at infinity needs no special casing."""
+    d = f1.degree
+    coeffs = np.array(
+        [complex(b) + 1j * complex(a)
+         for a, b in zip(f1.complex_coefficients, f2.complex_coefficients)],
+        dtype=complex,
+    )
+    rev = coeffs[::-1]
+
+    def homogeneous(s):
+        s = np.asarray(s, dtype=float)
+        t, c = np.sin(s), np.cos(s)
+        small_t = np.abs(t) <= np.abs(c)
+        # |t| <= |c|: evaluate c^d * P(t/c); otherwise t^d * P_rev(c/t)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(small_t, t / np.where(c == 0, 1.0, c), c / np.where(t == 0, 1.0, t))
+        acc_a = np.full_like(u, coeffs[-1], dtype=complex)
+        acc_b = np.full_like(u, rev[-1], dtype=complex)
+        for k in range(d - 1, -1, -1):
+            acc_a = acc_a * u + coeffs[k]
+            acc_b = acc_b * u + rev[k]
+        return np.where(small_t, acc_a * c**d, acc_b * t**d)
+
+    _, _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2, cap)
+    half_turns = (lifted[-1] - lifted[0]) / math.pi
+    j = round(half_turns)
+    if abs(half_turns - j) > 0.2 or (j - d) % 2 != 0:
+        raise WindingError("real-axis lift did not land on a consistent degree")
+    return j
+
+
+def _circle_count(coeffs: np.ndarray) -> int:
+    """Zeros of the polynomial with ascending complex coefficients, as the
+    winding around a Cauchy circle, doubling the radius when a zero lies too
+    close to it."""
+    radius = 2.0 * (1.0 + float(np.max(np.abs(coeffs[:-1]))) / abs(coeffs[-1]))
+    for _ in range(5):
+        def on_circle(theta, _r=radius):
+            return np.polyval(coeffs[::-1], _r * np.exp(1j * np.asarray(theta)))
+
+        try:
+            return winding_number(on_circle)
+        except WindingError:
+            radius *= 2.0
+    raise WindingError("no valid counting circle found after retries")
+
+
+def map_degree_winding(t, lam) -> int:
+    """Point-map degree of a member by the argument principle: the zero
+    count of p_lambda = sum lambda_k * (jet component k) inside a circle
+    enclosing all its zeros.  Every zero of p_lambda counts, so a non-member
+    gets d here too."""
+    comps = [c for f in t.polys for c in jet(f, t.n).components]
+    coeffs = np.zeros(comps[0].degree + 1, dtype=complex)
+    for weight, comp in zip(lam, comps):
+        coeffs += complex(weight) * np.asarray(comp.complex_coefficients, dtype=complex)
+    return _circle_count(coeffs)
+
+
+def electric_degree_winding(points) -> int:
+    """Electric degree by the argument principle: the number of preimages
+    of the target i under [f : f + f'], i.e. the zero count of
+    (1 - i) f + f' for f = prod (z - a).  Equal points are counted with
+    their multiplicity, so this is the degree only for distinct points."""
+    f = np.array([1.0 + 0.0j])
+    for a in points:
+        f = np.convolve(f, np.array([-complex(a), 1.0]))
+    if len(f) == 1:
+        return 0
+    h = (1.0 - 1.0j) * f
+    h[:-1] += np.arange(1, len(f)) * f[1:]
+    return _circle_count(h)
+
+
 def _sign_of(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -239,7 +322,7 @@ def isolate_squarefree_fractions(cs) -> list:
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    chain = _sturm_chain(cs)
+    chain = _sturm_chain(cs, _int_derivative(cs))
     lead = abs(cs[-1])
     bound = 1 + max(abs(c) for c in cs[:-1]) / Fraction(lead)
     b = Fraction(1)

@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +34,7 @@ from nonresultant.case31 import (
     pi1_winding,
     r_tilde,
 )
-from nonresultant.exactalg import ExactPolynomial, cauchy_root_bound
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, cauchy_root_bound
 from nonresultant.harness import (
     invariant_sweep,
     locate_violation,
@@ -124,6 +125,44 @@ def test_criterion_2_jet_lemma():
 # ---------------------------------------------------------------------------
 
 
+def planted_nonmember(case: str, rng: random.Random) -> tuple:
+    """(tuple, expected map degree): every entry carries one planted root
+    (a rational, or for half the draws a conjugate pair) of multiplicity
+    >= n, plus roots drawn with repetition from a small pool.  At a common
+    root where the entries vanish to orders k_e, the jet components share
+    the factor to order min k_e - n + 1 (when positive), so the expected
+    degree d - deg gcd comes from the root multisets alone."""
+    m, n = int(case[0]), int(case[1])
+    d = rng.randint(n, 6)
+    if 2 * n <= d and rng.random() < 0.5:
+        g = GaussianRational(F(rng.randint(-2, 2)), F(rng.randint(1, 2)))
+        planted, pool = [g, g.conjugate()], [F(-1), F(0), F(1, 2), F(2)]
+    else:
+        planted = [F(rng.randint(-4, 4), 2)]
+        pool = [F(-1), F(0), F(1, 2), F(2), planted[0]]
+    entries = []
+    for _ in range(m):
+        roots = planted * rng.randint(n, d // len(planted))
+        entries.append(roots + [rng.choice(pool) for _ in range(d - len(roots))])
+    counts = [Counter(roots) for roots in entries]
+    common = sum(
+        max(0, min(c[r] for c in counts) - n + 1) for r in set().union(*counts)
+    )
+    t = SystemTuple(tuple(ExactPolynomial.from_roots(r) for r in entries), n, FIELD_REAL)
+    return t, d - common
+
+
+def seeded_map_degree(t: SystemTuple, rng: random.Random) -> int:
+    lam = [
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for _ in range(t.m * t.n)
+    ]
+    try:
+        return map_degree(t, lam)
+    except ValueError:
+        return map_degree(t, [complex(1, i + 1) for i in range(t.m * t.n)])
+
+
 def test_criterion_3_map_degree():
     start = time.perf_counter()
     rng = random.Random(33)
@@ -133,23 +172,28 @@ def test_criterion_3_map_degree():
         for k in range(100):
             d = rng.randint(2, 6)
             t = random_member(case, d, seed=rng.randrange(2**31))
-            lam = [
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                for _ in range(t.m * t.n)
-            ]
-            try:
-                deg = map_degree(t, lam)
-            except ValueError:
-                deg = map_degree(
-                    t, [complex(1, i + 1) for i in range(t.m * t.n)]
-                )
             checked += 1
-            if deg != d:
+            if seeded_map_degree(t, rng) != d:
+                failures += 1
+    # non-members: the gcd of the jet components is cancelled from the map
+    planted_rng = random.Random(34)
+    nonmembers = 0
+    for case in CASES:
+        for k in range(40):
+            t, expected = planted_nonmember(case, planted_rng)
+            nonmembers += not is_member(t)
+            if seeded_map_degree(t, planted_rng) != expected:
                 failures += 1
     elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 120.0
-    verdict(3, ok, f"{checked} members, {failures} wrong degrees", elapsed)
+    ok = failures == 0 and nonmembers == 200 and elapsed < 120.0
+    verdict(
+        3,
+        ok,
+        f"{checked} members, {nonmembers} planted non-members, {failures} wrong degrees",
+        elapsed,
+    )
     assert failures == 0
+    assert nonmembers == 200
     assert elapsed < 120.0
 
 

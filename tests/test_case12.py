@@ -24,7 +24,12 @@ from nonresultant.exactalg import ExactPolynomial, cauchy_root_bound
 from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
-from oracles import braid_winding_pairwise, float_value_fractions, real_roots_fractions
+from oracles import (
+    braid_winding_pairwise,
+    electric_degree_winding,
+    float_value_fractions,
+    real_roots_fractions,
+)
 
 z = ExactPolynomial.variable()
 
@@ -152,6 +157,13 @@ def test_electric_degree_frozen_examples():
     assert electric_degree(HalfPlaneConfig((-5.0, 2.0), (1j, -1 + 1j))) == 2
 
 
+def test_electric_degree_counts_distinct_points():
+    # f = (z - i)^2 (z - 2 - i): gcd(f, f + f') = z - i cancels from the map
+    assert electric_degree([1j, 1j, 2 + 1j]) == 2
+    assert electric_degree([3 + 1j] * 4) == 1
+    assert electric_degree([]) == 0
+
+
 def test_electric_degree_equals_label():
     rng = random.Random(13)
     for _ in range(30):
@@ -164,7 +176,7 @@ def test_electric_degree_equals_label():
             if u not in uppers:
                 uppers.append(u)
         cfg = HalfPlaneConfig(tuple(sorted(float(x) for x in reals)), tuple(uppers))
-        assert electric_degree(cfg) == j == cfg.j
+        assert electric_degree(cfg) == j == cfg.j == electric_degree_winding(cfg.upper_points)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=997))

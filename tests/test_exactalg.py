@@ -11,6 +11,7 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     RealRoot,
+    cauchy_index,
     cauchy_root_bound,
     complex_roots_many,
     complex_roots_numeric,
@@ -35,6 +36,7 @@ from nonresultant.exactalg import (
 )
 from oracles import (
     aberth_every_row,
+    cauchy_index_real_line,
     cluster_roots_scan,
     float_value_fractions,
     gcd_from_factor_multisets,
@@ -435,6 +437,24 @@ def test_count_distinct_real_roots():
     for _ in range(40):
         f = random_poly(rng, rng.randint(1, 6))
         assert count_distinct_real_roots(f) == len(real_roots_exact(f))
+
+
+def test_cauchy_index_matches_pole_oracle():
+    # repeated and shared roots on purpose: the sequence must stop at the gcd
+    rng = random.Random(48)
+    pool = [F(-2), F(-1), F(0), F(1, 2), F(1), F(2)]
+    extras = [ExactPolynomial.one(), z**2 + 1, z**2 - 2]
+    for _ in range(300):
+        roots_f = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        roots_g = [rng.choice(pool) for _ in range(rng.randint(0, len(roots_f) - 1))]
+        extra = rng.choice(extras)
+        f = ExactPolynomial.from_roots(roots_f) * extra
+        g = ExactPolynomial.from_roots(roots_g) * F(rng.choice([-3, -1, 2]), rng.randint(1, 4))
+        h = gcd_from_factor_multisets(roots_f, roots_g)
+        expected = cauchy_index_real_line(g.exact_div(h), f.exact_div(h))
+        assert cauchy_index(f, g) == (expected, h.degree)
+        distinct = len(set(roots_f)) + (2 if extra == z**2 - 2 else 0)
+        assert count_distinct_real_roots(f) == distinct
 
 
 def test_real_roots_rejects_nonreal_and_zero():

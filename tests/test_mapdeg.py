@@ -27,7 +27,7 @@ from nonresultant.nonres import (
     is_member,
 )
 
-from oracles import cauchy_index_real_line, winding_dense
+from oracles import cauchy_index_real_line, map_degree_winding, rp1_degree_lift, winding_dense
 
 z = ExactPolynomial.variable()
 
@@ -148,8 +148,16 @@ def test_map_degree_is_common_degree(polys, n):
     lam1 = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.m * t.n)]
     lam2 = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.m * t.n)]
     d = t.polys[0].degree
-    assert map_degree(t, lam1) == d
-    assert map_degree(t, lam2) == d
+    assert map_degree(t, lam1) == d == map_degree_winding(t, lam1)
+    assert map_degree(t, lam2) == d == map_degree_winding(t, lam2)
+
+
+def test_map_degree_of_a_non_member():
+    # the shared double root at 1 is a removable point of the map: the jet
+    # components f and f + f' share the factor z - 1, leaving degree 4 - 1
+    t = SystemTuple(((z - 1) ** 2 * (z - 2) * (z - 3),), 2, FIELD_REAL)
+    assert not is_member(t)
+    assert map_degree(t, [1.0, 2j]) == 3
 
 
 def test_map_degree_rejects_bad_lambda():
@@ -178,6 +186,24 @@ def test_rp1_degree_frozen_examples():
     f = (z - 0) * (z - 2)
     g = (z - 1) * (z - 3)
     assert rp1_degree(f, g) == -2
+    # a member pair with a root 10**-20 from the other entry's: three poles
+    # of f2/f1, each jumping from +inf to -inf
+    f1 = (z - 1) * (z - 2) * (z - 3)
+    f2 = (z - 1 - F(1, 10**20)) * (z - F(5, 2)) * (z - 4)
+    assert rp1_degree(f1, f2) == -3
+
+
+@pytest.mark.parametrize(
+    "f,g",
+    [
+        ((z * z + 1) * (z - 1), (z * z + 1) * (z - 2)),
+        ((z - 5) * (z - 1), (z - 5) * (z - 2)),
+        (z * z + 3, z * z + 3),
+    ],
+)
+def test_rp1_degree_rejects_common_roots(f, g):
+    with pytest.raises(MembershipError):
+        rp1_degree(f, g)
 
 
 def test_rp1_degree_antisymmetry_under_swap():
@@ -196,7 +222,7 @@ def test_rp1_degree_matches_cauchy_index():
         t_try = SystemTuple((f, g), 1, FIELD_REAL)
         if not is_member(t_try):
             continue
-        assert rp1_degree(f, g) == cauchy_index_real_line(g, f)
+        assert rp1_degree(f, g) == cauchy_index_real_line(g, f) == rp1_degree_lift(f, g)
         checked += 1
 
 
