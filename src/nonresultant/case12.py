@@ -149,7 +149,9 @@ def to_configuration(f: ExactPolynomial) -> HalfPlaneConfig:
 
     Real roots come from exact isolation; the conjugate pairs from the
     numeric root finder, cross-checked against the exact real-root count.
-    When every root is real there are no pairs, and no numeric call."""
+    When every root is real there are no pairs, and no numeric call.  A
+    disagreement raises `NonConvergenceError` whose diagnostics hold the
+    exact real count and the cluster centers."""
     _check_squarefree(f)
     real_roots = real_roots_exact(f)
     reals = tuple(r.float_value() for r in real_roots)
@@ -159,7 +161,11 @@ def to_configuration(f: ExactPolynomial) -> HalfPlaneConfig:
     nonreal = sorted(clusters, key=lambda c: abs(c.center.imag))[len(reals):]
     uppers = tuple(c.center for c in nonreal if c.center.imag > 0)
     if 2 * len(uppers) != f.degree - len(reals):
-        raise NonConvergenceError("numeric root split disagrees with the exact count")
+        raise NonConvergenceError(
+            "numeric root split disagrees with the exact count",
+            real_count=len(reals),
+            centers=tuple(c.center for c in clusters),
+        )
     return HalfPlaneConfig(reals, uppers)
 
 

@@ -229,7 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("jet", _cmd_jet, "jet components of one polynomial")
     p.add_argument("--n", type=int, required=True, help="jet order (>= 1)")
 
-    p = add("degree", _cmd_degree, "topological degree of the point map on a member")
+    p = add(
+        "degree",
+        _cmd_degree,
+        "topological degree of the point map: d - deg gcd of the jet components, "
+        "exact on non-members too",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for the covector draw")
 
     add("rp1-degree", _cmd_rp1_degree, "half-winding label of a real pair (m=2, n=1)")

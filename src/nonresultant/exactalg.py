@@ -33,14 +33,20 @@ bisection is returned as a degenerate interval [r, r].
 Complex roots are approximated by the Aberth-Ehrlich simultaneous iteration
 (vectorised, with a batch entry point so many same-degree polynomials share
 one iteration loop), then grouped into clusters whose multiplicity is the
-cluster size.  Cluster centers are validated against a backward-error bound;
-failure raises `NonConvergenceError` after deterministic restarts.
+cluster size.  The iteration starts from the eigenvalues of the companion
+matrices, one `eigvals` call per degree group; these backward-stable
+approximations (Edelman and Murakami 1995) usually pass the first residual
+check unchanged.  Cluster centers are validated against a backward-error
+bound; a polynomial that fails is retried from rotated circles of starting
+points, and failure of every attempt raises `NonConvergenceError` carrying
+the diagnostics to reproduce it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -289,6 +295,14 @@ def _reduce(re: Sequence[int], im, den: int) -> tuple:
     return re, im, den
 
 
+def _from_parts(parts: Sequence[tuple]) -> tuple:
+    """Reduced form of the coefficients (re + im*i)/den given as parts."""
+    den = math.lcm(*[d for _, _, d in parts])
+    re = [a * (den // d) for a, _, d in parts]
+    im = [b * (den // d) for _, b, d in parts] if any(b for _, b, _ in parts) else None
+    return _reduce(re, im, den)
+
+
 def _poly(re: Sequence[int], im=None, den: int = 1) -> "ExactPolynomial":
     return ExactPolynomial._raw(*_reduce(re, im, den))
 
@@ -354,11 +368,7 @@ class ExactPolynomial:
     """
 
     def __init__(self, coefficients: Iterable = ()):
-        parts = [_scalar_parts(c) for c in coefficients]
-        den = math.lcm(*[d for _, _, d in parts])
-        re = [a * (den // d) for a, _, d in parts]
-        im = [b * (den // d) for _, b, d in parts] if any(b for _, b, _ in parts) else None
-        self._re, self._im, self._den = _reduce(re, im, den)
+        self._re, self._im, self._den = _from_parts([_scalar_parts(c) for c in coefficients])
 
     @classmethod
     def _raw(cls, re: tuple, im: Optional[tuple], den: int) -> "ExactPolynomial":
@@ -1222,13 +1232,41 @@ class RootCluster:
     multiplicity: int
 
 
+# circle restarts: rotation offsets, tried in order after the eigenvalue start
 _ABERTH_RESTARTS = (0.41, 1.13, 1.97)
 
 
-def _aberth_batch(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarray:
+def _circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
+    """d points evenly spaced on the circle of radius 1 + max |c_k|, which
+    holds every root of a monic row, rotated by `offset`.  (B, d)."""
+    d = coeffs.shape[1] - 1
+    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
+    angles = 2.0 * np.pi * np.arange(d) / d + offset
+    return radius[:, None] * np.exp(1j * angles)[None, :]
+
+
+def _eigenvalue_starts(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the rows' companion matrices, from one `eigvals` call
+    on the (B, d, d) stack; real rows use the real eigensolver.  (B, d).
+
+    These are backward-stable root approximations (Edelman and Murakami,
+    Math. Comp. 64, 1995), so Aberth usually certifies them on its first
+    residual check.  Raises `np.linalg.LinAlgError` when a matrix holds a
+    non-finite entry or the eigensolver does not converge."""
+    batch, dp1 = coeffs.shape
+    d = dp1 - 1
+    real = not coeffs.imag.any()
+    comp = np.zeros((batch, d, d), dtype=float if real else complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, -1] = -(coeffs.real if real else coeffs)[:, :-1]
+    return np.linalg.eigvals(comp).astype(complex)
+
+
+def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
     """Run Aberth-Ehrlich on a batch of monic polynomials of equal degree.
 
-    coeffs: (B, d+1) complex, ascending, last column all ones. Returns (B, d).
+    coeffs: (B, d+1) complex, ascending, last column all ones; z0: (B, d)
+    start points.  Returns (B, d).
     A root stops moving once its residual is at rounding level, so a row
     whose roots have all stopped is final; such rows leave the working set,
     and the rows still moving give bit-for-bit the same iterates.  The
@@ -1237,9 +1275,7 @@ def _aberth_batch(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarra
     """
     batch, dp1 = coeffs.shape
     d = dp1 - 1
-    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
-    angles = 2.0 * np.pi * np.arange(d) / d + offset
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    z = np.array(z0, dtype=complex)
     out = z
     rows = np.arange(batch)
     dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
@@ -1344,8 +1380,9 @@ def _validate_clusters(f: ExactPolynomial, clusters: list) -> float:
         # an m-fold cluster center is accurate to about the cluster radius,
         # so its residual scales like radius**m
         allowed = max(1e-9, (4.0 * max(cl.radius, 1e-15)) ** cl.multiplicity)
-        if err > allowed * 1.0:
-            worst = max(worst, err / allowed)
+        if not err <= allowed:
+            # a NaN residual (a non-finite center) is degenerate, not small
+            worst = math.inf if math.isnan(err) else max(worst, err / allowed)
     return worst
 
 
@@ -1355,7 +1392,17 @@ def complex_roots_numeric(f: ExactPolynomial, cluster_tol: float = None) -> list
 
 
 def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = None) -> list:
-    """Batch variant of `complex_roots_numeric`: one Aberth loop per degree."""
+    """Batch variant of `complex_roots_numeric`: one Aberth loop per degree.
+
+    Aberth starts from the companion-matrix eigenvalues of every row of a
+    degree group, found by one `eigvals` call.  A row whose clusters fail the
+    backward-error check is retried from circle starts (`_ABERTH_RESTARTS`,
+    with 120, 240 and 360 iterations); if the eigensolver fails, the whole
+    group goes to the circles.  A row that fails every attempt raises
+    `NonConvergenceError` with diagnostics: the polynomial's coefficient JSON,
+    the start kinds tried, and its worst backward-error ratio (error over
+    allowance) on the last attempt.
+    """
     results: list = [None] * len(polys)
     by_degree: dict = {}
     for idx, f in enumerate(polys):
@@ -1371,10 +1418,21 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
             mat = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
             mat = mat / mat[:, -1:]
             pending = list(range(len(chunk)))
-            for attempt, offset in enumerate(_ABERTH_RESTARTS):
-                roots = _aberth_batch(
-                    mat[pending], max_iter=120 * (attempt + 1), offset=offset
-                )
+            eigen_ran = False
+            ratios: dict = {}
+            for attempt, offset in enumerate((None, *_ABERTH_RESTARTS)):
+                rows = mat[pending]
+                if offset is None:
+                    try:
+                        z0 = _eigenvalue_starts(rows)
+                    except np.linalg.LinAlgError:
+                        continue
+                    eigen_ran = True
+                    max_iter = 120
+                else:
+                    z0 = _circle_starts(rows, offset)
+                    max_iter = 120 * attempt
+                roots = _aberth_batch(rows, z0, max_iter)
                 still = []
                 for row, rts in zip(pending, roots.tolist()):
                     idx = chunk[row]
@@ -1384,9 +1442,11 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
                     # defaults to a 1e-6 resolution
                     tol = cluster_tol if cluster_tol is not None else 1e-6 * scale
                     clusters = _cluster_roots(rts, tol)
-                    if _validate_clusters(f, clusters) == 0.0:
+                    ratio = _validate_clusters(f, clusters)
+                    if ratio == 0.0:
                         results[idx] = clusters
                     else:
+                        ratios[row] = ratio
                         still.append(row)
                 pending = still
                 if not pending:
@@ -1394,7 +1454,11 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
             if pending:
                 bad = polys[chunk[pending[0]]]
                 raise NonConvergenceError(
-                    f"root finding failed to certify clusters for {bad!r}"
+                    f"root finding failed to certify clusters for {bad!r}",
+                    coefficients=poly_to_json(bad),
+                    starts=("eigenvalues",) * eigen_ran
+                    + tuple(f"circle offset {offset}" for offset in _ABERTH_RESTARTS),
+                    backward_error_ratio=ratios[pending[0]],
                 )
     return results
 
@@ -1469,7 +1533,26 @@ def poly_to_json(f: ExactPolynomial) -> list:
     return [scalar_to_json(c) for c in f.coefficients]
 
 
+# "p" or "p/q" in ASCII decimal digits: the forms `poly_to_json` writes
+_DECIMAL_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _json_parts(v) -> tuple:
+    """(re, im, den) of one JSON coefficient, the value `scalar_from_json`
+    gives: ints and decimal "p"/"p/q" strings with q != 0 are read straight
+    to integers; everything else, errors included, goes through
+    `scalar_from_json`."""
+    if type(v) is int:
+        return v, 0, 1
+    if type(v) is str:
+        m = _DECIMAL_RATIO.fullmatch(v)
+        q = int(m[2] or 1) if m else 0
+        if q:
+            return int(m[1]), 0, q
+    return _scalar_parts(scalar_from_json(v))
+
+
 def poly_from_json(arr) -> ExactPolynomial:
     if not isinstance(arr, (list, tuple)):
         raise ValueError("polynomial JSON must be an array of coefficients")
-    return ExactPolynomial(tuple(scalar_from_json(v) for v in arr))
+    return ExactPolynomial._raw(*_from_parts([_json_parts(v) for v in arr]))

@@ -86,14 +86,21 @@ def resultant_sylvester(f: ExactPolynomial, g: ExactPolynomial):
     return det.canonical()
 
 
-def aberth_every_row(coeffs: np.ndarray, max_iter: int, offset: float) -> np.ndarray:
-    """Batched Aberth-Ehrlich iterates with every row updated on every
-    iteration in fresh arrays (a row whose roots have all stopped gets a zero
-    step); the kernel must reproduce these bits."""
+def circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
+    """Aberth's classical start: d points on the circle of radius
+    1 + max |c_k| (a bound on the roots of a monic row), rotated by offset."""
+    d = coeffs.shape[1] - 1
+    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
+    return radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + offset))[None, :]
+
+
+def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
+    """Batched Aberth-Ehrlich iterates from the start points z0, with every
+    row updated on every iteration in fresh arrays (a row whose roots have
+    all stopped gets a zero step); the kernel must reproduce these bits."""
     batch, dp1 = coeffs.shape
     d = dp1 - 1
-    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
-    z = radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + offset))[None, :]
+    z = np.array(z0, dtype=complex)
     dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
     abs_coeffs = np.abs(coeffs)
     active = np.ones((batch, d), dtype=bool)

@@ -17,6 +17,7 @@ import pytest
 from nonresultant.case12 import (
     component_of_12,
     electric_degree,
+    from_configuration,
     legal_labels_12,
     representative_12,
     stabilize_12,
@@ -54,6 +55,8 @@ from nonresultant.nonres import (
     max_common_multiplicity,
 )
 from nonresultant.stab import stabilize_31_model
+
+from oracles import electric_degree_winding
 
 z = ExactPolynomial.variable()
 
@@ -312,12 +315,20 @@ def test_criterion_7_single_poly_census():
             assert component_of_12(representative_12(d, j)) == j
     rng = random.Random(7)
     electric_failures = 0
+    coefficient_failures = 0
     for _ in range(300):
         d = rng.randint(1, 13)  # j = d // 2 at most, so j <= 6
         t = random_member("12", d, seed=rng.randrange(2**31))
-        cfg = to_configuration(t.polys[0])
-        if electric_degree(cfg) != cfg.j:
+        f = t.polys[0]
+        cfg = to_configuration(f)
+        # the argument principle on the upper points, not a gcd
+        if electric_degree(cfg) != electric_degree_winding(cfg.upper_points):
             electric_failures += 1
+        # the points, numeric upper points included, rebuild f
+        want = f.float_coefficients
+        got = from_configuration(cfg).float_coefficients
+        if max(abs(a - b) for a, b in zip(got, want)) > 1e-9 * max(map(abs, want)):
+            coefficient_failures += 1
     increment_failures = 0
     for k in range(1000):
         t = random_member("12", rng.randint(1, 8), seed=rng.randrange(2**31))
@@ -327,15 +338,16 @@ def test_criterion_7_single_poly_census():
         if after != before + 1:
             increment_failures += 1
     elapsed = time.perf_counter() - start
-    ok = electric_failures == 0 and increment_failures == 0
+    ok = electric_failures == 0 and coefficient_failures == 0 and increment_failures == 0
     verdict(
         7,
         ok,
         f"labels exact for d <= 8; {electric_failures} electric mismatches; "
-        f"{increment_failures} bad increments",
+        f"{coefficient_failures} coefficient mismatches; {increment_failures} bad increments",
         elapsed,
     )
     assert electric_failures == 0
+    assert coefficient_failures == 0
     assert increment_failures == 0
 
 

@@ -20,7 +20,12 @@ from nonresultant.case12 import (
     stabilize_12,
     to_configuration,
 )
-from nonresultant.exactalg import ExactPolynomial, cauchy_root_bound
+from nonresultant.exactalg import (
+    ExactPolynomial,
+    NonConvergenceError,
+    RootCluster,
+    cauchy_root_bound,
+)
 from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
@@ -103,6 +108,18 @@ def test_to_configuration_all_real_needs_no_numeric_roots(monkeypatch):
     ):
         expected = tuple(float_value_fractions(r) for r in real_roots_fractions(f))
         assert to_configuration(f) == HalfPlaneConfig(expected, ())
+
+
+def test_to_configuration_split_error_carries_count_and_centers(monkeypatch):
+    # a root finder that puts the pair +-3i on the real axis
+    fake = [RootCluster(complex(x), 1e-7, 1) for x in (-2.0, 1.0, 3.0, -3.0)]
+    monkeypatch.setattr("nonresultant.case12.complex_roots_numeric", lambda f: fake)
+    with pytest.raises(NonConvergenceError) as info:
+        to_configuration((z - 1) * (z + 2) * (z * z + 9))
+    assert info.value.diagnostics == {
+        "real_count": 2,
+        "centers": (-2 + 0j, 1 + 0j, 3 + 0j, -3 + 0j),
+    }
 
 
 def test_configuration_polynomial_round_trip():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
+    NonConvergenceError,
     RealRoot,
     cauchy_index,
     cauchy_root_bound,
@@ -29,7 +30,9 @@ from nonresultant.exactalg import (
 
 from nonresultant.exactalg import (
     _aberth_batch,
+    _circle_starts,
     _cluster_roots,
+    _eigenvalue_starts,
     _int_primitive,
     _isolate_squarefree,
     _simplest_between,
@@ -37,6 +40,7 @@ from nonresultant.exactalg import (
 from oracles import (
     aberth_every_row,
     cauchy_index_real_line,
+    circle_starts,
     cluster_roots_scan,
     float_value_fractions,
     gcd_from_factor_multisets,
@@ -493,8 +497,9 @@ def test_complex_roots_frozen_example():
     assert clusters[0].radius <= 1e-6
 
 
-def test_complex_roots_planted_products():
-    # bulk agreement statistics: planted factored products, degree <= 10
+def _planted_products():
+    """1000 products of distinct half-integer Gaussian roots, degree <= 10,
+    and their sorted planted roots."""
     rng = random.Random(49)
     polys = []
     planted = []
@@ -512,6 +517,12 @@ def test_complex_roots_planted_products():
                 ]
             )
         )
+    return polys, planted
+
+
+def test_complex_roots_planted_products():
+    # bulk agreement statistics: planted factored products, degree <= 10
+    polys, planted = _planted_products()
     results = complex_roots_many(polys)
     hits = 0
     for expected, clusters in zip(planted, results):
@@ -543,10 +554,112 @@ def test_aberth_batch_matches_every_row_iteration_bitwise():
         roots[: rows // 2, : d // 2] = roots[: rows // 2, :1]  # planted multiple roots
         coeffs = np.array([np.poly(r)[::-1] for r in roots], dtype=complex)
         coeffs = coeffs / coeffs[:, -1:]
-        for max_iter, offset in ((120, 0.41), (9, 1.13)):
-            got = _aberth_batch(coeffs.copy(), max_iter, offset)
-            want = aberth_every_row(coeffs.copy(), max_iter, offset)
+        for offset in (0.41, 1.13):
+            want = circle_starts(coeffs, offset)
+            assert _circle_starts(coeffs, offset).tobytes() == want.tobytes()
+        eig = _eigenvalue_starts(coeffs)
+        starts = (
+            (circle_starts(coeffs, 0.41), 120),
+            (circle_starts(coeffs, 1.13), 9),
+            (eig, 120),
+            (eig + 1e-3 * rng.standard_normal(eig.shape), 120),  # a few sweeps each
+        )
+        for z0, max_iter in starts:
+            got = _aberth_batch(coeffs.copy(), z0.copy(), max_iter)
+            want = aberth_every_row(coeffs.copy(), z0.copy(), max_iter)
             assert got.tobytes() == want.tobytes()
+
+
+def _re_im(c):
+    return round(c.real, 2), round(c.imag, 2)
+
+
+def test_eigenvalue_starts_are_the_roots():
+    # real rows go through the real eigensolver, Gaussian rows the complex one
+    rng = np.random.default_rng(54)
+    for gaussian in (False, True):
+        for d in range(1, 9):
+            roots = rng.integers(-3, 4, size=(5, d)) + 1j * rng.integers(-2, 3, size=(5, d))
+            if not gaussian:  # real roots and conjugate pairs
+                pairs = d // 2
+                roots[:, d - pairs :] = roots[:, :pairs].conj()
+                roots[:, pairs : d - pairs] = roots[:, pairs : d - pairs].real
+            coeffs = np.array([np.poly(r)[::-1] for r in roots], dtype=complex)
+            assert gaussian or not coeffs.imag.any()
+            starts = _eigenvalue_starts(coeffs)
+            assert starts.shape == (5, d) and starts.dtype == complex
+            for got, want in zip(starts, roots):
+                got, want = sorted(got, key=_re_im), sorted(want, key=_re_im)
+                # a root of multiplicity m moves by about eps**(1/m)
+                assert np.allclose(got, want, rtol=0, atol=1e-3)
+
+
+def _garbage_starts(coeffs):
+    return np.full((len(coeffs), coeffs.shape[1] - 1), complex(math.nan, math.nan))
+
+
+def _eigensolver_fails(coeffs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "eigenvalue_starts",
+    [_garbage_starts, _eigensolver_fails],
+    ids=["nan-starts", "eigensolver-raises"],
+)
+def test_circle_restarts_certify_when_eigenvalue_starts_fail(monkeypatch, eigenvalue_starts):
+    # NaN starts fail the clusters' validation row by row; an eigensolver
+    # error sends the whole degree group to the circles at once
+    polys = _planted_products()[0]
+    baseline = complex_roots_many(polys)
+    circles = []
+
+    def counted_circles(coeffs, offset):
+        circles.append((len(coeffs), offset))
+        return _circle_starts(coeffs, offset)
+
+    monkeypatch.setattr("nonresultant.exactalg._eigenvalue_starts", eigenvalue_starts)
+    monkeypatch.setattr("nonresultant.exactalg._circle_starts", counted_circles)
+    with np.errstate(invalid="ignore"):  # the NaN iterates
+        fallback = complex_roots_many(polys)
+    # every row went to the first circle
+    assert sum(n for n, offset in circles if offset == 0.41) == len(polys)
+    for got, want in zip(fallback, baseline):
+        # clusters sort by (real, imag), so centers with equal real parts may
+        # swap places: match each one to its nearest counterpart
+        assert len(got) == len(want)
+        for a in got:
+            b = min(want, key=lambda c: abs(c.center - a.center))
+            assert abs(a.center - b.center) <= 1e-9 and a.multiplicity == b.multiplicity
+
+
+def test_nonconvergence_error_carries_diagnostics(monkeypatch):
+    # an iteration that never leaves 7 cannot certify the roots 1 and 2
+    monkeypatch.setattr(
+        "nonresultant.exactalg._aberth_batch", lambda coeffs, z0, max_iter: np.full_like(z0, 7.0)
+    )
+    with pytest.raises(NonConvergenceError) as info:
+        complex_roots_numeric((z - 1) * (z - 2))
+    diag = info.value.diagnostics
+    assert diag["coefficients"] == ["2", "-3", "1"]
+    assert diag["starts"] == (
+        "eigenvalues",
+        "circle offset 0.41",
+        "circle offset 1.13",
+        "circle offset 1.97",
+    )
+    # one 2-fold cluster at 7: f(7) = 30 against the scale 49 + 21 + 2, and
+    # the least allowance, 1e-9
+    assert diag["backward_error_ratio"] == pytest.approx((30 / 72) / 1e-9)
+    # when the eigensolver raises, only the circles were tried
+    monkeypatch.setattr("nonresultant.exactalg._eigenvalue_starts", _eigensolver_fails)
+    with pytest.raises(NonConvergenceError) as info:
+        complex_roots_numeric((z - 1) * (z - 2))
+    assert info.value.diagnostics["starts"] == (
+        "circle offset 0.41",
+        "circle offset 1.13",
+        "circle offset 1.97",
+    )
 
 
 def test_cluster_roots_matches_full_scan_bitwise():
@@ -651,3 +764,29 @@ def test_scalar_json_forms():
         scalar_from_json(0.5)
     with pytest.raises(ValueError):
         poly_from_json("nope")
+
+
+def _parse_outcome(parse, arr):
+    try:
+        return "ok", parse(arr)
+    except Exception as exc:  # the parses must fail the same way
+        return "error", type(exc)
+
+
+def test_poly_from_json_matches_fraction_parse():
+    # integers and decimal "p/q" strings skip Fraction; the value, or the
+    # exception type, must be the one the per-coefficient Fraction parse gives
+    tokens = [
+        "1.5", " 7/3 ", "-0", "1_0", "3/0", "0/0", "1e3", "2/4", "+4/6", "-12/-3", "007",
+        "", "1/2/3", "  -5  ", "١٢/٣", "9" * 40 + "/7", "x",
+        0, 7, -12, 10**30, True, False, 0.5, None, [1],
+        {"re": "1/2", "im": "-3"}, {"re": "1", "im": "0"}, {"im": "2"}, {"re": 3},
+        {}, {"re": "3/0", "im": "1"}, {"re": "1.5", "im": "2/6"}, {"re": {"re": "1"}},
+        {"re": "1", "x": "2"}, {"re": True}, {"im": " 1/3"},
+    ]
+    rng = random.Random(53)
+    arrays = [[t] for t in tokens]
+    arrays += [[rng.choice(tokens) for _ in range(rng.randint(0, 4))] for _ in range(600)]
+    for arr in arrays:
+        want = _parse_outcome(lambda a: ExactPolynomial(tuple(scalar_from_json(v) for v in a)), arr)
+        assert _parse_outcome(poly_from_json, arr) == want, arr
