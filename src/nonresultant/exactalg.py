@@ -68,12 +68,15 @@ __all__ = [
     "count_distinct_real_roots",
     "gcd_exact",
     "gcd_many",
+    "has_real_root_between",
+    "interpolate_equispaced",
     "poly_from_json",
     "poly_to_json",
     "real_roots_exact",
     "resultant_exact",
     "scalar_from_json",
     "scalar_to_json",
+    "sign_at",
     "squarefree_decomposition",
 ]
 
@@ -1200,6 +1203,30 @@ def count_distinct_real_roots(f: ExactPolynomial) -> int:
     return cauchy_index(f, f.derivative())[0]
 
 
+def sign_at(f: ExactPolynomial, p: int, q: int) -> int:
+    """Sign of the real polynomial f at p/q for q > 0, by integer Horner."""
+    return _sign_at(f._re, p, q)
+
+
+def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
+    """Whether the real polynomial f != 0 vanishes somewhere in the closed
+    interval [lo, hi] (rational ends): at an end, or, by Sturm's theorem,
+    where the sign variations of the chain of f and f' drop between them."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has every root")
+    if not f.is_real:
+        raise ValueError("Sturm counting needs real coefficients")
+    cs = f._re
+    if len(cs) < 2:
+        return False
+    ends = [(x.numerator, x.denominator) for x in (Fraction(lo), Fraction(hi))]
+    if any(_sign_at(cs, p, q) == 0 for p, q in ends):
+        return True
+    chain = _sturm_chain(cs, _int_derivative(cs))
+    v_lo, v_hi = (_variations(_sign_at(c, p, q) for c in chain) for p, q in ends)
+    return v_lo > v_hi
+
+
 def cauchy_root_bound(polys: Sequence[ExactPolynomial]) -> Fraction:
     """Exact rational B with every complex root of every input inside |z| < B."""
     if not polys:
@@ -1494,6 +1521,41 @@ def resultant_exact(f: ExactPolynomial, g: ExactPolynomial) -> Scalar:
     res = ring.div(ring.pow(b[0], d), ring.pow(h, d - 1))
     # the sign rides on the denominator; the scalar constructors normalize it
     return ring.scalar(res, sign * s * den)
+
+
+def interpolate_equispaced(values: Sequence) -> ExactPolynomial:
+    """The polynomial of degree <= N through (i/N, values[i]), i = 0..N.
+
+    Newton's forward-difference form in s = N*t: with the values over one
+    denominator D the differences are integers, and
+    N! * p = sum_k (N!/k!) * Delta^k y_0 * s(s-1)...(s-k+1)
+    expands to integer coefficients in s; the coefficient of t^j then picks
+    up N^j.  No polynomial products and no Fractions.
+    """
+    n = len(values) - 1
+    if n < 0:
+        raise ValueError("interpolation needs at least one value")
+    parts = [_scalar_parts(v) for v in values]
+    den = math.lcm(*[d for _, _, d in parts])
+
+    def expand(ys: list) -> list:
+        out = [0] * (n + 1)
+        falling = [1]  # s(s-1)...(s-k+1), ascending
+        scale = math.factorial(n)  # N!/k!
+        for k in range(n + 1):
+            if k:
+                scale //= k
+                falling = [a - (k - 1) * b for a, b in zip([0] + falling, falling + [0])]
+                ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+            c = ys[0] * scale
+            if c:
+                for j, f in enumerate(falling):
+                    out[j] += c * f
+        return [c * n**j for j, c in enumerate(out)]
+
+    re = expand([a * (den // d) for a, _, d in parts])
+    im = expand([b * (den // d) for _, b, d in parts]) if any(b for _, b, _ in parts) else None
+    return _poly(re, im, den * math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

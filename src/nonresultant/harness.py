@@ -3,12 +3,14 @@ route, straight-line path certification, and seeded invariant sweeps.
 
 Paths between two tuples of one shape interpolate coefficients linearly; at
 any rational parameter the interpolated tuple is exact, so membership there
-is a certainty, not an estimate.  For the pair-resultant shapes ((2,1) via
-res(f1, f2), (1,2) via res(f, f')) the boundary locus along the path is the
-real root set of an exact polynomial in the parameter, recovered by Lagrange
-interpolation from exact resultant values (over C, of the gcd of its real and
-imaginary parts); locating violations this way also catches even-order
-touches that boolean sampling can never see.
+is a certainty, not an estimate.  For every shape the boundary locus along
+the path is the real root set of one exact polynomial in the parameter: the
+gcd, over generic combinations of the jet components, of their resultants
+with f_1, each interpolated from exact resultant values at equispaced nodes
+(over C, of the gcd of its real and imaginary parts).  For (2,1) and (1,2) it
+is res(f1, f2) and res(f, f').  Its sign decides membership at every dyadic
+sample, and its roots in (0, 1) are the violations, so irrational crossings
+and even-order touches that boolean sampling can never see are found too.
 
 Sweeps draw every trial from a per-index seed, so serial and parallel runs
 agree, and reports serialize to canonical JSON bytes for reproducibility
@@ -31,8 +33,11 @@ from .exactalg import (
     GaussianRational,
     complex_roots_many,
     gcd_exact,
+    has_real_root_between,
+    interpolate_equispaced,
     real_roots_exact,
     resultant_exact,
+    sign_at,
 )
 from .nonres import (
     FIELD_COMPLEX,
@@ -40,6 +45,7 @@ from .nonres import (
     MembershipError,
     SystemTuple,
     is_member,
+    jet,
     max_common_multiplicity,
 )
 
@@ -305,45 +311,83 @@ def path_tuple(a: SystemTuple, b: SystemTuple, t) -> SystemTuple:
     )
 
 
-def _lagrange(nodes: Sequence[Fraction], values: Sequence) -> ExactPolynomial:
-    z = ExactPolynomial.variable()
-    total = ExactPolynomial.zero()
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        if yi == 0:
-            continue
-        basis = ExactPolynomial.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * (z - ExactPolynomial.constant(xj))
-            denom *= xi - xj
-        total = total + basis * (yi / denom)
-    return total
+def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
+    """A real polynomial G in the path parameter t whose roots in [0, 1] are
+    exactly the parameters where the path leaves the space; G(t) != 0 at a
+    parameter in [0, 1] certifies membership there.
+
+    Jets are linear in the coefficients, so each jet component moves as
+    c_k(t) = c_k(a) + t*(c_k(b) - c_k(a)), and the path tuple fails
+    membership at t exactly when the c_k(t) share a root.  c_1 = f_1 is monic
+    of degree d_1, so that happens exactly when
+    R(t, lam) = res_z(c_1, sum_{k>=2} lam^(k-2) c_k) vanishes for every lam
+    (the generic combination; Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 3).  deg_t R <= d_1 + max_k deg c_k =: N, and R_lam(t) is
+    interpolated from its exact values at t = i/N.  deg_lam R <= (mn-2)*d_1,
+    so the gcd over lam = 0, 1, ..., (mn-2)*d_1 of R_lam(t) is the gcd B(t) of
+    R's lam-coefficients.  The running gcd stops early once it has no root in
+    [0, 1]; otherwise it ends equal to B up to a constant, the zero
+    polynomial when the whole path lies outside the space.  Over C each R_lam
+    is replaced by the gcd of its real and imaginary parts.  With mn = 2 there
+    is one lam and G is res(f1, f2) or res(f, f + f') = res(f, f').
+    """
+    ca = [c for f in a.polys for c in jet(f, a.n).components]
+    cb = [c for f in b.polys for c in jet(f, b.n).components]
+    steps = [fb - fa for fa, fb in zip(ca, cb)]
+    d1 = ca[0].degree
+    count = d1 + max(c.degree for c in ca[1:])
+    nodes = [Fraction(i, count) for i in range(count + 1)]
+    firsts = [ca[0] + steps[0] * t for t in nodes]
+    g = ExactPolynomial.zero()
+    last = (len(ca) - 2) * d1
+    for lam in range(last + 1):
+        # the combination at t = 0 and its step to t = 1
+        comb = step = ExactPolynomial.zero()
+        for k in range(1, len(ca)):
+            comb += ca[k] * lam ** (k - 1)
+            step += steps[k] * lam ** (k - 1)
+        r = interpolate_equispaced(
+            [resultant_exact(f, comb + step * t) for f, t in zip(firsts, nodes)]
+        )
+        if not r.is_real:
+            # a real t is a root of r exactly when it is a root of r's real
+            # and imaginary parts
+            half = Fraction(1, 2)
+            re_part = (r + r.conjugate()) * half
+            im_part = (r - r.conjugate()) * GaussianRational(0, -half)
+            r = gcd_exact(re_part, im_part)
+        g = r if g.is_zero else gcd_exact(g, r)
+        if lam < last and not g.is_zero and not has_real_root_between(g, 0, 1):
+            break
+    return g
 
 
-def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> Optional[ExactPolynomial]:
-    """Exact polynomial in t whose roots in (0,1) are the path's boundary
-    crossings, for the shapes where one resultant captures membership."""
-    if a.m == 2 and a.n == 1:
-        pairs = lambda t: (path_tuple(a, b, t).polys)
-    elif a.m == 1 and a.n == 2:
-        def pairs(t):
-            f = path_tuple(a, b, t).polys[0]
-            return f, f.derivative()
+def _first_violation(a: SystemTuple, g: ExactPolynomial, width: Fraction):
+    """The certificate for the least root of g in (0, 1), bracketed to width
+    <= `width`, or None; g must not vanish at 0 or 1."""
+    if a.m * a.n > 2:
+        kind = "boundary_root"
     else:
-        return None
-    degree_bound = sum(f.degree for f in pairs(Fraction(0)))
-    nodes = [Fraction(i, degree_bound) for i in range(degree_bound + 1)]
-    values = [resultant_exact(*pairs(x)) for x in nodes]
-    return _lagrange(nodes, values)
+        kind = "resultant_root" if a.m == 2 else "discriminant_root"
+    for r in real_roots_exact(g):
+        r = r.refine(width)
+        # 0 and 1 are not roots, so refining long enough settles the side
+        while r.lo < 0 < r.hi or r.lo < 1 < r.hi:
+            r = r.refine((r.hi - r.lo) / 2)
+        if 0 <= r.lo and r.hi <= 1:
+            return ViolationCertificate(kind, r.lo, r.hi, r.multiplicity % 2 == 1)
+    return None
 
 
 @dataclass(frozen=True)
 class ViolationCertificate:
-    """Where a path leaves the space: a bracket [lo, hi] around a boundary
-    parameter.  `sign_change` records an odd-order resultant crossing;
-    kind 'nonmember_parameter' means hi itself is an exact non-member."""
+    """Where a path leaves the space: a bracket [lo, hi], a subset of
+    [0, 1], around a root in (0, 1) of the path's boundary polynomial, or the
+    exact root when lo == hi.  `sign_change` records an odd-order root, where the boundary
+    polynomial changes sign.  The kind names the polynomial:
+    'resultant_root' for (2,1) (res(f1, f2)), 'discriminant_root' for (1,2)
+    (res(f, f')), and 'boundary_root' for mn >= 3 (the gcd B over the
+    generic combinations of the jet components)."""
 
     kind: str
     lo: Fraction
@@ -366,62 +410,26 @@ class ViolationCertificate:
 def locate_violation(
     a: SystemTuple, b: SystemTuple, width: Fraction = Fraction(1, 10**6)
 ) -> Optional[ViolationCertificate]:
-    """Bracket of width <= `width` around a parameter where the straight-line
-    path from a to b leaves the space, or None when none is found.
-
-    For the single-resultant shapes None is exact: the boundary polynomial
-    has no root in (0, 1).  Other shapes fall back to dyadic scanning plus
-    boolean bisection, which can miss zero-measure violations.
+    """Bracket of width <= `width` around the first parameter where the
+    straight-line path from a to b leaves the space, or None when it never
+    does.  Exact for every shape: the violations are the roots in (0, 1) of
+    the path's boundary polynomial, so even-order touches and irrational
+    crossings are found too.
     """
     _same_shape(a, b)
-    if not (is_member(a) and is_member(b)):
-        raise ValueError("path endpoints must be members")
-    width = Fraction(width)
     g = _boundary_polynomial(a, b)
-    if g is not None:
-        kind = "resultant_root" if a.m == 2 else "discriminant_root"
-        if g.is_zero:
-            return ViolationCertificate(kind, Fraction(0), Fraction(1), False)
-        if not g.is_real:
-            # over C the resultant is Gaussian; a real t is a root of it
-            # exactly when t is a root of its real and imaginary parts
-            half = Fraction(1, 2)
-            re_part = (g + g.conjugate()) * half
-            im_part = (g - g.conjugate()) * GaussianRational(0, -half)
-            g = gcd_exact(re_part, im_part)
-        inside = []
-        for r in real_roots_exact(g):
-            r = r.refine(width)
-            if 0 < r.midpoint < 1 and r.lo > 0 and r.hi < 1:
-                inside.append(r)
-        if not inside:
-            return None
-        r = inside[0]
-        return ViolationCertificate(kind, r.lo, r.hi, r.multiplicity % 2 == 1)
-
-    # general shapes: scan dyadic parameters, then bisect on the boolean
-    for depth in range(1, 13):
-        step = Fraction(1, 2**depth)
-        for i in range(1, 2**depth, 2):
-            t = i * step
-            if not is_member(path_tuple(a, b, t)):
-                lo, hi = t - step, t
-                while hi - lo > width:
-                    mid = (lo + hi) / 2
-                    if is_member(path_tuple(a, b, mid)):
-                        lo = mid
-                    else:
-                        hi = mid
-                return ViolationCertificate("nonmember_parameter", lo, hi, False)
-    return None
+    if sign_at(g, 0, 1) == 0 or sign_at(g, 1, 1) == 0:
+        raise ValueError("path endpoints must be members")
+    return _first_violation(a, g, Fraction(width))
 
 
 @dataclass(frozen=True)
 class PathInSpace:
     """A certified straight-line path: dyadic samples (parameter, exact
-    membership, optional invariant value), plus any located boundary
-    violations.  Samples alone cannot witness an even-order touch at an
-    irrational parameter, hence the separate violations field."""
+    membership, optional invariant value), plus the first boundary
+    violation when both endpoints are members.  The samples alone cannot
+    see a violation off the dyadic grid; the violation comes from the
+    boundary polynomial's roots in (0, 1), so `certified` is exact."""
 
     endpoints: tuple
     samples: tuple
@@ -452,46 +460,51 @@ def certify_path(
     invariant: Optional[Callable[[SystemTuple], object]] = None,
     min_depth: int = 6,
 ) -> PathInSpace:
-    """Sample the straight-line path on a dyadic grid with exact membership
-    at every sample, refining any segment whose endpoints disagree (in
-    membership or invariant value) until they agree or depth_cap is hit;
-    then search for boundary crossings the grid cannot see."""
+    """Sample the straight-line path on a dyadic grid, refining any segment
+    whose endpoints disagree (in membership or invariant value) until they
+    agree or depth_cap is hit; when both endpoints are members, add the
+    first boundary crossing in (0, 1), as `locate_violation` brackets it.
+
+    Membership at every sample and the crossings are read from one exact
+    boundary polynomial of the path (`_boundary_polynomial`), which vanishes
+    in [0, 1] exactly at the non-members; the invariant runs only at member
+    samples.  Sample parameters are kept as integer numerators over
+    2**depth_cap until the result is built."""
     _same_shape(a, b)
     if depth_cap < min_depth:
         raise ValueError("depth_cap below the initial sampling depth")
+    g = _boundary_polynomial(a, b)
+    scale = 1 << depth_cap
 
-    def probe(t: Fraction):
-        tup = path_tuple(a, b, t)
-        member = is_member(tup)
-        value = invariant(tup) if (invariant is not None and member) else None
+    def probe(p: int):
+        member = sign_at(g, p, scale) != 0
+        t = Fraction(p, scale)
+        value = invariant(path_tuple(a, b, t)) if (invariant is not None and member) else None
         return (t, member, value)
 
-    grid = {Fraction(i, 2**min_depth): None for i in range(2**min_depth + 1)}
-    samples = {t: probe(t) for t in grid}
+    samples = {p: probe(p) for p in range(0, scale + 1, 1 << (depth_cap - min_depth))}
     depth = min_depth
     while depth < depth_cap:
         ordered = sorted(samples)
-        new_params = []
-        for left, right in zip(ordered, ordered[1:]):
-            la, ra = samples[left], samples[right]
-            if la[1] != ra[1] or la[2] != ra[2]:
-                new_params.append((left + right) / 2)
+        new_params = [
+            (left + right) >> 1
+            for left, right in zip(ordered, ordered[1:])
+            if samples[left][1:] != samples[right][1:]
+        ]
         if not new_params:
             break
         depth += 1
-        for t in new_params:
-            samples[t] = probe(t)
+        for p in new_params:
+            samples[p] = probe(p)
 
-    violations = ()
-    if is_member(a) and is_member(b) and a.m * a.n == 2:
-        cert = locate_violation(a, b)
-        if cert is not None:
-            violations = (cert,)
+    cert = None
+    if samples[0][1] and samples[scale][1]:
+        cert = _first_violation(a, g, Fraction(1, 10**6))
     return PathInSpace(
         endpoints=(a, b),
-        samples=tuple(samples[t] for t in sorted(samples)),
+        samples=tuple(samples[p] for p in sorted(samples)),
         refinement_depth=depth,
-        violations=violations,
+        violations=() if cert is None else (cert,),
     )
 
 

@@ -8,7 +8,9 @@ real-axis and electric degrees of members also from float argument lifts
 instead of gcds and remainder sequences; resultants from the root-product
 formula or the Sylvester determinant instead of remainder sequences; real
 root isolation and refinement by recursive bisection on Fractions instead of
-integer numerators.
+integer numerators; interpolation by Lagrange basis products instead of
+forward differences; path samples by the exact gcd route at every sample
+instead of the sign of the path's boundary polynomial.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from nonresultant.exactalg import (
     real_roots_exact,
     squarefree_decomposition,
 )
+from nonresultant.harness import path_tuple
 from nonresultant.mapdeg import WindingError, _adaptive_lift, winding_number
-from nonresultant.nonres import jet
+from nonresultant.nonres import is_member, jet
 
 
 def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
@@ -473,3 +476,51 @@ def alternating_value_refined(m, width: Fraction) -> complex:
             total = total * v if position % 2 else total / v
         position += root.multiplicity
     return complex(total)
+
+
+def lagrange(nodes, values) -> ExactPolynomial:
+    """The interpolating polynomial as a sum of Lagrange basis products."""
+    z = ExactPolynomial.variable()
+    total = ExactPolynomial.zero()
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        if yi == 0:
+            continue
+        basis = ExactPolynomial.one()
+        denom = Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j == i:
+                continue
+            basis = basis * (z - ExactPolynomial.constant(xj))
+            denom *= xi - xj
+        total = total + basis * (yi / denom)
+    return total
+
+
+def path_samples_by_gcd(a, b, depth_cap: int = 10, invariant=None, min_depth: int = 6) -> tuple:
+    """(samples, refinement_depth) of a straight-line path, with exact
+    gcd-route membership at every dyadic sample: the grid of 2**min_depth
+    segments, then every segment whose ends disagree in membership or
+    invariant value halved, until none do or depth_cap is reached."""
+
+    def probe(t: Fraction):
+        tup = path_tuple(a, b, t)
+        member = is_member(tup)
+        value = invariant(tup) if (invariant is not None and member) else None
+        return (t, member, value)
+
+    samples = {Fraction(i, 2**min_depth): None for i in range(2**min_depth + 1)}
+    samples = {t: probe(t) for t in samples}
+    depth = min_depth
+    while depth < depth_cap:
+        ordered = sorted(samples)
+        new_params = []
+        for left, right in zip(ordered, ordered[1:]):
+            la, ra = samples[left], samples[right]
+            if la[1] != ra[1] or la[2] != ra[2]:
+                new_params.append((left + right) / 2)
+        if not new_params:
+            break
+        depth += 1
+        for t in new_params:
+            samples[t] = probe(t)
+    return tuple(samples[t] for t in sorted(samples)), depth

@@ -74,6 +74,21 @@ def test_float_coefficients_are_usage_error(capsys, monkeypatch):
     assert "p/q" in err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["member"], '{"n": 1, "field": "R", "polys": [["3/0", "1"], ["1", "1"]]}'),
+        (["jet", "--n", "2"], '["3/0", "1"]'),
+    ],
+    ids=["member", "jet"],
+)
+def test_zero_denominator_is_usage_error(capsys, monkeypatch, argv, doc):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
 def test_domain_error_exit_one(capsys, monkeypatch):
     # mismatched degrees break the pair map's precondition
     doc = '{"n": 1, "field": "R", "polys": [["0", "1"], ["1", "0", "1"]]}'

@@ -19,12 +19,15 @@ from nonresultant.exactalg import (
     count_distinct_real_roots,
     gcd_exact,
     gcd_many,
+    has_real_root_between,
+    interpolate_equispaced,
     poly_from_json,
     poly_to_json,
     real_roots_exact,
     resultant_exact,
     scalar_from_json,
     scalar_to_json,
+    sign_at,
     squarefree_decomposition,
 )
 
@@ -45,6 +48,7 @@ from oracles import (
     float_value_fractions,
     gcd_from_factor_multisets,
     isolate_squarefree_fractions,
+    lagrange,
     rational_value_fractions,
     real_roots_fractions,
     refine_fractions,
@@ -728,6 +732,41 @@ def test_resultant_matches_sylvester_oracle():
     # a shared root makes the resultant vanish over Q(i) as over Q
     f = random_poly(rng, 3, gaussian=True) * (z - i_unit)
     assert resultant_exact(f, (z - i_unit) * (z + 3)) == 0 == resultant_sylvester(f, z - i_unit)
+
+
+def test_interpolate_equispaced_matches_lagrange_oracle():
+    rng = random.Random(53)
+
+    def rational():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    for n in range(1, 17):
+        nodes = [F(i, n) for i in range(n + 1)]
+        for gaussian in (False, True):
+            values = [
+                GaussianRational(rational(), rational()).canonical() if gaussian else rational()
+                for _ in nodes
+            ]
+            if n % 3 == 0:
+                values[rng.randrange(n + 1)] = F(0)
+            p = interpolate_equispaced(values)
+            assert p == lagrange(nodes, values)
+            assert [p(x) for x in nodes] == values
+    assert interpolate_equispaced([F(5, 3)]) == ExactPolynomial.constant(F(5, 3))
+    assert interpolate_equispaced([0, 0, 0]).is_zero
+    with pytest.raises(ValueError):
+        interpolate_equispaced([])
+
+
+def test_has_real_root_between_counts_the_closed_interval():
+    f = (z - F(1, 3)) ** 2 * (z + 2)
+    assert has_real_root_between(f, F(0), F(1))
+    assert has_real_root_between(f, F(1, 3), F(1))  # a root at an endpoint
+    assert not has_real_root_between(f, F(1, 2), F(3))
+    assert has_real_root_between(f, F(-3), F(-1))
+    assert not has_real_root_between(z**2 + 1, F(-10), F(10))
+    assert not has_real_root_between(ExactPolynomial.constant(3), F(0), F(1))
+    assert [sign_at(f, p, 3) for p in (-7, -6, 1, 2)] == [-1, 0, 0, 1]
 
 
 def test_resultant_constant_inputs_are_canonical():

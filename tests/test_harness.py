@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from nonresultant.case21 import component_of_21, representative_21
 from nonresultant.exactalg import ExactPolynomial, GaussianRational, resultant_exact
 from nonresultant.harness import (
+    CASE_SHAPES,
+    _boundary_polynomial,
     certify_path,
     invariant_sweep,
     is_member_numeric,
@@ -24,8 +26,10 @@ from nonresultant.nonres import (
     FIELD_REAL,
     SystemTuple,
     is_member,
+    jet,
     max_common_multiplicity,
 )
+from oracles import path_samples_by_gcd
 
 z = ExactPolynomial.variable()
 i_unit = GaussianRational(F(0), F(1))
@@ -121,7 +125,7 @@ def test_locate_violation_between_components():
     cert = locate_violation(a, b)
     assert cert is not None
     assert cert.width <= F(1, 10**6)
-    assert cert.kind in ("resultant_root", "discriminant_root", "nonmember_parameter")
+    assert cert.kind == "resultant_root"
     doc = cert.to_json()
     assert set(doc) == {"kind", "lo", "hi", "sign_change"}
     # independent verification: a common root appears where the resultant
@@ -210,6 +214,186 @@ def test_complex_field_paths_are_certified_exactly():
     cert = locate_violation(f, g)
     assert (cert.kind, cert.lo, cert.hi) == ("discriminant_root", F(1, 2), F(1, 2))
     assert not certify_path(f, g).certified
+
+
+def _through(a: SystemTuple, nonmember: SystemTuple, t0: F) -> SystemTuple:
+    """The endpoint b whose straight line from a meets `nonmember` at t0."""
+    polys = tuple(fa + (fn - fa) * (1 / t0) for fa, fn in zip(a.polys, nonmember.polys))
+    return SystemTuple(polys, a.n, a.field)
+
+
+def _nonmember(case: str, d: int, seed: int, field: str) -> SystemTuple:
+    while True:
+        t, mu = planted_tuple(case, d, seed, field)
+        if mu >= t.n:
+            return t
+        seed += 1000
+
+
+def test_31_path_through_a_rational_nonmember_is_uncertified():
+    # at t = 1/3 the entries are z^2 + z/3, z^2 + 2z/3, z^2 + 5z/3: all vanish at 0
+    a = SystemTuple((z**2 + 1, z**2 + 2, z**2 + 3), 1, FIELD_REAL)
+    b = SystemTuple((z**2 + z - 2, z**2 + 2 * z - 4, z**2 + 5 * z - 6), 1, FIELD_REAL)
+    assert not is_member(path_tuple(a, b, F(1, 3)))
+    path = certify_path(a, b)
+    assert all(member for _, member, _ in path.samples)
+    assert not path.certified
+    (cert,) = path.violations
+    assert cert.kind == "boundary_root"
+    assert cert.lo <= F(1, 3) <= cert.hi and cert.width <= F(1, 10**6)
+    assert locate_violation(a, b) == cert
+
+
+def test_31_path_through_an_irrational_nonmember_is_uncertified():
+    # f1 = z^3 + t z - 3 meets z^2 = 2 at z = sqrt(2) when t = (3 sqrt(2) - 4)/2
+    q = z**2 - 2
+    f1a, f1b = z**3 - 3, z**3 + z - 3
+    a = SystemTuple((f1a, f1a + q, f1a + q * 2), 1, FIELD_REAL)
+    b = SystemTuple((f1b, f1b + q, f1b + q * 2), 1, FIELD_REAL)
+    path = certify_path(a, b)
+    assert not path.certified
+    (cert,) = path.violations
+    assert cert.kind == "boundary_root" and cert.sign_change
+    assert cert.width <= F(1, 10**6)
+    # lo < (3 sqrt(2) - 4)/2 < hi, squared: (2 lo + 4)^2 < 18 < (2 hi + 4)^2
+    assert (2 * cert.lo + 4) ** 2 < 18 < (2 * cert.hi + 4) ** 2
+    assert locate_violation(a, b) == cert
+
+
+@pytest.mark.parametrize(
+    "a, nonmember, t0",
+    [
+        (
+            SystemTuple((z**2 + 1, z**2 + 4), 2, FIELD_REAL),
+            SystemTuple(((z - 1) ** 2, (z - 1) ** 2), 2, FIELD_REAL),
+            F(1, 3),
+        ),
+        (
+            SystemTuple(((z**2 + 1) * (z**2 + 4),), 3, FIELD_REAL),
+            SystemTuple(((z - 1) ** 3 * (z + 1),), 3, FIELD_REAL),
+            F(2, 5),
+        ),
+        (
+            SystemTuple((z**3 + z + 1,), 3, FIELD_COMPLEX),
+            SystemTuple(((z - i_unit) ** 3,), 3, FIELD_COMPLEX),
+            F(5, 7),
+        ),
+    ],
+    ids=["22", "13", "13-complex"],
+)
+def test_planted_nonmember_off_the_dyadic_grid_is_located(a, nonmember, t0):
+    b = _through(a, nonmember, t0)
+    assert is_member(a) and is_member(b)
+    assert path_tuple(a, b, t0) == nonmember
+    path = certify_path(a, b)
+    assert all(member for _, member, _ in path.samples)
+    assert not path.certified
+    (cert,) = path.violations
+    assert cert.lo <= t0 <= cert.hi and cert.width <= F(1, 10**6)
+    assert locate_violation(a, b) == cert
+
+
+def test_crossing_closer_to_an_end_than_the_width_is_located():
+    # disc(t) = 49 t^2 - 4 (1 - 10^7 t) has a simple root near 1e-7, so the
+    # 1e-6 bracket of the isolating interval straddles t = 0
+    a = SystemTuple((z**2 + 1,), 2, FIELD_REAL)
+    b = SystemTuple((z**2 + 7 * z + 1 - 10**7,), 2, FIELD_REAL)
+    cert = locate_violation(a, b)
+    assert cert is not None and cert.kind == "discriminant_root" and cert.sign_change
+    assert 0 <= cert.lo < cert.hi <= F(1, 10**6)
+    disc = lambda t: 49 * t * t - 4 * (1 - 10**7 * t)
+    assert disc(cert.lo) < 0 < disc(cert.hi)
+    path = certify_path(a, b)
+    assert path.violations == (cert,) and not path.certified
+
+
+def _oracle_paths():
+    """200 seeded paths over all five shapes and both fields: member to
+    member, from a non-member endpoint, and through a planted non-member
+    at a dyadic parameter (on the initial grid or at a refinement depth)."""
+    rng = random.Random(61)
+    out = []
+    for k in range(200):
+        case = ("21", "31", "12", "13", "22")[k % 5]
+        field = FIELD_COMPLEX if k % 2 else FIELD_REAL
+        n = CASE_SHAPES[case][1]
+        d = rng.randint(n, 4)
+        seed = rng.randrange(10**6)
+        a = random_member(case, d, seed, field=field)
+        kind = (k // 10) % 3
+        if kind == 0:
+            b = random_member(case, d, seed + 1, field=field)
+        elif kind == 1:
+            b = a
+            a, _ = planted_tuple(case, d, seed + 2, field)
+        else:
+            t0 = F(rng.randrange(1, 2**8), 2 ** rng.choice((6, 8)))
+            b = _through(a, _nonmember(case, d, seed + 3, field), t0)
+        out.append((a, b))
+    return out
+
+
+def test_certify_path_samples_match_the_gcd_route_on_every_sample():
+    bad_end = bad_inside = refined = 0
+    for a, b in _oracle_paths():
+        invariant = None
+        if a.m == 2 and a.n == 1 and a.field == FIELD_REAL:
+            invariant = lambda t: component_of_21(t).j
+        path = certify_path(a, b, invariant=invariant)
+        samples, depth = path_samples_by_gcd(a, b, invariant=invariant)
+        assert path.samples == samples
+        assert path.refinement_depth == depth
+        ends = samples[0][1] and samples[-1][1]
+        bad_end += not ends
+        bad_inside += ends and not all(member for _, member, _ in samples)
+        refined += depth > 6
+        if path.violations:
+            assert locate_violation(a, b) == path.violations[0]
+    # the mix the seed gives: 38, 18 and 56
+    assert bad_end >= 30 and bad_inside >= 15 and refined >= 50
+
+
+def _sympy_poly(f: ExactPolynomial, w, sympy):
+    def scalar(c):
+        if isinstance(c, GaussianRational):
+            return scalar(c.re) + sympy.I * scalar(c.im)
+        return sympy.Rational(c.numerator, c.denominator)
+
+    return sum(scalar(c) * w**k for k, c in enumerate(f.coefficients))
+
+
+def test_boundary_polynomial_matches_a_sympy_bivariate_resultant():
+    sympy = pytest.importorskip("sympy")
+    t, lam, w = sympy.symbols("t lam w", real=True)
+    rng = random.Random(62)
+    for k in range(10):
+        case = ("31", "13", "22", "21", "12")[k % 5]
+        field = FIELD_COMPLEX if k >= 5 else FIELD_REAL
+        n = CASE_SHAPES[case][1]
+        d = rng.randint(n, 3)
+        a = random_member(case, d, rng.randrange(10**6), field=field)
+        b = _through(a, _nonmember(case, d, rng.randrange(10**6), field), F(rng.randrange(1, 9), 9))
+        comps = [
+            sympy.expand(_sympy_poly(ca, w, sympy) * (1 - t) + _sympy_poly(cb, w, sympy) * t)
+            for fa, fb in zip(a.polys, b.polys)
+            for ca, cb in zip(jet(fa, n).components, jet(fb, n).components)
+        ]
+        combination = sum(lam ** (i - 1) * c for i, c in enumerate(comps[1:], 1))
+        res = sympy.Poly(sympy.resultant(comps[0], combination, w), lam)
+        parts = []
+        for c in res.coeffs():
+            re, im = sympy.expand(c).as_real_imag()
+            parts += [p for p in (re, im) if p != 0]
+        expected = sympy.Poly(sympy.gcd_list(parts), t).monic()
+        g = _boundary_polynomial(a, b)
+        assert [F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())] == list(
+            g.monic().coefficients
+        )
+        cert = locate_violation(a, b)
+        assert cert is not None
+        # a Sturm count of B itself finds a root in the bracket
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in (cert.lo, cert.hi))
+        assert expected.count_roots(lo, hi) >= 1
 
 
 # ---------------------------------------------------------------------------

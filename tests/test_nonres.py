@@ -245,3 +245,5 @@ def test_tuple_json_rejects_bad_shapes():
     with pytest.raises(InputError):
         # float coefficients are rejected with a pointer to the exact syntax
         SystemTuple.from_json({"n": 1, "field": "R", "polys": [[0.5, 1]]})
+    with pytest.raises(InputError):
+        SystemTuple.from_json({"n": 1, "field": "R", "polys": [["3/0", "1"], ["1", "1"]]})
