@@ -58,8 +58,6 @@ def _parsed(build, obj):
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except ZeroDivisionError as exc:
-        raise InputError(f"zero denominator in {exc}") from exc
 
 
 def _rational_flag(text: str) -> Fraction:

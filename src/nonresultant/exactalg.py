@@ -20,7 +20,8 @@ intermediate coefficient growth polynomial in the input size, unlike the
 naive Euclidean remainder sequence whose numerators explode.  The gcd is the
 last nonzero remainder made monic; the resultant is read off the last
 constant term (Cohen, A Course in Computational Algebraic Number Theory,
-Algorithm 3.3.7).
+Algorithm 3.3.7).  The PRS runs on the numerators as stored: the monic gcd
+does not depend on content, which is stripped only inside the Sturm chain.
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built once per squarefree factor over Z with positive content stripped at
@@ -645,11 +646,6 @@ def _as_poly(x) -> ExactPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _int_primitive(cs: Sequence[int]) -> list:
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else list(cs)
-
-
 def _int_prem(a: Sequence[int], b: Sequence[int]) -> list:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
     da, db = len(a) - 1, len(b) - 1
@@ -665,31 +661,8 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> list:
     return r
 
 
-def _g_is_zero(a) -> bool:
-    return a[0] == 0 and a[1] == 0
-
-
 def _g_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _round_div(x: int, n: int) -> int:
-    # nearest integer to x/n for n > 0 (ties toward +inf); |x - q*n| <= n/2
-    return (2 * x + n) // (2 * n)
-
-
-def _g_mod(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    x = a[0] * b[0] + a[1] * b[1]
-    y = a[1] * b[0] - a[0] * b[1]
-    qx, qy = _round_div(x, n), _round_div(y, n)
-    return (a[0] - qx * b[0] + qy * b[1], a[1] - qx * b[1] - qy * b[0])
-
-
-def _g_gcd(a, b):
-    while not _g_is_zero(b):
-        a, b = b, _g_mod(a, b)
-    return a
 
 
 def _g_divexact(a, b):
@@ -711,16 +684,6 @@ def _g_pow(a, k: int):
     return out
 
 
-def _g_primitive(cs: list) -> list:
-    g = (0, 0)
-    for c in cs:
-        if not _g_is_zero(c):
-            g = _g_gcd(g, c) if not _g_is_zero(g) else c
-            if g[0] * g[0] + g[1] * g[1] == 1:
-                return list(cs)
-    return [_g_divexact(c, g) for c in cs]
-
-
 def _g_prem(a: list, b: list) -> list:
     da, db = len(a) - 1, len(b) - 1
     lb = b[-1]
@@ -734,7 +697,7 @@ def _g_prem(a: list, b: list) -> list:
                 t = (t[0] - u[0], t[1] - u[1])
             r[i] = t
         del r[db + k :]
-    while r and _g_is_zero(r[-1]):
+    while r and r[-1] == (0, 0):
         r.pop()
     return r
 
@@ -747,7 +710,6 @@ class _Z:
     div = staticmethod(operator.floordiv)  # only ever called on exact quotients
     pow = staticmethod(pow)
     prem = staticmethod(_int_prem)
-    primitive = staticmethod(_int_primitive)
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:
@@ -770,7 +732,6 @@ class _ZI:
     div = staticmethod(_g_divexact)
     pow = staticmethod(_g_pow)
     prem = staticmethod(_g_prem)
-    primitive = staticmethod(_g_primitive)
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:
@@ -823,7 +784,7 @@ def gcd_exact(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
     if f.degree == 0 or g.degree == 0:
         return ExactPolynomial.one()
     ring = _ring(f, g)
-    a, b = ring.primitive(ring.numerators(f)), ring.primitive(ring.numerators(g))
+    a, b = ring.numerators(f), ring.numerators(g)
     if len(a) < len(b):
         a, b = b, a
     last, rem, _, _ = _prs(a, b, ring)
@@ -890,6 +851,11 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
 
 def _int_derivative(cs: Sequence[int]) -> list:
     return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _int_primitive(cs: Sequence[int]) -> list:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
 
 
 def _sign(x: int) -> int:
@@ -1169,14 +1135,11 @@ def real_roots_exact(f: ExactPolynomial) -> list:
         ics = tuple(_int_primitive(factor._re))
         for lo, hi, s_lo in _isolate_squarefree(ics):
             roots.append(RealRoot(lo, hi, mult, ics, s_lo))
-    # roots of coprime factors are distinct: refine until intervals separate
+    # roots of coprime factors are distinct, so refining whichever of two
+    # overlapping intervals is wider separates them after finitely many passes
     changed = True
-    guard = 0
     while changed:
         changed = False
-        guard += 1
-        if guard > 400:
-            raise RuntimeError("failed to separate isolating intervals")
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 a, b = roots[i], roots[j]
@@ -1413,12 +1376,12 @@ def _validate_clusters(f: ExactPolynomial, clusters: list) -> float:
     return worst
 
 
-def complex_roots_numeric(f: ExactPolynomial, cluster_tol: float = None) -> list:
+def complex_roots_numeric(f: ExactPolynomial) -> list:
     """Root clusters of a nonconstant polynomial; multiplicities sum to deg f."""
-    return complex_roots_many([f], cluster_tol)[0]
+    return complex_roots_many([f])[0]
 
 
-def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = None) -> list:
+def complex_roots_many(polys: Sequence[ExactPolynomial]) -> list:
     """Batch variant of `complex_roots_numeric`: one Aberth loop per degree.
 
     Aberth starts from the companion-matrix eigenvalues of every row of a
@@ -1466,9 +1429,8 @@ def complex_roots_many(polys: Sequence[ExactPolynomial], cluster_tol: float = No
                     f = polys[idx]
                     scale = max(1.0, max(map(abs, rts)))
                     # double roots blur to ~1e-7 in binary64, so "coincident"
-                    # defaults to a 1e-6 resolution
-                    tol = cluster_tol if cluster_tol is not None else 1e-6 * scale
-                    clusters = _cluster_roots(rts, tol)
+                    # means a 1e-6 resolution
+                    clusters = _cluster_roots(rts, 1e-6 * scale)
                     ratio = _validate_clusters(f, clusters)
                     if ratio == 0.0:
                         results[idx] = clusters
@@ -1572,23 +1534,7 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(v) -> Scalar:
-    if isinstance(v, bool):
-        raise ValueError("booleans are not coefficients")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        raise ValueError(
-            "float coefficients are not accepted; send exact 'p/q' strings"
-        )
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        re = scalar_from_json(v.get("re", "0"))
-        im = scalar_from_json(v.get("im", "0"))
-        if isinstance(re, GaussianRational) or isinstance(im, GaussianRational):
-            raise ValueError("nested complex parts")
-        return GaussianRational(re, im).canonical()
-    raise ValueError(f"cannot parse coefficient {v!r}")
+    return _scalar(*_json_parts(v))
 
 
 def poly_to_json(f: ExactPolynomial) -> list:
@@ -1600,18 +1546,35 @@ _DECIMAL_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _json_parts(v) -> tuple:
-    """(re, im, den) of one JSON coefficient, the value `scalar_from_json`
-    gives: ints and decimal "p"/"p/q" strings with q != 0 are read straight
-    to integers; everything else, errors included, goes through
-    `scalar_from_json`."""
-    if type(v) is int:
-        return v, 0, 1
+    """(re, im, den) of one JSON coefficient, with x = (re + im*i)/den: an
+    int, a rational string in `Fraction`'s syntax, or a {"re", "im"} map of
+    real parts.  Decimal "p"/"p/q" strings with q != 0 are read straight to
+    integers; a zero denominator raises ValueError."""
     if type(v) is str:
         m = _DECIMAL_RATIO.fullmatch(v)
         q = int(m[2] or 1) if m else 0
         if q:
             return int(m[1]), 0, q
-    return _scalar_parts(scalar_from_json(v))
+        try:
+            x = Fraction(v)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {exc}") from exc
+        return x.numerator, 0, x.denominator
+    if isinstance(v, bool):
+        raise ValueError("booleans are not coefficients")
+    if isinstance(v, int):
+        return int(v), 0, 1
+    if isinstance(v, float):
+        raise ValueError(
+            "float coefficients are not accepted; send exact 'p/q' strings"
+        )
+    if isinstance(v, dict) and set(v) <= {"re", "im"}:
+        (a, ai, da), (b, bi, db) = (_json_parts(v.get(k, "0")) for k in ("re", "im"))
+        if ai or bi:
+            raise ValueError("nested complex parts")
+        den = math.lcm(da, db)
+        return a * (den // da), b * (den // db), den
+    raise ValueError(f"cannot parse coefficient {v!r}")
 
 
 def poly_from_json(arr) -> ExactPolynomial:

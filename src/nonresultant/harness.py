@@ -235,25 +235,19 @@ def _merge_clusters(clusters: list, tol: float) -> list:
     return merged
 
 
-def numeric_common_multiplicities(tuples: Sequence[SystemTuple], cluster_tol: float = None) -> list:
+def numeric_common_multiplicities(tuples: Sequence[SystemTuple]) -> list:
     """Numeric max common multiplicity for a batch of tuples: all entry
     polynomials go through one batched root solve, then the fine clusters are
     re-merged at a scale-relative tolerance (a multiplicity-k root blurs to
     far more than machine epsilon in binary64) and matched across entries.
-
-    Passing cluster_tol uses that absolute tolerance for both stages instead.
     """
     flat = [f for t in tuples for f in t.polys]
-    rootss = complex_roots_many(flat, cluster_tol)
     coarse = []
-    for clusters in rootss:
+    for clusters in complex_roots_many(flat):
         if not clusters:
             coarse.append([])
             continue
-        if cluster_tol is None:
-            tol = _MERGE_REL * max(1.0, max(abs(c.center) for c in clusters))
-        else:
-            tol = cluster_tol
+        tol = _MERGE_REL * max(1.0, max(abs(c.center) for c in clusters))
         coarse.append(_merge_clusters(clusters, tol))
     out = []
     pos = 0
@@ -263,9 +257,7 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple], cluster_tol: fl
         best = 0
         for cand_center, cand_radius, cand_mult in per_poly[0]:
             mult = cand_mult
-            base = cluster_tol if cluster_tol is not None else _MERGE_REL * max(
-                1.0, abs(cand_center)
-            )
+            base = _MERGE_REL * max(1.0, abs(cand_center))
             for clusters in per_poly[1:]:
                 match = 0
                 for center, radius, multiplicity in clusters:
@@ -279,13 +271,13 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple], cluster_tol: fl
     return out
 
 
-def numeric_common_multiplicity(t: SystemTuple, cluster_tol: float = None) -> int:
-    return numeric_common_multiplicities([t], cluster_tol)[0]
+def numeric_common_multiplicity(t: SystemTuple) -> int:
+    return numeric_common_multiplicities([t])[0]
 
 
-def is_member_numeric(t: SystemTuple, cluster_tol: float = None) -> bool:
+def is_member_numeric(t: SystemTuple) -> bool:
     """Membership judged from numeric root clusters alone (no exact gcd)."""
-    return numeric_common_multiplicity(t, cluster_tol) < t.n
+    return numeric_common_multiplicity(t) < t.n
 
 
 # ---------------------------------------------------------------------------

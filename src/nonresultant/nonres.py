@@ -150,8 +150,6 @@ class SystemTuple:
             polys = tuple(poly_from_json(arr) for arr in obj["polys"])
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        except ZeroDivisionError as exc:
-            raise InputError(f"zero denominator in {exc}") from exc
         return SystemTuple(polys, obj["n"], obj["field"])
 
 

@@ -10,7 +10,8 @@ formula or the Sylvester determinant instead of remainder sequences; real
 root isolation and refinement by recursive bisection on Fractions instead of
 integer numerators; interpolation by Lagrange basis products instead of
 forward differences; path samples by the exact gcd route at every sample
-instead of the sign of the path's boundary polynomial.
+instead of the sign of the path's boundary polynomial; JSON coefficients by
+one `Fraction` per value instead of integer parts.
 """
 
 from __future__ import annotations
@@ -524,3 +525,26 @@ def path_samples_by_gcd(a, b, depth_cap: int = 10, invariant=None, min_depth: in
         for t in new_params:
             samples[t] = probe(t)
     return tuple(samples[t] for t in sorted(samples)), depth
+
+
+def scalar_from_json_fractions(v):
+    """One JSON coefficient read by `Fraction` alone, recursing into
+    {"re", "im"} maps: the grammar `exactalg._json_parts` reads to integers."""
+    if isinstance(v, bool):
+        raise ValueError("booleans are not coefficients")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, float):
+        raise ValueError("float coefficients are not accepted; send exact 'p/q' strings")
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {exc}") from exc
+    if isinstance(v, dict) and set(v) <= {"re", "im"}:
+        re = scalar_from_json_fractions(v.get("re", "0"))
+        im = scalar_from_json_fractions(v.get("im", "0"))
+        if isinstance(re, GaussianRational) or isinstance(im, GaussianRational):
+            raise ValueError("nested complex parts")
+        return GaussianRational(re, im).canonical()
+    raise ValueError(f"cannot parse coefficient {v!r}")

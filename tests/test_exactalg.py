@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -54,6 +55,7 @@ from oracles import (
     refine_fractions,
     resultant_from_roots,
     resultant_sylvester,
+    scalar_from_json_fractions,
     simplest_between_recursive,
 )
 
@@ -284,6 +286,67 @@ def test_gcd_scaling_invariance():
     assert gcd_exact(fg, g * i_unit) == z - 1
 
 
+# (1+i)**9 * (2+i)**4 * 6: Gaussian content the PRS must carry through
+LARGE_CONTENT = GaussianRational(F(1), F(1)) ** 9 * GaussianRational(F(2), F(1)) ** 4 * 6
+
+
+def test_prs_on_gaussian_inputs_with_large_content():
+    # the PRS runs on the numerators as stored: scale planted products by
+    # scalars with large Gaussian content and leave them non-monic
+    rng = random.Random(54)
+    scales = [
+        LARGE_CONTENT,
+        LARGE_CONTENT * GaussianRational(F(3), F(-2)) ** 5 * F(1, 7),
+        F(-12),
+        GaussianRational(F(1), F(1)) ** 16,
+    ]
+    pool = [
+        GaussianRational(F(a, c), F(b, c)).canonical()
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+        for c in (1, 3)
+    ]
+    for _ in range(40):
+        roots = [[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(3)]
+        polys = [ExactPolynomial.from_roots(rs) * rng.choice(scales) for rs in roots]
+        f, g, h = polys
+        assert not f.is_monic
+        assert gcd_exact(f, g) == gcd_from_factor_multisets(roots[0], roots[1])
+        common_gh = list((Counter(roots[1]) & Counter(roots[2])).elements())
+        assert gcd_many(polys) == gcd_from_factor_multisets(roots[0], common_gh)
+        mults = Counter(roots[0])
+        repeated = list((mults - Counter(set(roots[0]))).elements())
+        assert gcd_exact(f, f.derivative()) == gcd_from_factor_multisets(roots[0], repeated)
+        want = [
+            (ExactPolynomial.from_roots([r for r in mults if mults[r] == k]), k)
+            for k in sorted(set(mults.values()))
+        ]
+        assert squarefree_decomposition(f) == want
+        assert resultant_exact(f, g) == resultant_sylvester(f, g)
+
+
+def test_gaussian_gcd_with_large_content_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        def scalar(c):
+            c = GaussianRational.of(c)
+            return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+                c.im.numerator, c.im.denominator
+            )
+
+        return sympy.Poly([scalar(c) for c in reversed(f.coefficients)], x, domain="QQ_I")
+
+    rng = random.Random(55)
+    for _ in range(30):
+        h = random_poly(rng, rng.randint(0, 3), monic=False, gaussian=True)
+        f = random_poly(rng, rng.randint(1, 4), monic=False, gaussian=True) * h * LARGE_CONTENT
+        g = random_poly(rng, rng.randint(1, 4), monic=False, gaussian=True) * h
+        want = sympy.gcd(to_sympy(f), to_sympy(g)).monic()
+        assert to_sympy(gcd_exact(f, g)) == want
+
+
 # ---------------------------------------------------------------------------
 # squarefree decomposition
 # ---------------------------------------------------------------------------
@@ -418,6 +481,18 @@ def test_real_roots_far_below_the_recursion_limit():
     planted = [e, 2 * e, F(1)]
     roots = real_roots_exact(ExactPolynomial.from_roots(planted))
     assert [r.rational_value() for r in roots] == planted
+
+
+@pytest.mark.parametrize("bits", [1000, 4000])
+def test_real_roots_separate_factors_at_any_distance(bits):
+    # r is sqrt(2) truncated to `bits` binary digits: the Yun factors
+    # z**2 - 2 and z - r have roots 2**-bits apart, which took more than the
+    # 400 separation passes an earlier version allowed
+    r = F(math.isqrt(2 * 4**bits), 2**bits)
+    f = (z**2 - 2) ** 2 * (z - r)
+    roots = real_roots_exact(f)
+    assert [root.multiplicity for root in roots] == [2, 1, 2]
+    assert roots == real_roots_fractions(f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -801,6 +876,8 @@ def test_scalar_json_forms():
     assert scalar_from_json({"re": "1", "im": "0"}) == F(1)
     with pytest.raises(ValueError):
         scalar_from_json(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar_from_json("3/0")
     with pytest.raises(ValueError):
         poly_from_json("nope")
 
@@ -829,3 +906,26 @@ def test_poly_from_json_matches_fraction_parse():
     for arr in arrays:
         want = _parse_outcome(lambda a: ExactPolynomial(tuple(scalar_from_json(v) for v in a)), arr)
         assert _parse_outcome(poly_from_json, arr) == want, arr
+
+
+def test_scalar_from_json_matches_fraction_oracle():
+    # the one grammar against a reading by Fraction alone: the same value,
+    # or the same exception type and message
+    tokens = [
+        "1.5", " 7/3 ", "-0", "1_0", "3/0", "0/0", "1e3", "2/4", "+4/6", "-12/-3", "007",
+        "", "1/2/3", "  -5  ", "١٢/٣", "9" * 40 + "/7", "x", " 1/0 ", "-5/0",
+        0, 7, -12, 10**30, True, False, 0.5, None, [1],
+        {"re": "1/2", "im": "-3"}, {"re": "1", "im": "0"}, {"im": "2"}, {"re": 3},
+        {}, {"re": "3/0", "im": "1"}, {"re": "1.5", "im": "2/6"}, {"re": {"re": "1"}},
+        {"re": {"re": "1", "im": "1"}}, {"im": {"im": "0"}}, {"re": "2/4", "im": "1/6"},
+        {"re": "1", "x": "2"}, {"re": True}, {"im": " 1/3"}, {"im": "1/0"},
+    ]
+
+    def outcome(parse, v):
+        try:
+            return "ok", parse(v)
+        except ValueError as exc:
+            return "error", str(exc)
+
+    for v in tokens:
+        assert outcome(scalar_from_json, v) == outcome(scalar_from_json_fractions, v), v
