@@ -37,7 +37,6 @@ from .exactalg import (
     real_roots_exact,
 )
 from .mapdeg import WindingError, arg_steps, whole_turns
-from .nonres import FIELD_REAL, SystemTuple
 
 __all__ = [
     "HalfPlaneConfig",

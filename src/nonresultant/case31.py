@@ -25,7 +25,6 @@ binary value of cos/sin, so every polynomial stays exactly represented.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .exactalg import (
     poly_to_json,
     real_roots_exact,
 )
-from .mapdeg import WindingError, sample_loop
+from .mapdeg import winding_number
 from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
 __all__ = [
@@ -234,7 +233,7 @@ def pi1_winding(loop, refinement_cap: int = 2**20) -> int:
         if models[0] != models[-1]:
             raise ValueError("a sampled loop must close up: first != last")
         fn = _interpolate_models(models)
-    return sample_loop(lambda th: r_tilde(fn(th)), refinement_cap).winding
+    return winding_number(lambda th: r_tilde(fn(th)), refinement_cap)
 
 
 def _interpolate_models(models):

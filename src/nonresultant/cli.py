@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .case12 import HalfPlaneConfig, census_12, electric_degree
 from .case21 import census_21, component_of_21
-from .case31 import Model31, model_from_json, pi1_winding, r_d, r_tilde, r_tilde_exact
+from .case31 import model_from_json, pi1_winding, r_d, r_tilde, r_tilde_exact
 from .exactalg import poly_from_json, poly_to_json, scalar_to_json
 from .harness import invariant_sweep
 from .mapdeg import WindingError, map_degree

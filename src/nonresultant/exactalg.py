@@ -1314,39 +1314,56 @@ def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarr
     return out
 
 
+def _link_groups(centers: Sequence[complex], radii: Sequence[float], tol: float) -> list:
+    """Single-linkage groups of discs, as lists of indices; discs i and j link
+    when |c_i - c_j| <= tol + 5 (r_i + r_j).
+
+    A group starts at the least ungrouped index and then takes, one at a
+    time, the least remaining index linked to any of its members, listing
+    them in that order: the order in which a scan that merges one disc at a
+    time into the first cluster with a linked partner would add them, so
+    sums over a group round the same way as that scan's.
+    """
+    k = len(centers)
+    links = [[] for _ in range(k)]
+    for i, (ci, ri) in enumerate(zip(centers, radii)):
+        for j in range(i + 1, k):
+            if abs(ci - centers[j]) <= tol + 5.0 * (ri + radii[j]):
+                links[i].append(j)
+                links[j].append(i)
+    if not any(links):
+        return [[i] for i in range(k)]
+    grouped = [False] * k
+    groups = []
+    for start in range(k):
+        if grouped[start]:
+            continue
+        grouped[start] = True
+        group, reach = [start], set(links[start])
+        while reach:
+            j = min(reach)
+            reach.discard(j)
+            grouped[j] = True
+            group.append(j)
+            reach.update(x for x in links[j] if not grouped[x])
+        groups.append(group)
+    return groups
+
+
 def _cluster_roots(roots: Sequence[complex], tol: float) -> list:
-    """Single-linkage clusters at radius tol, merged until pairwise disjoint."""
+    """Single-linkage clusters of the roots at radius tol."""
     pts = sorted(roots, key=lambda c: (c.real, c.imag))
-    clusters = [[r] for r in pts]
-
-    def center(c):
-        return sum(c) / len(c)
-
-    # roots that are pairwise farther apart than tol, the common case, stay
-    # singletons: the merge scan below would find nothing to merge
-    merged = any(abs(a - b) <= tol for i, a in enumerate(pts) for b in pts[i + 1 :])
-    while merged and len(clusters) > 1:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                ci, cj = clusters[i], clusters[j]
-                if min(abs(a - b) for a in ci for b in cj) <= tol:
-                    clusters[i] = ci + cj
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
     out = []
-    for c in clusters:
-        if len(c) == 1:
-            # center(c) and the radius below, for a single root
-            z0 = (0 + c[0]) / 1
-            rad = abs(c[0] - z0)
+    for group in _link_groups(pts, [0.0] * len(pts), tol):
+        if len(group) == 1:
+            # sum(c) / len(c) and the radius below, for a single root
+            z0 = (0 + pts[group[0]]) / 1
+            rad = abs(pts[group[0]] - z0)
         else:
-            z0 = center(c)
+            c = [pts[i] for i in group]
+            z0 = sum(c) / len(c)
             rad = max(abs(a - z0) for a in c)
-        out.append(RootCluster(z0, max(rad, tol / 10), len(c)))
+        out.append(RootCluster(z0, max(rad, tol / 10), len(group)))
     out.sort(key=lambda cl: (cl.center.real, cl.center.imag))
     return out
 

@@ -31,6 +31,7 @@ from .case31 import Model31, i_d_loop, pi1_winding, r_tilde
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
+    _link_groups,
     complex_roots_many,
     gcd_exact,
     has_real_root_between,
@@ -39,15 +40,7 @@ from .exactalg import (
     resultant_exact,
     sign_at,
 )
-from .nonres import (
-    FIELD_COMPLEX,
-    FIELD_REAL,
-    MembershipError,
-    SystemTuple,
-    is_member,
-    jet,
-    max_common_multiplicity,
-)
+from .nonres import FIELD_REAL, MembershipError, SystemTuple, is_member, jet
 
 __all__ = [
     "CASE_SHAPES",
@@ -87,10 +80,14 @@ def _check_case_d(case: str, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_real_roots(rng: random.Random, d: int) -> ExactPolynomial:
+def _poly_from_real_roots(
+    rng: random.Random, d: int, pairs: Optional[int] = None
+) -> ExactPolynomial:
     """Monic real polynomial: a random mix of lattice reals and conjugate
-    pairs, distinct within the polynomial."""
-    pairs = rng.randrange(0, d // 2 + 1) if rng.random() < 0.5 else 0
+    pairs (`pairs` of them, drawn when not given), distinct within the
+    polynomial."""
+    if pairs is None:
+        pairs = rng.randrange(0, d // 2 + 1) if rng.random() < 0.5 else 0
     reals = rng.sample(_REAL_LATTICE, d - 2 * pairs)
     roots = [Fraction(r) for r in reals]
     taken = set()
@@ -199,28 +196,11 @@ def _merge_clusters(clusters: list, tol: float) -> list:
     """Single-linkage merge of root clusters whose centers sit within tol
     (plus their own radii) of each other, as (center, radius, multiplicity)
     tuples."""
-    k = len(clusters)
     centers = [c.center for c in clusters]
     radii = [c.radius for c in clusters]
     mults = [c.multiplicity for c in clusters]
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(k):
-        ci, ri = centers[i], radii[i]
-        for j in range(i + 1, k):
-            if abs(ci - centers[j]) <= tol + 5.0 * (ri + radii[j]):
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
     merged = []
-    for members in groups.values():
+    for members in _link_groups(centers, radii, tol):
         if len(members) == 1:
             # the sums and the max below, each over one member
             i = members[0]
@@ -585,16 +565,7 @@ def _sweep_12(d: int, trials: int, seed: int) -> SweepReport:
     for i in range(trials):
         rng = _trial_rng(seed, i)
         j = labels[rng.randrange(len(labels))]
-        reals = rng.sample(_REAL_LATTICE, d - 2 * j)
-        taken = set()
-        while len(taken) < j:
-            taken.add((rng.randrange(-10, 11), rng.randrange(1, 11)))
-        roots = [Fraction(r) for r in reals]
-        for aa, bb in sorted(taken):
-            g = GaussianRational(Fraction(aa, 2), Fraction(bb, 2))
-            roots += [g, g.conjugate()]
-        f = ExactPolynomial.from_roots(roots)
-        got = component_of_12(f)
+        got = component_of_12(_poly_from_real_roots(rng, d, j))
         support.add(got)
         if got != j:
             failures += 1

@@ -27,14 +27,12 @@ from .nonres import MembershipError, SystemTuple, jet
 
 __all__ = [
     "INFINITY",
-    "LoopSample",
     "ProjectivePoint",
     "WindingError",
     "arg_steps",
     "eval_natural_map",
     "map_degree",
     "rp1_degree",
-    "sample_loop",
     "whole_turns",
     "winding_number",
 ]
@@ -145,7 +143,7 @@ def whole_turns(angle: float) -> int:
 def _adaptive_lift(fn, a: float, b: float, cap: int):
     """Sample fn on [a, b] until adjacent values turn by < pi/2 each.
 
-    Returns (params, values, lifted arguments).  Raises WindingError when the
+    Returns (values, lifted arguments).  Raises WindingError when the
     sample budget is exhausted or the path meets zero exactly.
     """
     n0 = 64
@@ -157,7 +155,7 @@ def _adaptive_lift(fn, a: float, b: float, cap: int):
         steps, bad = arg_steps(values)
         if not bad.any():
             lifted = np.concatenate(([0.0], np.cumsum(steps)))
-            return params, values, lifted
+            return values, lifted
         if len(params) > cap:
             raise WindingError(
                 f"argument lift did not settle within {cap} samples; "
@@ -170,40 +168,14 @@ def _adaptive_lift(fn, a: float, b: float, cap: int):
         values = np.insert(values, idx + 1, mid_vals)
 
 
-@dataclass(frozen=True)
-class LoopSample:
-    """An adaptively sampled closed loop in C*: parameters, values, and the
-    continuous argument lift.  Adjacent lifted arguments differ by less than
-    pi/2 and the first and last differ by 2*pi times the winding number."""
-
-    parameters: tuple
-    values: tuple
-    unwrapped_args: tuple
-
-    @property
-    def winding(self) -> int:
-        total = (self.unwrapped_args[-1] - self.unwrapped_args[0]) / (2.0 * math.pi)
-        return round(total)
-
-
-def sample_loop(fn, refinement_cap: int = _DEFAULT_CAP) -> LoopSample:
-    """Adaptively sample the closed loop fn on [0, 2*pi]."""
-    params, values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi, refinement_cap)
+def winding_number(fn, refinement_cap: int = _DEFAULT_CAP) -> int:
+    """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
+    argument lifting."""
+    values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi, refinement_cap)
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:
         raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")
-    whole_turns(lifted[-1] - lifted[0])
-    base = lifted[0] + math.atan2(values[0].imag, values[0].real)
-    return LoopSample(
-        tuple(float(p) for p in params),
-        tuple(complex(v) for v in values),
-        tuple(float(x + base) for x in lifted),
-    )
-
-
-def winding_number(fn, refinement_cap: int = _DEFAULT_CAP) -> int:
-    """Winding of a closed loop around 0, by adaptive argument lifting."""
-    return sample_loop(fn, refinement_cap).winding
+    return whole_turns(lifted[-1] - lifted[0])
 
 
 # ---------------------------------------------------------------------------

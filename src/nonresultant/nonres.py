@@ -19,7 +19,6 @@ Both are kept callable so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     ExactPolynomial,

@@ -23,7 +23,7 @@ from typing import Optional
 from .case12 import component_of_12, stabilize_12
 from .case31 import Model31, phi, phi_inverse
 from .exactalg import ExactPolynomial, cauchy_root_bound
-from .nonres import FIELD_REAL, SystemTuple, is_member, max_common_multiplicity
+from .nonres import FIELD_REAL, SystemTuple, is_member
 
 __all__ = [
     "StabilizationReport",

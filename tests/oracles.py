@@ -11,7 +11,8 @@ root isolation and refinement by recursive bisection on Fractions instead of
 integer numerators; interpolation by Lagrange basis products instead of
 forward differences; path samples by the exact gcd route at every sample
 instead of the sign of the path's boundary polynomial; JSON coefficients by
-one `Fraction` per value instead of integer parts.
+one `Fraction` per value instead of integer parts; single-linkage groups by
+union-find instead of growth by the least linked index.
 """
 
 from __future__ import annotations
@@ -161,6 +162,44 @@ def cluster_roots_scan(roots, tol: float) -> list:
     return sorted(out, key=lambda cl: (cl[0].real, cl[0].imag))
 
 
+def union_find_groups(centers, radii, tol: float) -> list:
+    """Single-linkage groups of discs (i and j link when |c_i - c_j| <= tol +
+    5 (r_i + r_j)) by union-find, each listed in ascending index order, the
+    groups ordered by their least index."""
+    k = len(centers)
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(centers[i] - centers[j]) <= tol + 5.0 * (radii[i] + radii[j]):
+                parent[find(i)] = find(j)
+    groups: dict = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def merge_clusters_union_find(clusters, tol: float) -> list:
+    """(center, radius, multiplicity) of the single-linkage merge of root
+    clusters, summing each union-find group in ascending index order."""
+    centers = [c.center for c in clusters]
+    radii = [c.radius for c in clusters]
+    mults = [c.multiplicity for c in clusters]
+    merged = []
+    for members in union_find_groups(centers, radii, tol):
+        total = sum(mults[i] for i in members)
+        center = sum(centers[i] * mults[i] for i in members) / total
+        radius = max(abs(centers[i] - center) + radii[i] for i in members)
+        merged.append((center, radius, total))
+    return merged
+
+
 def winding_dense(loop, samples: int = 200_000) -> int:
     """Brute-force winding number: dense uniform sampling plus angle sums."""
     ts = np.linspace(0.0, 2.0 * math.pi, samples + 1)
@@ -234,7 +273,7 @@ def rp1_degree_lift(f1: ExactPolynomial, f2: ExactPolynomial, cap: int = 2**20) 
             acc_b = acc_b * u + rev[k]
         return np.where(small_t, acc_a * c**d, acc_b * t**d)
 
-    _, _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2, cap)
+    _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2, cap)
     half_turns = (lifted[-1] - lifted[0]) / math.pi
     j = round(half_turns)
     if abs(half_turns - j) > 0.2 or (j - d) % 2 != 0:

@@ -36,6 +36,7 @@ from nonresultant.exactalg import (
     _aberth_batch,
     _circle_starts,
     _cluster_roots,
+    _link_groups,
     _eigenvalue_starts,
     _int_primitive,
     _isolate_squarefree,
@@ -753,6 +754,15 @@ def test_cluster_roots_matches_full_scan_bitwise():
         got = [(c.center, c.radius, c.multiplicity) for c in _cluster_roots(roots, tol)]
         want = cluster_roots_scan(roots, tol)
         assert repr(got) == repr(want)
+
+
+def test_link_groups_grow_by_least_linked_index():
+    # 0-2 and 2-1 link, 0-1 does not: the group takes 2 before 1
+    assert _link_groups([0j, 2 + 0j, 1 + 0j, 10 + 0j], [0.0] * 4, 1.0) == [[0, 2, 1], [3]]
+    assert _link_groups([0j, 3 + 0j, 9 + 0j], [0.0] * 3, 1.0) == [[0], [1], [2]]
+    # radii widen the link by 5 * (r_i + r_j)
+    assert _link_groups([0j, 3 + 0j], [0.25, 0.25], 1.0) == [[0, 1]]
+    assert _link_groups([], [], 1.0) == []
 
 
 def test_complex_roots_multiplicity_sums():

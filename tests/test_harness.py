@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonresultant.case21 import component_of_21, representative_21
-from nonresultant.exactalg import ExactPolynomial, GaussianRational, resultant_exact
+from nonresultant.exactalg import (
+    ExactPolynomial,
+    GaussianRational,
+    RootCluster,
+    _link_groups,
+    resultant_exact,
+)
 from nonresultant.harness import (
     CASE_SHAPES,
     _boundary_polynomial,
+    _merge_clusters,
     certify_path,
     invariant_sweep,
     is_member_numeric,
@@ -29,7 +36,7 @@ from nonresultant.nonres import (
     jet,
     max_common_multiplicity,
 )
-from oracles import path_samples_by_gcd
+from oracles import merge_clusters_union_find, path_samples_by_gcd, union_find_groups
 
 z = ExactPolynomial.variable()
 i_unit = GaussianRational(F(0), F(1))
@@ -102,6 +109,33 @@ def test_numeric_multiplicity_close_roots_still_split():
     g = ExactPolynomial.from_roots([F(0), F(3, 4)])
     t = SystemTuple((f, g), 1, FIELD_REAL)
     assert numeric_common_multiplicity(t) == 1
+
+
+def test_merge_clusters_matches_union_find_oracle():
+    rng = random.Random(81)
+    out_of_order = 0
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        tol = 10.0 ** rng.randint(-3, 0)
+        pos, centers = 0j, []
+        for _ in range(k):
+            # steps under tol chain clusters together, longer ones split them
+            pos += complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * tol * rng.choice((0.6, 5.0))
+            centers.append(pos)
+        rng.shuffle(centers)
+        radii = [tol * rng.choice((0.0, 1e-3, 1e-2)) for _ in range(k)]
+        clusters = [RootCluster(c, r, rng.randint(1, 4)) for c, r in zip(centers, radii)]
+        groups = _link_groups(centers, radii, tol)
+        assert [sorted(g) for g in groups] == union_find_groups(centers, radii, tol)
+        out_of_order += any(g != sorted(g) for g in groups)
+        got = _merge_clusters(clusters, tol)
+        want = merge_clusters_union_find(clusters, tol)
+        assert [m for _, _, m in got] == [m for _, _, m in want]
+        for (c, r, _), (wc, wr, _) in zip(got, want):
+            assert abs(c - wc) <= 1e-12 * (1 + abs(wc))
+            assert abs(r - wr) <= 1e-12 * (1 + abs(wc))
+    # chains like 0-2-1, where the two orders differ, were exercised
+    assert out_of_order > 10
 
 
 # ---------------------------------------------------------------------------
