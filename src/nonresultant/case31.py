@@ -17,10 +17,12 @@ circle it retracts the model space onto the basic loop theta -> (z^d, z +
 cos theta, z + sin theta), whose class generates the fundamental group; the
 winding of r along a loop is the loop's class.
 
-Evaluation is exact when the contributing roots are rational; otherwise the
-isolating intervals are bisected (exactly) until the float evaluation at the
-midpoint is reliable.  Transcendental rotation angles enter through the
-binary value of cos/sin, so every polynomial stays exactly represented.
+A contributing root that isolation finds exactly, or that is itself a
+float, is evaluated exactly in Q(i); at every other root f2 and f3 are
+evaluated in floating point at the correctly rounded root, the float nearest
+to it (`RealRoot.float_value`).  Transcendental rotation angles enter
+through the binary value of cos/sin, so every polynomial stays exactly
+represented.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from fractions import Fraction
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
-    NonConvergenceError,
     gcd_many,
     poly_from_json,
     poly_to_json,
     real_roots_exact,
+    sign_at,
 )
-from .mapdeg import winding_number
+from .mapdeg import _DEFAULT_CAP, winding_number
 from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
 __all__ = [
@@ -147,49 +149,15 @@ def r_tilde(m: Model31) -> complex:
     for root, net in _contributions(m):
         if net == 0:
             continue
-        if root.is_exact:
-            v = complex(GaussianRational(m.f2(root.lo), m.f3(root.lo)))
+        x = root.lo if root.is_exact else root.float_value()
+        if root.is_exact or sign_at(m.f1, *x.as_integer_ratio()) == 0:
+            v = complex(GaussianRational(m.f2(Fraction(x)), m.f3(Fraction(x))))
         else:
-            v = _refined_value(m, root)
+            v = complex(m.f2(x), m.f3(x))
         if v == 0:
             raise MembershipError("f2 + i f3 vanishes at a real root of f1")
         result = result * v if net > 0 else result / v
     return result
-
-
-def _refined_value(m: Model31, root) -> complex:
-    """(f2 + i f3) at an isolated irrational root, with the interval bisected
-    until two successive midpoint evaluations agree to 1e-12 relative.
-
-    The first four widths are absolute, max(1, |lo|, |hi|) / 2**k for
-    k = 60, 120, 240, 480, and do not resolve a root far below 1 in size.
-    Past them the interval is bisected until it excludes 0 (isolation meets
-    a root at 0 exactly, so a non-exact root is never 0) and the same four
-    steps are taken relative to min(|lo|, |hi|); by the last of them the
-    midpoint's float stops changing unless the root lies within a relative
-    2**-480 of a point halfway between two floats.  If no two successive
-    values agree even then, NonConvergenceError carries the interval and the
-    last two values."""
-    scale = max(Fraction(1), abs(root.lo), abs(root.hi))
-    previous = before = None
-    for rung in range(8):
-        if rung == 4:
-            while root.lo <= 0 <= root.hi:
-                root = root.refine((root.hi - root.lo) / 2)
-            scale = min(abs(root.lo), abs(root.hi))
-        root = root.refine(scale / 2 ** (60 << (rung % 4)))
-        if root.is_exact:
-            return complex(GaussianRational(m.f2(root.lo), m.f3(root.lo)))
-        x = float(root.midpoint)
-        v = complex(m.f2(x), m.f3(x))
-        if previous is not None and abs(v - previous) <= 1e-12 * max(abs(v), 1e-300):
-            return v
-        before, previous = previous, v
-    raise NonConvergenceError(
-        "f2 + i f3 did not settle at a real root of f1",
-        interval=(root.lo, root.hi),
-        values=(before, previous),
-    )
 
 
 def r_tilde_exact(m: Model31):
@@ -217,7 +185,7 @@ def r_d(m: Model31) -> complex:
     return v / abs(v)
 
 
-def pi1_winding(loop, refinement_cap: int = 2**20) -> int:
+def pi1_winding(loop, refinement_cap: int = _DEFAULT_CAP) -> int:
     """Class of a closed loop of odd-degree models: the winding of r_tilde.
 
     `loop` is either a callable theta -> Model31 on [0, 2*pi] or a closed

@@ -962,13 +962,6 @@ class RealRoot:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
     def refine(self, max_width: Fraction) -> "RealRoot":
         if self.is_exact:
             return self
@@ -993,13 +986,31 @@ class RealRoot:
                 b = m
         return RealRoot(Fraction(a, q), Fraction(b, q), self.multiplicity, cs, s_lo)
 
-    def float_value(self, rel: float = 1e-16) -> float:
-        """Float approximation refined until the width is negligible."""
-        if self.is_exact:
-            return float(self.lo)
-        scale = max(Fraction(1), abs(self.lo), abs(self.hi))
-        r = self.refine(Fraction(rel) * scale)
-        return float(r.midpoint)
+    def float_value(self) -> float:
+        """The root rounded to the nearest float, at any magnitude.
+
+        The interval is bisected on integer numerators, as in `refine`, until
+        a midpoint is the root or both ends round to one float.  Once they
+        round to two adjacent floats, the factor's sign at the tie between
+        the two decides the side; a root at the tie rounds to even."""
+        q = math.lcm(self.lo.denominator, self.hi.denominator)
+        a, b = (e.numerator * (q // e.denominator) for e in (self.lo, self.hi))
+        cs, s_lo = self._factor, self._sign_lo
+        while (x := a / q) != (y := b / q):
+            if math.nextafter(x, y) == y:
+                tie = (Fraction(x) + Fraction(y)) / 2
+                s = _sign_at(cs, tie.numerator, tie.denominator)
+                if s == 0:
+                    return float(tie)
+                return y if s == s_lo else x
+            m, a, b, q = a + b, a << 1, b << 1, q << 1
+            s = _sign_at(cs, m, q)
+            if s == 0:
+                return m / q
+            a, b = (m, b) if s == s_lo else (a, m)
+        return x
+
+    __float__ = float_value
 
     def rational_value(self) -> Optional[Fraction]:
         """The root as an exact rational, or None when it is irrational.

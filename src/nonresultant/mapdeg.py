@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import ExactPolynomial, GaussianRational, cauchy_index, gcd_many
+from .exactalg import ExactPolynomial, cauchy_index, gcd_many
 from .nonres import MembershipError, SystemTuple, jet
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 INFINITY = math.inf
 
 _JUMP_LIMIT = math.pi / 2
+# every lift starts from this many samples; the cap bounds the refined count
+_FIRST_SAMPLES = 65
 _DEFAULT_CAP = 2**20
 
 
@@ -98,15 +100,8 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
     coords = []
     for f in t.polys:
         for comp in jet(f, t.n).components:
-            coords.append(complex(_eval_any(comp, alpha)))
+            coords.append(complex(comp(alpha)))
     return ProjectivePoint(tuple(coords))
-
-
-def _eval_any(f: ExactPolynomial, alpha):
-    value = f(alpha)
-    if isinstance(value, (GaussianRational,)):
-        return complex(value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +141,7 @@ def _adaptive_lift(fn, a: float, b: float, cap: int):
     Returns (values, lifted arguments).  Raises WindingError when the
     sample budget is exhausted or the path meets zero exactly.
     """
-    n0 = 64
-    params = np.linspace(a, b, n0 + 1)
+    params = np.linspace(a, b, _FIRST_SAMPLES)
     values = _eval_vectorized(fn, params)
     while True:
         if np.any(values == 0):
@@ -170,7 +164,9 @@ def _adaptive_lift(fn, a: float, b: float, cap: int):
 
 def winding_number(fn, refinement_cap: int = _DEFAULT_CAP) -> int:
     """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
-    argument lifting."""
+    argument lifting; a cap below the first 65 samples raises ValueError."""
+    if refinement_cap < _FIRST_SAMPLES:
+        raise ValueError(f"the refinement cap must be at least {_FIRST_SAMPLES} samples")
     values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi, refinement_cap)
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:

@@ -440,12 +440,18 @@ def refine_fractions(root: RealRoot, max_width) -> RealRoot:
     return RealRoot(lo, hi, root.multiplicity, root._factor, s_lo)
 
 
-def float_value_fractions(root: RealRoot, rel: float = 1e-16) -> float:
-    """`RealRoot.float_value` on top of `refine_fractions`."""
-    if root.is_exact:
-        return float(root.lo)
-    scale = max(Fraction(1), abs(root.lo), abs(root.hi))
-    return float(refine_fractions(root, Fraction(rel) * scale).midpoint)
+def float_value_fractions(root: RealRoot) -> float:
+    """`RealRoot.float_value` by plain halving: a rational root is rounded by
+    `float` itself; otherwise `refine_fractions` halves the interval until
+    both ends round to one float.  That ends, since an irrational root is
+    never a tie between two floats; a rational one at a tie may never be a
+    midpoint of an interval off the dyadic grid."""
+    exact = rational_value_fractions(root)
+    if exact is not None:
+        return float(exact)
+    while float(root.lo) != float(root.hi):
+        root = refine_fractions(root, (root.hi - root.lo) / 2)
+    return float(root.lo)
 
 
 def simplest_between_recursive(lo: Fraction, hi: Fraction) -> Fraction:
@@ -511,7 +517,8 @@ def alternating_value_refined(m, width: Fraction) -> complex:
     position = 1
     for root in real_roots_fractions(m.f1):
         if root.multiplicity % 2:
-            x = refine_fractions(root, width).midpoint
+            r = refine_fractions(root, width)
+            x = (r.lo + r.hi) / 2
             v = GaussianRational(m.f2(x), m.f3(x))
             total = total * v if position % 2 else total / v
         position += root.multiplicity

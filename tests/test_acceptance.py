@@ -5,14 +5,11 @@ captured output of a failing run) and enforces its stated time budget where
 one exists.  Randomness is seeded; reruns are bit-for-bit repeatable.
 """
 
-import cmath
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction as F
-
-import pytest
 
 from nonresultant.case12 import (
     component_of_12,
@@ -52,7 +49,6 @@ from nonresultant.nonres import (
     is_member,
     is_member_via_jets,
     jet,
-    max_common_multiplicity,
 )
 from nonresultant.stab import stabilize_31_model
 

@@ -110,6 +110,12 @@ def test_to_configuration_all_real_needs_no_numeric_roots(monkeypatch):
         assert to_configuration(f) == HalfPlaneConfig(expected, ())
 
 
+def test_to_configuration_reports_small_real_points_to_the_last_bit():
+    for small in (F(1, 10**30), F(1, 2**30)):
+        cfg = to_configuration((z - small) * (z - 1) * (z + 1))
+        assert cfg == HalfPlaneConfig((-1.0, float(small), 1.0), ())
+
+
 def test_to_configuration_split_error_carries_count_and_centers(monkeypatch):
     # a root finder that puts the pair +-3i on the real axis
     fake = [RootCluster(complex(x), 1e-7, 1) for x in (-2.0, 1.0, 3.0, -3.0)]

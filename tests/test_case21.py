@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest

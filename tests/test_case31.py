@@ -1,11 +1,8 @@
 import cmath
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nonresultant.case31 import (
     Model31,
@@ -20,9 +17,8 @@ from nonresultant.case31 import (
     r_tilde_exact,
     s1_act,
     s1_act_exact,
-    _refined_value,
 )
-from nonresultant.exactalg import ExactPolynomial, GaussianRational, NonConvergenceError, real_roots_exact
+from nonresultant.exactalg import ExactPolynomial, GaussianRational
 from nonresultant.nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
 
 from oracles import alternating_value_refined
@@ -144,33 +140,13 @@ def test_r_tilde_exact_none_for_irrational_roots():
 
 
 def test_r_tilde_resolves_roots_far_below_one():
-    # roots +-sqrt(2)*eps sit inside every absolute width the first four
-    # refinements reach; the value must still match exact evaluation
+    # roots +-sqrt(2)*eps lie far below any absolute width; evaluated at
+    # their correctly rounded floats the value must match exact evaluation
     eps = F(1, 10**200)
     m = Model31((z - 1) * (z * z - 2 * eps * eps), z + eps, z - 3 * eps)
     expected = alternating_value_refined(m, F(1, 2**2000))
     assert cmath.isclose(expected, 2.0752014907484 - 0.6368950822490j, rel_tol=1e-12)
     assert cmath.isclose(r_tilde(m), expected, rel_tol=1e-12)
-
-
-def test_refined_value_raises_when_values_never_settle():
-    class Jumpy:
-        # f2 + i f3 that never agrees with its previous value
-        calls = 0
-
-        def f2(self, x):
-            self.calls += 1
-            return float(self.calls)
-
-        def f3(self, x):
-            return 0.0
-
-    root = real_roots_exact(z**2 - 2 * z - 1)[1]  # 1 + sqrt(2)
-    with pytest.raises(NonConvergenceError) as info:
-        _refined_value(Jumpy(), root)
-    lo, hi = info.value.diagnostics["interval"]
-    assert lo**2 < 2 * lo + 1 and hi**2 > 2 * hi + 1
-    assert info.value.diagnostics["values"] == (7 + 0j, 8 + 0j)
 
 
 def test_r_d_is_unit():
@@ -223,6 +199,15 @@ def test_sampled_list_loop():
     samples = [i_d_loop(3, 2 * math.pi * k / 48) for k in range(48)]
     samples.append(samples[0])
     assert pi1_winding(samples) == 1
+
+
+def test_sampled_list_loop_sample_cap():
+    samples = [i_d_loop(3, 2 * math.pi * k / 48) for k in range(48)]
+    samples.append(samples[0])
+    for cap in (-5, 0, 64):
+        with pytest.raises(ValueError):
+            pi1_winding(samples, refinement_cap=cap)
+    assert pi1_winding(samples, refinement_cap=65) == 1
 
 
 def test_sampled_list_loop_validation():

@@ -150,6 +150,14 @@ def test_pi1_on_sampled_loop(capsys, monkeypatch):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("cap, code, expected", [(-5, 2, ""), (0, 2, ""), (64, 2, ""), (65, 0, "1\n")])
+def test_pi1_refinement_cap_below_the_first_samples_is_usage_error(capsys, monkeypatch, cap, code, expected):
+    samples = [model_to_json(i_d_loop(3, 2 * math.pi * k / 48)) for k in range(48)]
+    samples.append(samples[0])
+    argv = ["pi1", "--refinement-cap", str(cap)]
+    assert run(capsys, argv, json.dumps(samples), monkeypatch)[:2] == (code, expected)
+
+
 def test_electric_degree_from_pairs(capsys, monkeypatch):
     doc = "[[0.0, 1.0], [-1.0, 1.0], [4.0, 0.0]]"
     code, out, _ = run(capsys, ["electric-degree"], doc, monkeypatch)

@@ -12,7 +12,6 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     NonConvergenceError,
-    RealRoot,
     cauchy_index,
     cauchy_root_bound,
     complex_roots_many,
@@ -436,6 +435,46 @@ def test_real_root_refine_and_exact_hit():
     assert r0.is_exact or (r0.lo < F(1, 2) < r0.hi)
 
 
+def test_float_value_is_the_correctly_rounded_root():
+    root = real_roots_exact(z**2 - 2)[1]
+    assert root.float_value() == math.sqrt(2)
+    assert float(root) == root.float_value()
+    for c in range(3, 200):
+        if math.isqrt(c) ** 2 != c:
+            assert real_roots_exact(z**2 - c)[1].float_value() == math.sqrt(c)
+
+
+@pytest.mark.parametrize("root", [F(1, 2**30), F(1, 10**30), F(1, 10**300)])
+def test_float_value_resolves_roots_far_below_one(root):
+    # the companion roots +-sqrt(3) keep the small root inexact at isolation
+    roots = real_roots_exact((z - root) * (z**2 - 3))
+    assert roots[1].float_value() == float(root)
+    assert float(roots[1]) == roots[1].float_value()
+
+
+def test_float_value_near_and_at_a_tie_between_floats():
+    # sqrt(c) lies within a relative 2**-100 of a point halfway between two
+    # floats; the nearest float is the one on the root's side of the tie
+    for e in (-40, -1, 0, 7, 60):
+        tie = F(2) ** e * (1 + F(1, 2**53))
+        below, above = float(tie * (1 - F(1, 2**60))), float(tie * (1 + F(1, 2**60)))
+        assert below < above
+        for nudge, expected in ((1 - F(1, 2**99), below), (1 + F(1, 2**99), above)):
+            root = real_roots_exact(z**2 - tie * tie * nudge)[1]
+            assert not root.is_exact
+            assert root.float_value() == expected == float_value_fractions(root)
+        # a root exactly at the tie rounds to the even neighbour; where
+        # isolation hits the root 0 or tie - 2**-53 * 2**e, bisection never
+        # has the tie as a midpoint
+        for f in (
+            (z - tie) * (z**2 - 2),
+            z * (z - tie) * (z**2 - 2),
+            ExactPolynomial.from_roots([tie - F(2) ** (e - 53), tie - F(2) ** (e - 54), tie]),
+        ):
+            (root,) = [r for r in real_roots_exact(f) if r.lo <= tie <= r.hi]
+            assert root.float_value() == float(tie) == below == float_value_fractions(root)
+
+
 # factors of a real polynomial whose roots bisection meets in every way:
 # dyadic roots (hit exactly), non-dyadic rationals, clusters down to 2**-60
 # or 3**-40 apart, irrational pairs +-sqrt(c) and conjugate pairs
@@ -471,7 +510,6 @@ def test_real_roots_match_fraction_bisection_oracle(factors):
         for width in (F(1, 10**6), F(3, 7**20), F(1, 2**90), F(1, 10**40)):
             assert r.refine(width) == refine_fractions(r, width)
         assert r.float_value() == float_value_fractions(r)
-        assert r.float_value(1e-40) == float_value_fractions(r, 1e-40)
         assert r.rational_value() == rational_value_fractions(r)
 
 

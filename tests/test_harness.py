@@ -4,8 +4,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nonresultant.case21 import component_of_21, representative_21
 from nonresultant.exactalg import (

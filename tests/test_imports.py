@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or exported.
+"""Every name a module of the package or of the tests imports is used there
+or exported.
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -11,6 +12,7 @@ from pathlib import Path
 import nonresultant
 
 PACKAGE = Path(nonresultant.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list:
@@ -43,12 +45,19 @@ def test_unused_import_check_sees_dead_and_live_names():
     assert _unused_imports(source) == [(2, "os")]
 
 
-def test_package_modules_import_no_unused_names():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+def _unused_by_module(modules) -> dict:
     assert modules
-    unused = {
+    return {
         p.name: names
         for p in modules
         if (names := _unused_imports(p.read_text(encoding="utf-8")))
     }
-    assert unused == {}
+
+
+def test_package_modules_import_no_unused_names():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert _unused_by_module(modules) == {}
+
+
+def test_test_modules_import_no_unused_names():
+    assert _unused_by_module(sorted(TESTS.glob("*.py"))) == {}

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -68,6 +67,13 @@ def test_winding_rejects_zero_crossing():
     # this loop passes through 0 at theta = pi; no cap can resolve it
     with pytest.raises(WindingError):
         winding_number(lambda t: 1 + np.exp(1j * np.asarray(t)), refinement_cap=2**12)
+
+
+def test_winding_cap_must_cover_the_first_samples():
+    for cap in (-5, 0, 64):
+        with pytest.raises(ValueError):
+            winding_number(circle_power(1), refinement_cap=cap)
+    assert winding_number(circle_power(1), refinement_cap=65) == 1
 
 
 @given(st.integers(min_value=-4, max_value=4), st.fractions(min_value=-1, max_value=1, max_denominator=8))

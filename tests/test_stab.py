@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nonresultant.case12 import component_of_12
-from nonresultant.case31 import Model31, i_d_loop, phi, pi1_winding
+from nonresultant.case31 import Model31, i_d_loop, pi1_winding
 from nonresultant.exactalg import ExactPolynomial
 from nonresultant.nonres import (
     FIELD_REAL,
@@ -13,7 +13,6 @@ from nonresultant.nonres import (
     max_common_multiplicity,
 )
 from nonresultant.stab import (
-    StabilizationReport,
     recommended_T,
     stabilize_31,
     stabilize_31_model,
