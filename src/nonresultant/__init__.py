@@ -41,11 +41,10 @@ from .mapdeg import (
     rp1_degree,
     winding_number,
 )
-from .case21 import ComponentLabel21, census_21, component_of_21, legal_labels_21, representative_21
+from .case21 import ComponentLabel21, component_of_21, legal_labels_21, representative_21
 from .case12 import (
     HalfPlaneConfig,
     abelian_braid_invariant,
-    census_12,
     component_of_12,
     electric_degree,
     electric_field,
@@ -79,6 +78,7 @@ from .harness import (
     PathInSpace,
     SweepReport,
     ViolationCertificate,
+    census,
     certify_path,
     invariant_sweep,
     is_member_numeric,

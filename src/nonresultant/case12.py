@@ -20,9 +20,7 @@ so the upper discriminant carries the whole exponent sum.
 
 from __future__ import annotations
 
-import logging
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +39,6 @@ from .mapdeg import WindingError, arg_steps, whole_turns
 __all__ = [
     "HalfPlaneConfig",
     "abelian_braid_invariant",
-    "census_12",
     "component_of_12",
     "electric_degree",
     "electric_field",
@@ -50,8 +47,6 @@ __all__ = [
     "stabilize_12",
     "to_configuration",
 ]
-
-log = logging.getLogger(__name__)
 
 
 def legal_labels_12(d: int) -> list:
@@ -267,32 +262,3 @@ def representative_12(d: int, j: int) -> ExactPolynomial:
     for k in range(1, j + 1):
         f = f * (z * z + k * k)
     return f
-
-
-def census_12(d: int, samples: int, seed: int) -> dict:
-    """Label counts over random squarefree monic draws of degree d;
-    non-squarefree draws are rejected exactly and logged."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if samples < 0:
-        raise ValueError("sample count must be nonnegative")
-    rng = random.Random(seed)
-    counts: dict = {}
-    rejected = 0
-    produced = 0
-    while produced < samples:
-        coeffs = [
-            Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(d)
-        ]
-        coeffs.append(Fraction(1))
-        f = ExactPolynomial(tuple(coeffs))
-        real_count, repeated = cauchy_index(f, f.derivative())
-        if repeated:
-            rejected += 1
-            continue
-        jj = (d - real_count) // 2
-        counts[jj] = counts.get(jj, 0) + 1
-        produced += 1
-    if rejected:
-        log.info("census_12(d=%d): rejected %d repeated-root draws", d, rejected)
-    return dict(sorted(counts.items()))

@@ -13,24 +13,19 @@ which contribute nothing to the index.
 
 from __future__ import annotations
 
-import logging
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import ExactPolynomial
 from .mapdeg import rp1_degree
-from .nonres import FIELD_REAL, MembershipError, SystemTuple
+from .nonres import FIELD_REAL, SystemTuple
 
 __all__ = [
     "ComponentLabel21",
-    "census_21",
     "component_of_21",
     "legal_labels_21",
     "representative_21",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -82,42 +77,3 @@ def representative_21(d: int, j: int) -> SystemTuple:
         f1 = f1 * (z * z + (2 * k - 1))
         f2 = f2 * (z * z + 2 * k)
     return SystemTuple((f1, f2), 1, FIELD_REAL)
-
-
-def census_21(d: int, samples: int, seed: int) -> dict:
-    """Label counts over random member pairs of degree d.
-
-    Coefficients are uniform rationals with numerator up to 100 and
-    denominator up to 10; the rare non-member draws are rejected (exactly)
-    and logged.  Returns {j: count} over the labels that occurred.
-    """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if samples < 0:
-        raise ValueError("sample count must be nonnegative")
-    rng = random.Random(seed)
-    counts: dict = {}
-    rejected = 0
-    produced = 0
-    while produced < samples:
-        try:
-            label = component_of_21(_random_pair(rng, d))
-        except MembershipError:
-            rejected += 1
-            continue
-        counts[label.j] = counts.get(label.j, 0) + 1
-        produced += 1
-    if rejected:
-        log.info("census_21(d=%d): rejected %d non-member draws", d, rejected)
-    return dict(sorted(counts.items()))
-
-
-def _random_pair(rng: random.Random, d: int) -> SystemTuple:
-    def poly():
-        coeffs = [
-            Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(d)
-        ]
-        coeffs.append(Fraction(1))
-        return ExactPolynomial(tuple(coeffs))
-
-    return SystemTuple((poly(), poly()), 1, FIELD_REAL)

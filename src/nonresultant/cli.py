@@ -14,12 +14,12 @@ import random
 import sys
 from fractions import Fraction
 
-from .case12 import HalfPlaneConfig, census_12, electric_degree
-from .case21 import census_21, component_of_21
+from .case12 import HalfPlaneConfig, electric_degree
+from .case21 import component_of_21
 from .case31 import model_from_json, pi1_winding, r_d, r_tilde, r_tilde_exact
 from .exactalg import poly_from_json, poly_to_json, scalar_to_json
-from .harness import invariant_sweep
-from .mapdeg import _DEFAULT_CAP, _FIRST_SAMPLES, WindingError, map_degree
+from .harness import census, invariant_sweep
+from .mapdeg import _DEFAULT_CAP, _FIRST_SAMPLES, map_degree
 from .nonres import InputError, SystemTuple, is_member, jet, stability_dimension
 from .stab import stabilize_with_report
 
@@ -101,15 +101,9 @@ def _cmd_jet(args) -> int:
 def _cmd_degree(args) -> int:
     t = _parsed(SystemTuple.from_json, _read_json(args))
     rng = random.Random(args.seed)
-    for _ in range(8):
-        lam = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.m * t.n)]
-        try:
-            print(map_degree(t, lam))
-            return 0
-        except ValueError as exc:
-            if "degenerate lambda" not in str(exc):
-                raise
-    raise WindingError("all seeded covectors were degenerate")
+    lam = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.m * t.n)]
+    print(map_degree(t, lam))
+    return 0
 
 
 def _cmd_rp1_degree(args) -> int:
@@ -151,13 +145,7 @@ def _cmd_electric_degree(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.case == "21":
-        counts = census_21(args.d, args.trials, args.seed)
-    elif args.case == "12":
-        counts = census_12(args.d, args.trials, args.seed)
-    else:
-        raise InputError(f"census supports cases 21 and 12, not {args.case!r}")
-    rows = sorted(counts.items())
+    rows = census(args.case, args.d, args.trials, args.seed).items()
     if args.format == "csv":
         print(f"# case={args.case} d={args.d} trials={args.trials} seed={args.seed}")
         print("j,count")

@@ -399,7 +399,7 @@ class ExactPolynomial:
         return ExactPolynomial((c,))
 
     @staticmethod
-    def from_roots(roots: Iterable, lead=1) -> "ExactPolynomial":
+    def from_roots(roots: Iterable) -> "ExactPolynomial":
         # each root (p + q*i)/d contributes the integer factor d*z - p - q*i
         re, im, den = [1], None, 1
         for r in roots:
@@ -414,9 +414,7 @@ class ExactPolynomial:
                 [d * a - p * b + q * c for a, b, c in zip([0] + re, re + [0], im + [0])],
                 [d * a - p * b - q * c for a, b, c in zip([0] + im, im + [0], re + [0])],
             )
-        lp, lq, ld = _scalar_parts(lead)
-        re, im = _cmul(re, im, (lp,), (lq,) if lq else None)
-        return _poly(re, im, den * ld)
+        return _poly(re, im, den)
 
     # -- structure ----------------------------------------------------------
     @property
@@ -937,6 +935,11 @@ def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
     return index, len(chain[-1]) - 1
 
 
+# the largest float, and the least magnitude that rounds to an infinity
+_FLOAT_MAX = float((1 << 1024) - (1 << 971))
+_FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)
+
+
 @dataclass(frozen=True)
 class RealRoot:
     """One real root of the primitive squarefree integer factor `_factor`:
@@ -992,11 +995,25 @@ class RealRoot:
         The interval is bisected on integer numerators, as in `refine`, until
         a midpoint is the root or both ends round to one float.  Once they
         round to two adjacent floats, the factor's sign at the tie between
-        the two decides the side; a root at the tie rounds to even."""
+        the two decides the side; a root at the tie rounds to even.  A root
+        at or beyond +-(2**1024 - 2**970) would round to an infinity and raises
+        ValueError; the interval is first cut there, and an end at a cut reads
+        as the largest float, the rounding of every point inside it."""
         q = math.lcm(self.lo.denominator, self.hi.denominator)
         a, b = (e.numerator * (q // e.denominator) for e in (self.lo, self.hi))
         cs, s_lo = self._factor, self._sign_lo
-        while (x := a / q) != (y := b / q):
+        top = q * _FLOAT_OVERFLOW
+        for edge in (-top, top):
+            if a < edge < b:
+                s = _sign_at(cs, edge, q)
+                if s == 0:
+                    a = b = edge
+                else:
+                    a, b = (edge, b) if s == s_lo else (a, edge)
+        if a >= top or b <= -top:
+            raise ValueError("the real root lies beyond the float range")
+        lo_cut, hi_cut = a == -top, b == top
+        while (x := -_FLOAT_MAX if lo_cut else a / q) != (y := _FLOAT_MAX if hi_cut else b / q):
             if math.nextafter(x, y) == y:
                 tie = (Fraction(x) + Fraction(y)) / 2
                 s = _sign_at(cs, tie.numerator, tie.denominator)
@@ -1007,7 +1024,10 @@ class RealRoot:
             s = _sign_at(cs, m, q)
             if s == 0:
                 return m / q
-            a, b = (m, b) if s == s_lo else (a, m)
+            if s == s_lo:
+                a, lo_cut = m, False
+            else:
+                b, hi_cut = m, False
         return x
 
     __float__ = float_value

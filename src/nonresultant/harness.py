@@ -47,6 +47,7 @@ __all__ = [
     "PathInSpace",
     "SweepReport",
     "ViolationCertificate",
+    "census",
     "certify_path",
     "invariant_sweep",
     "is_member_numeric",
@@ -65,6 +66,11 @@ CASE_SHAPES = {"21": (2, 1), "31": (3, 1), "12": (1, 2), "13": (1, 3), "22": (2,
 # scale <= 4 that stays an order of magnitude under the gap even for k = 4
 _REAL_LATTICE = [Fraction(p, 4) for p in range(-14, 15)]
 _COMPLEX_LATTICE = [(a, b) for a in range(-5, 6) for b in range(1, 6)]
+
+_MAX_ATTEMPTS = 1000  # rejection draws before random_member gives up
+_MIN_DEPTH = 6  # certify_path's first samples: t = k / 2**6
+_DEPTH_CAP = 10  # its finest refinement: t = k / 2**10
+_BRACKET_WIDTH = Fraction(1, 10**6)  # the width bound of every violation bracket
 
 
 def _check_case_d(case: str, d: int) -> tuple:
@@ -109,25 +115,49 @@ def _poly_from_complex_roots(rng: random.Random, d: int) -> ExactPolynomial:
     )
 
 
-def random_member(
-    case: str,
-    d: int,
-    seed: int,
-    max_attempts: int = 1000,
-    field: str = FIELD_REAL,
-) -> SystemTuple:
+def random_member(case: str, d: int, seed: int, field: str = FIELD_REAL) -> SystemTuple:
     """Rejection-sampled member tuple, reproducible under the seed."""
     m, n = _check_case_d(case, d)
     rng = random.Random(seed)
     draw = _poly_from_real_roots if field == FIELD_REAL else _poly_from_complex_roots
-    for attempt in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         t = SystemTuple(tuple(draw(rng, d) for _ in range(m)), n, field)
         if is_member(t):
             return t
     raise RuntimeError(
-        f"no member found in {max_attempts} attempts for case {case}, d={d} "
+        f"no member found in {_MAX_ATTEMPTS} attempts for case {case}, d={d} "
         f"(rejection rate 100%)"
     )
+
+
+def census(case: str, d: int, samples: int, seed: int) -> dict:
+    """Label counts {label: count}, ascending, over `samples` random member
+    tuples of degree d: the real-axis degree j for case '21', the number of
+    conjugate pairs for '12'.  Every entry is monic, with lower coefficients
+    p/q for uniform p in [-100, 100] and q in [1, 10]; draws outside the
+    space (a common root, a repeated root) are rejected exactly."""
+    if case not in ("21", "12"):
+        raise ValueError(f"census supports cases 21 and 12, not {case!r}")
+    m, n = _check_case_d(case, d)
+    if samples < 0:
+        raise ValueError("sample count must be nonnegative")
+    rng = random.Random(seed)
+    counts: dict = {}
+    for _ in range(samples):
+        label = None
+        while label is None:
+            rows = [
+                [Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(d)]
+                for _ in range(m)
+            ]
+            polys = tuple(ExactPolynomial((*row, Fraction(1))) for row in rows)
+            try:
+                t = SystemTuple(polys, n, FIELD_REAL)
+                label = component_of_21(t).j if case == "21" else component_of_12(polys[0])
+            except ValueError:
+                pass
+        counts[label] = counts.get(label, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tuple:
@@ -224,9 +254,6 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple]) -> list:
     flat = [f for t in tuples for f in t.polys]
     coarse = []
     for clusters in complex_roots_many(flat):
-        if not clusters:
-            coarse.append([])
-            continue
         tol = _MERGE_REL * max(1.0, max(abs(c.center) for c in clusters))
         coarse.append(_merge_clusters(clusters, tol))
     out = []
@@ -334,15 +361,15 @@ def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
     return g
 
 
-def _first_violation(a: SystemTuple, g: ExactPolynomial, width: Fraction):
+def _first_violation(a: SystemTuple, g: ExactPolynomial):
     """The certificate for the least root of g in (0, 1), bracketed to width
-    <= `width`, or None; g must not vanish at 0 or 1."""
+    <= _BRACKET_WIDTH, or None; g must not vanish at 0 or 1."""
     if a.m * a.n > 2:
         kind = "boundary_root"
     else:
         kind = "resultant_root" if a.m == 2 else "discriminant_root"
     for r in real_roots_exact(g):
-        r = r.refine(width)
+        r = r.refine(_BRACKET_WIDTH)
         # 0 and 1 are not roots, so refining long enough settles the side
         while r.lo < 0 < r.hi or r.lo < 1 < r.hi:
             r = r.refine((r.hi - r.lo) / 2)
@@ -379,20 +406,18 @@ class ViolationCertificate:
         }
 
 
-def locate_violation(
-    a: SystemTuple, b: SystemTuple, width: Fraction = Fraction(1, 10**6)
-) -> Optional[ViolationCertificate]:
-    """Bracket of width <= `width` around the first parameter where the
-    straight-line path from a to b leaves the space, or None when it never
-    does.  Exact for every shape: the violations are the roots in (0, 1) of
-    the path's boundary polynomial, so even-order touches and irrational
-    crossings are found too.
+def locate_violation(a: SystemTuple, b: SystemTuple) -> Optional[ViolationCertificate]:
+    """Bracket of width <= 10**-6 (_BRACKET_WIDTH) around the first
+    parameter where the straight-line path from a to b leaves the space, or
+    None when it never does.  Exact for every shape: the violations are the
+    roots in (0, 1) of the path's boundary polynomial, so even-order touches
+    and irrational crossings are found too.
     """
     _same_shape(a, b)
     g = _boundary_polynomial(a, b)
     if sign_at(g, 0, 1) == 0 or sign_at(g, 1, 1) == 0:
         raise ValueError("path endpoints must be members")
-    return _first_violation(a, g, Fraction(width))
+    return _first_violation(a, g)
 
 
 @dataclass(frozen=True)
@@ -428,25 +453,22 @@ class PathInSpace:
 def certify_path(
     a: SystemTuple,
     b: SystemTuple,
-    depth_cap: int = 10,
     invariant: Optional[Callable[[SystemTuple], object]] = None,
-    min_depth: int = 6,
 ) -> PathInSpace:
-    """Sample the straight-line path on a dyadic grid, refining any segment
+    """Sample the straight-line path at t = k/64, then halve any segment
     whose endpoints disagree (in membership or invariant value) until they
-    agree or depth_cap is hit; when both endpoints are members, add the
-    first boundary crossing in (0, 1), as `locate_violation` brackets it.
+    agree or the spacing reaches 1/1024 (_MIN_DEPTH and _DEPTH_CAP); when
+    both endpoints are members, add the first boundary crossing in (0, 1),
+    as `locate_violation` brackets it.
 
     Membership at every sample and the crossings are read from one exact
     boundary polynomial of the path (`_boundary_polynomial`), which vanishes
     in [0, 1] exactly at the non-members; the invariant runs only at member
     samples.  Sample parameters are kept as integer numerators over
-    2**depth_cap until the result is built."""
+    2**_DEPTH_CAP until the result is built."""
     _same_shape(a, b)
-    if depth_cap < min_depth:
-        raise ValueError("depth_cap below the initial sampling depth")
     g = _boundary_polynomial(a, b)
-    scale = 1 << depth_cap
+    scale = 1 << _DEPTH_CAP
 
     def probe(p: int):
         member = sign_at(g, p, scale) != 0
@@ -454,9 +476,9 @@ def certify_path(
         value = invariant(path_tuple(a, b, t)) if (invariant is not None and member) else None
         return (t, member, value)
 
-    samples = {p: probe(p) for p in range(0, scale + 1, 1 << (depth_cap - min_depth))}
-    depth = min_depth
-    while depth < depth_cap:
+    samples = {p: probe(p) for p in range(0, scale + 1, 1 << (_DEPTH_CAP - _MIN_DEPTH))}
+    depth = _MIN_DEPTH
+    while depth < _DEPTH_CAP:
         ordered = sorted(samples)
         new_params = [
             (left + right) >> 1
@@ -471,7 +493,7 @@ def certify_path(
 
     cert = None
     if samples[0][1] and samples[scale][1]:
-        cert = _first_violation(a, g, Fraction(1, 10**6))
+        cert = _first_violation(a, g)
     return PathInSpace(
         endpoints=(a, b),
         samples=tuple(samples[p] for p in sorted(samples)),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nonresultant.case12 import (
     HalfPlaneConfig,
     abelian_braid_invariant,
-    census_12,
     component_of_12,
     electric_degree,
     electric_field,
@@ -26,6 +25,7 @@ from nonresultant.exactalg import (
     RootCluster,
     cauchy_root_bound,
 )
+from nonresultant.harness import census
 from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
@@ -114,6 +114,11 @@ def test_to_configuration_reports_small_real_points_to_the_last_bit():
     for small in (F(1, 10**30), F(1, 2**30)):
         cfg = to_configuration((z - small) * (z - 1) * (z + 1))
         assert cfg == HalfPlaneConfig((-1.0, float(small), 1.0), ())
+
+
+def test_to_configuration_of_a_real_point_beyond_the_float_range_raises():
+    with pytest.raises(ValueError, match="beyond the float range"):
+        to_configuration((z - 10**400) * (z - 1))
 
 
 def test_to_configuration_split_error_carries_count_and_centers(monkeypatch):
@@ -283,7 +288,7 @@ def test_stabilize_12_property(d, salt):
 
 
 def test_census_support_and_determinism():
-    counts = census_12(5, 300, seed=1)
+    counts = census("12", 5, 300, seed=1)
     assert set(counts) <= {0, 1, 2}
     assert sum(counts.values()) == 300
-    assert census_12(5, 300, seed=1) == counts
+    assert census("12", 5, 300, seed=1) == counts

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from nonresultant.case21 import (
     ComponentLabel21,
-    census_21,
     component_of_21,
     legal_labels_21,
     representative_21,
 )
 from nonresultant.exactalg import ExactPolynomial
-from nonresultant.harness import certify_path, locate_violation
+from nonresultant.harness import census, certify_path, locate_violation
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
 z = ExactPolynomial.variable()
@@ -121,14 +120,16 @@ def test_opposite_labels_blocked(d):
 
 
 def test_census_support_and_determinism():
-    counts = census_21(3, 400, seed=2)
+    counts = census("21", 3, 400, seed=2)
     assert set(counts) <= set(legal_labels_21(3))
     assert sum(counts.values()) == 400
-    assert census_21(3, 400, seed=2) == counts
+    assert census("21", 3, 400, seed=2) == counts
 
 
 def test_census_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        census_21(0, 10, seed=1)
+        census("21", 0, 10, seed=1)
     with pytest.raises(ValueError):
-        census_21(2, -1, seed=1)
+        census("21", 2, -1, seed=1)
+    with pytest.raises(ValueError):
+        census("31", 3, 10, seed=1)

@@ -142,6 +142,13 @@ def test_r_d_reports_exact_value(capsys, monkeypatch):
     assert payload["r_d"] == [1.0, 0.0]
 
 
+def test_r_d_with_a_root_beyond_the_float_range_is_domain_error(capsys, monkeypatch):
+    doc = json.dumps({"f1": ["-1" + "0" * 1000, "0", "0", "1"], "f2": ["1"], "f3": ["0", "1"]})
+    code, out, err = run(capsys, ["r-d"], doc, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("nonresultant: ") and "float range" in err and "Traceback" not in err
+
+
 def test_pi1_on_sampled_loop(capsys, monkeypatch):
     samples = [model_to_json(i_d_loop(3, 2 * math.pi * k / 48)) for k in range(48)]
     samples.append(samples[0])

@@ -136,7 +136,7 @@ def test_equal_polynomials_hash_equal():
         ExactPolynomial((GaussianRational(F(0), -half), GaussianRational(F(-1, 2), F(1)), 1)),
         ((2 * z - 1) * (3 * z + 3 * i_unit)) * F(1, 6),
         (z * z + z * (i_unit - half)) - half * i_unit,
-        ExactPolynomial.from_roots([F(2, 4), GaussianRational(F(0), F(-3, 3))], lead=GaussianRational(F(1), F(0))),
+        ExactPolynomial.from_roots([F(2, 4), GaussianRational(F(0), F(-3, 3))]),
     ]
     assert all(p == built[0] for p in built)
     assert len({hash(p) for p in built}) == 1
@@ -450,6 +450,31 @@ def test_float_value_resolves_roots_far_below_one(root):
     roots = real_roots_exact((z - root) * (z**2 - 3))
     assert roots[1].float_value() == float(root)
     assert float(roots[1]) == roots[1].float_value()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float_value_of_a_root_isolated_beyond_the_float_range(sign):
+    # the isolating interval of 10**300 reaches out to 2**3322, past every float
+    (root,) = real_roots_exact((z - sign * 10**300) * (z**2 + 10**700))
+    assert max(abs(root.lo), abs(root.hi)) > 2**1024
+    assert root.float_value() == sign * 1e300
+
+
+def test_float_value_at_the_edge_of_the_float_range():
+    # 2**1024 - 2**970 is halfway from the largest float to 2**1024, so it
+    # rounds to an infinity, and every point below it to the largest float
+    edge = 2**1024 - 2**970
+    largest = math.ldexp(1 - 2**-53, 1024)
+    for sign, end in ((1, -1), (-1, 0)):
+        for c in (edge - 2**969, edge - 1, edge - F(1, 3)):
+            for f in ((z - sign * c) * (z**2 + 3), (z - sign * c) * (z - F(1, 3)) * (z**2 - 2)):
+                assert real_roots_exact(f)[end].float_value() == sign * largest
+        for c in (edge, edge + F(1, 3), 10**400):
+            for f in ((z - sign * c) * (z**2 + 3), (z - sign * c) * (z - F(1, 3)) * (z**2 - 2)):
+                with pytest.raises(ValueError, match="beyond the float range"):
+                    real_roots_exact(f)[end].float_value()
+    with pytest.raises(ValueError, match="beyond the float range"):
+        real_roots_exact(z**3 - 10**1000)[0].float_value()
 
 
 def test_float_value_near_and_at_a_tie_between_floats():

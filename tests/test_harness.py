@@ -11,11 +11,13 @@ from nonresultant.exactalg import (
     GaussianRational,
     RootCluster,
     _link_groups,
+    real_roots_exact,
     resultant_exact,
 )
 from nonresultant.harness import (
     CASE_SHAPES,
     _boundary_polynomial,
+    _first_violation,
     _merge_clusters,
     certify_path,
     invariant_sweep,
@@ -326,8 +328,9 @@ def test_planted_nonmember_off_the_dyadic_grid_is_located(a, nonmember, t0):
 
 
 def test_crossing_closer_to_an_end_than_the_width_is_located():
-    # disc(t) = 49 t^2 - 4 (1 - 10^7 t) has a simple root near 1e-7, so the
-    # 1e-6 bracket of the isolating interval straddles t = 0
+    # disc(t) = 49 t^2 - 4 (1 - 10^7 t) has a simple root near 1e-7, closer
+    # to t = 0 than the bracket width; its isolating interval (0, 2**20) has
+    # 0 as an end, so the bracket [0, 2**-20] stays inside [0, 1]
     a = SystemTuple((z**2 + 1,), 2, FIELD_REAL)
     b = SystemTuple((z**2 + 7 * z + 1 - 10**7,), 2, FIELD_REAL)
     cert = locate_violation(a, b)
@@ -337,6 +340,22 @@ def test_crossing_closer_to_an_end_than_the_width_is_located():
     assert disc(cert.lo) < 0 < disc(cert.hi)
     path = certify_path(a, b)
     assert path.violations == (cert,) and not path.certified
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_bracket_straddling_one_is_halved_until_it_settles(sign):
+    # isolation hits the root 2 exactly and leaves (0, 3/2) around
+    # 1 -+ 2**-53, an interval whose bisection never meets t = 1: the 1e-6
+    # bracket [0.99999976, 1.00000048] straddles 1 until it is halved further
+    g = (z - 2) * (z - (1 + sign * F(1, 2**53)))
+    bracket = real_roots_exact(g)[0].refine(F(1, 10**6))
+    assert bracket.lo < 1 < bracket.hi
+    cert = _first_violation(SystemTuple((z**2 + 1,), 2, FIELD_REAL), g)
+    if sign > 0:
+        assert cert is None
+    else:
+        assert cert.kind == "discriminant_root" and cert.sign_change
+        assert cert.lo < 1 - F(1, 2**53) < cert.hi <= 1
 
 
 def _oracle_paths():

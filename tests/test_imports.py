@@ -1,5 +1,5 @@
 """Every name a module of the package or of the tests imports is used there
-or exported.
+or exported, and every module-level private name of the package is used.
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -61,3 +61,49 @@ def test_package_modules_import_no_unused_names():
 
 def test_test_modules_import_no_unused_names():
     assert _unused_by_module(sorted(TESTS.glob("*.py"))) == {}
+
+
+def _unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_name`` (a function, class or
+    assignment target; dunders excluded) that no module of `sources` loads,
+    reads as an attribute or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                (module, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in referenced
+            ]
+    return sorted(dead)
+
+
+def test_private_name_check_sees_dead_and_live_names():
+    sources = {
+        "a": "_LIMIT = 3\n_dead = 1\n__all__ = []\ndef _helper():\n    return _LIMIT\n",
+        "b": "from .a import _helper\nclass _Gone:\n    pass\n",
+        "c": "import a\nprint(a._unused_but_read)\n_unused_but_read = 0\n",
+    }
+    assert _unreferenced_private_names(sources) == [("a", "_dead"), ("b", "_Gone")]
+
+
+def test_package_private_names_are_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []
