@@ -130,52 +130,54 @@ def i_d_loop(d: int, theta: float) -> Model31:
 
 
 def _contributions(m: Model31):
-    """(root, net exponent) over distinct real roots of f1; exponents are 0
-    for even multiplicity, else the sign of the position parity."""
+    """The ascending real roots of f1 of odd multiplicity, each with its
+    exponent: +1 at an odd position among the roots counted with
+    multiplicity, else -1 (a root of even multiplicity cancels itself)."""
+    if m.degree % 2 == 0:
+        raise ValueError("the alternating evaluation needs odd degree")
     out = []
     position = 1
     for root in real_roots_exact(m.f1):
-        net = 0 if root.multiplicity % 2 == 0 else (1 if position % 2 else -1)
-        out.append((root, net))
+        if root.multiplicity % 2:
+            out.append((root, 1 if position % 2 else -1))
         position += root.multiplicity
     return out
 
 
 def r_tilde(m: Model31) -> complex:
-    """The alternating evaluation, as a complex number; d must be odd."""
-    if m.degree % 2 == 0:
-        raise ValueError("the alternating evaluation needs odd degree")
+    """The alternating evaluation, as a complex number; d must be odd.
+    r_tilde and its factors are never zero or infinite on the model space,
+    so a factor or product with no nonzero finite float value lies beyond
+    the float range and raises ValueError."""
     result = 1.0 + 0.0j
-    for root, net in _contributions(m):
-        if net == 0:
-            continue
-        x = root.lo if root.is_exact else root.float_value()
-        if root.is_exact or sign_at(m.f1, *x.as_integer_ratio()) == 0:
-            v = complex(GaussianRational(m.f2(Fraction(x)), m.f3(Fraction(x))))
+    try:
+        for root, sign in _contributions(m):
+            x = root.lo if root.is_exact else root.float_value()
+            if root.is_exact or sign_at(m.f1, *x.as_integer_ratio()) == 0:
+                v = complex(GaussianRational(m.f2(Fraction(x)), m.f3(Fraction(x))))
+            else:
+                v = complex(m.f2(x), m.f3(x))
+            if not 0 < abs(v) < math.inf:
+                break
+            result = result * v if sign > 0 else result / v
         else:
-            v = complex(m.f2(x), m.f3(x))
-        if v == 0:
-            raise MembershipError("f2 + i f3 vanishes at a real root of f1")
-        result = result * v if net > 0 else result / v
-    return result
+            if 0 < abs(result) < math.inf:
+                return result
+    except OverflowError:  # too large to convert, or to take the modulus of
+        pass
+    raise ValueError("r_tilde lies beyond the float range")
 
 
 def r_tilde_exact(m: Model31):
     """Exact value in Q(i) when every odd-multiplicity real root of f1 is
     rational; None otherwise."""
-    if m.degree % 2 == 0:
-        raise ValueError("the alternating evaluation needs odd degree")
     result = GaussianRational(Fraction(1), Fraction(0))
-    for root, net in _contributions(m):
-        if net == 0:
-            continue
+    for root, sign in _contributions(m):
         x = root.rational_value()
         if x is None:
             return None
         v = GaussianRational(m.f2(x), m.f3(x))
-        if not v:
-            raise MembershipError("f2 + i f3 vanishes at a real root of f1")
-        result = result * v if net > 0 else result / v
+        result = result * v if sign > 0 else result / v
     return result
 
 
@@ -189,38 +191,38 @@ def pi1_winding(loop, refinement_cap: int = _DEFAULT_CAP) -> int:
     """Class of a closed loop of odd-degree models: the winding of r_tilde.
 
     `loop` is either a callable theta -> Model31 on [0, 2*pi] or a closed
-    sampled list of models (first == last) interpolated linearly in
-    coefficients; every sampled model is validated on construction.
+    sampled list of models (first == last), joined by the straight paths
+    between their triples (`harness.path_tuple`).  Every segment is
+    certified exactly (`harness.locate_violation`) before the lift runs; one
+    that leaves the space raises MembershipError naming the segment and the
+    bracket where it does.
     """
+    # harness imports this module, so the path kernel is imported here
+    from .harness import locate_violation, path_tuple
+
     if callable(loop):
         fn = loop
     else:
-        models = list(loop)
-        if len(models) < 3:
+        tuples = [phi_inverse(m) for m in loop]
+        if len(tuples) < 3:
             raise ValueError("a sampled loop needs at least three entries")
-        if models[0] != models[-1]:
+        if tuples[0] != tuples[-1]:
             raise ValueError("a sampled loop must close up: first != last")
-        fn = _interpolate_models(models)
+        for i, (a, b) in enumerate(zip(tuples, tuples[1:])):
+            cert = locate_violation(a, b)
+            if cert is not None:
+                raise MembershipError(
+                    f"the loop leaves the space on segment {i}, "
+                    f"at a parameter in [{cert.lo}, {cert.hi}]"
+                )
+        segments = len(tuples) - 1
+
+        def fn(theta: float) -> Model31:
+            s = (theta / (2.0 * math.pi)) * segments
+            i = min(int(math.floor(s)), segments - 1)
+            return phi(path_tuple(tuples[i], tuples[i + 1], Fraction(s - i)))
+
     return winding_number(lambda th: r_tilde(fn(th)), refinement_cap)
-
-
-def _interpolate_models(models):
-    segments = len(models) - 1
-
-    def at(theta: float) -> Model31:
-        s = (theta / (2.0 * math.pi)) * segments
-        i = min(int(math.floor(s)), segments - 1)
-        u = Fraction(s - i)
-        a, b = models[i], models[i + 1]
-        if a.degree != b.degree:
-            raise ValueError("loop entries must share one degree")
-        return Model31(
-            a.f1 + (b.f1 - a.f1) * u,
-            a.f2 + (b.f2 - a.f2) * u,
-            a.f3 + (b.f3 - a.f3) * u,
-        )
-
-    return at
 
 
 def model_to_json(m: Model31) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .case12 import HalfPlaneConfig, electric_degree
 from .case21 import component_of_21
-from .case31 import model_from_json, pi1_winding, r_d, r_tilde, r_tilde_exact
+from .case31 import model_from_json, pi1_winding, r_tilde, r_tilde_exact
 from .exactalg import poly_from_json, poly_to_json, scalar_to_json
 from .harness import census, invariant_sweep
 from .mapdeg import _DEFAULT_CAP, _FIRST_SAMPLES, map_degree
@@ -114,8 +114,8 @@ def _cmd_rp1_degree(args) -> int:
 
 def _cmd_r_d(args) -> int:
     m = _parsed(model_from_json, _read_json(args))
-    value = r_d(m)
     raw = r_tilde(m)
+    value = raw / abs(raw)  # r_d, from the one evaluation of r_tilde
     exact = r_tilde_exact(m)
     _emit(
         {

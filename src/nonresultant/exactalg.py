@@ -162,16 +162,7 @@ class GaussianRational:
         return GaussianRational.of(other) / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("only nonnegative integer powers")
-        out = GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GaussianRational(Fraction(1), Fraction(0)), operator.mul)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -502,16 +493,7 @@ class ExactPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("only nonnegative integer powers")
-        out = ExactPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ExactPolynomial.one(), operator.mul)
 
     def __divmod__(self, other):
         other = _as_poly(other)
@@ -672,12 +654,15 @@ def _g_divexact(a, b):
     return (x // n, y // n)
 
 
-def _g_pow(a, k: int):
-    out = (1, 0)
+def _power(base, k: int, one, mul):
+    """base**k by square-and-multiply, for a nonnegative integer k."""
+    if not isinstance(k, int) or k < 0:
+        raise TypeError("only nonnegative integer powers")
+    out = one
     while k:
         if k & 1:
-            out = _g_mul(out, a)
-        a = _g_mul(a, a)
+            out = mul(out, base)
+        base = mul(base, base)
         k >>= 1
     return out
 
@@ -728,8 +713,11 @@ class _ZI:
     one = (1, 0)
     mul = staticmethod(_g_mul)
     div = staticmethod(_g_divexact)
-    pow = staticmethod(_g_pow)
     prem = staticmethod(_g_prem)
+
+    @staticmethod
+    def pow(a, k: int):
+        return _power(a, k, (1, 0), _g_mul)
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:

@@ -625,11 +625,11 @@ def _sweep_31(d: int, trials: int, seed: int) -> SweepReport:
                 model = Model31(f1, f2, f3)
             except ValueError:
                 model = None
-        v = r_tilde(model)
-        if v == 0 or not (abs(v) < float("inf")):
-            failures += 1
-        else:
+        try:
+            r_tilde(model)
             nonzero += 1
+        except ValueError:  # beyond the float range
+            failures += 1
     winding = pi1_winding(lambda th: i_d_loop(d, th))
     if winding != 1:
         failures += 1

@@ -52,7 +52,7 @@ class WindingError(RuntimeError):
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point of complex projective space, stored as one homogeneous
-    coordinate vector; the vector must not be numerically zero."""
+    coordinate vector; the vector must not be zero."""
 
     coords: tuple
 
@@ -61,7 +61,7 @@ class ProjectivePoint:
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ValueError("projective points need at least two coordinates")
-        if max(abs(c) for c in coords) < 1e-13:
+        if not any(coords):
             raise MembershipError(
                 "zero coordinate vector: the point evaluates a common root"
             )
@@ -88,8 +88,10 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
 
     Exact arguments (int/Fraction/GaussianRational) are evaluated exactly and
     converted to complex at the end; floats/complexes use float Horner.
-    A (numerically) zero coordinate vector raises MembershipError - it means
-    alpha witnesses a common root of multiplicity >= n.
+    A zero coordinate vector raises MembershipError - it means alpha
+    witnesses a common root of multiplicity >= n.  At an exact alpha the
+    values are exact, and a nonzero value converts to a nonzero complex
+    unless it lies below the float range.
     """
     if len({f.degree for f in t.polys}) != 1:
         raise ValueError("the point map needs entries of one common degree")

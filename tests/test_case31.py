@@ -149,6 +149,18 @@ def test_r_tilde_resolves_roots_far_below_one():
     assert cmath.isclose(r_tilde(m), expected, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("far", [3 * 10**300, 2**1000], ids=["3e300", "2^1000"])
+def test_r_tilde_beyond_the_float_range_raises(far):
+    # the factor 1 + i*far^2 at the root -far has no float value: at
+    # 3*10^300 it is infinite, at 2^1000 its conversion overflows
+    m = Model31((z + far) * (z * z - 1), ExactPolynomial.one(), z * z)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        r_tilde(m)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        r_d(m)
+    assert r_tilde_exact(m) == GaussianRational(F(1), F(far * far))
+
+
 def test_r_d_is_unit():
     value = r_d(WORKED)
     assert abs(abs(value) - 1.0) < 1e-12
@@ -216,3 +228,16 @@ def test_sampled_list_loop_validation():
         pi1_winding(samples)  # endpoints differ
     with pytest.raises(ValueError):
         pi1_winding([WORKED, WORKED])  # too short
+    quintic = i_d_loop(5, 0.0)
+    with pytest.raises(ValueError, match="share"):
+        pi1_winding([i_d_loop(3, 0.0), quintic, i_d_loop(3, 0.0)])
+
+
+def test_sampled_loop_leaving_the_space_is_certified():
+    # f1 = z^3 with constant (f2, f3) through (1, 1), (-2, -2), (-1, 1):
+    # the first segment meets (0, 0) at u = 1/3, between the samples any
+    # lift draws; the exact certificate ends the call before a lift runs
+    one = ExactPolynomial.one()
+    loop = [Model31(z**3, one * a, one * b) for a, b in [(1, 1), (-2, -2), (-1, 1), (1, 1)]]
+    with pytest.raises(MembershipError, match=r"segment 0, .*\[1/3, 1/3\]"):
+        pi1_winding(loop)

@@ -18,6 +18,16 @@ QUARTIC_PAIR = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(text):
+    """Parse stdout as strict JSON: NaN and Infinity fail instead of
+    passing as floats."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
@@ -117,7 +127,7 @@ def test_missing_input_file(capsys):
 def test_jet_components(capsys, monkeypatch):
     code, out, _ = run(capsys, ["jet", "--n", "2"], '["-2", "0", "1"]', monkeypatch)
     assert code == 0
-    assert json.loads(out) == [["-2", "0", "1"], ["-2", "2", "1"]]
+    assert loads(out) == [["-2", "0", "1"], ["-2", "2", "1"]]
 
 
 def test_degree_prints_common_degree(capsys, monkeypatch):
@@ -137,7 +147,7 @@ def test_r_d_reports_exact_value(capsys, monkeypatch):
     doc = '{"f1": ["0", "-1", "0", "1"], "f2": ["1"], "f3": ["0", "1"]}'
     code, out, _ = run(capsys, ["r-d"], doc, monkeypatch)
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["r_tilde_exact"] == "2"
     assert payload["r_d"] == [1.0, 0.0]
 
@@ -147,6 +157,26 @@ def test_r_d_with_a_root_beyond_the_float_range_is_domain_error(capsys, monkeypa
     code, out, err = run(capsys, ["r-d"], doc, monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith("nonresultant: ") and "float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("far", [3 * 10**300, 2**1000], ids=["3e300", "2^1000"])
+def test_r_d_with_r_tilde_beyond_the_float_range_is_domain_error(capsys, monkeypatch, far):
+    # f1 = (z + far)(z^2 - 1): the factor 1 + i*far^2 at the root -far is
+    # too large for a float, though far itself is not
+    doc = json.dumps({"f1": [str(-far), "-1", str(far), "1"], "f2": ["1"], "f3": ["0", "0", "1"]})
+    code, out, err = run(capsys, ["r-d"], doc, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "nonresultant: r_tilde lies beyond the float range\n"
+
+
+def test_pi1_on_a_loop_that_leaves_the_space_is_domain_error(capsys, monkeypatch):
+    # f1 = z^3 with constant (f2, f3); the first segment, (1, 1) -> (-2, -2),
+    # passes through (0, 0) at u = 1/3
+    vertices = [("1", "1"), ("-2", "-2"), ("-1", "1"), ("1", "1")]
+    loop = [{"f1": ["0", "0", "0", "1"], "f2": [a], "f3": [b]} for a, b in vertices]
+    code, out, err = run(capsys, ["pi1"], json.dumps(loop), monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("nonresultant: ") and "segment 0" in err and "[1/3, 1/3]" in err
 
 
 def test_pi1_on_sampled_loop(capsys, monkeypatch):
@@ -191,7 +221,7 @@ def test_census_json(capsys):
         ["census", "--case", "21", "--d", "2", "--trials", "60", "--seed", "4", "--format", "json"],
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["seed"] == 4
     assert {j for j, _ in payload["counts"]} <= {-2, 0, 2}
 
@@ -199,7 +229,7 @@ def test_census_json(capsys):
 def test_stabilize_output_feeds_member(capsys, monkeypatch):
     code, out, _ = run(capsys, ["stabilize"], json.dumps(LINEAR_TRIPLE), monkeypatch)
     assert code == 0
-    report = json.loads(out)
+    report = loads(out)
     assert report["case"] == "31"
     assert report["member_out"] is True
     code2, out2, _ = run(capsys, ["member"], json.dumps(report["output"]), monkeypatch)
@@ -215,7 +245,7 @@ def test_sweep_stdout_and_file_agree(capsys, tmp_path):
     code2, out2, _ = run(capsys, argv + ["--out", str(out_path)])
     assert code2 == 0 and out2 == ""
     assert out_path.read_bytes().decode("ascii") == out.strip()
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["failures"] == 0
     assert payload["seed"] == 6
 

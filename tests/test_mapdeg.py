@@ -105,6 +105,14 @@ def test_eval_natural_map_flags_common_roots():
     assert eval_natural_map(t, 1).coords == (0j, 2 + 0j)
 
 
+def test_eval_natural_map_small_values_at_an_exact_point_are_not_a_common_root():
+    # every coordinate is below 1e-13, but (z, z - 10^-14) is a member and
+    # the exact values at 0 are not all zero
+    t = SystemTuple((z, z - F(1, 10**14)), 1, FIELD_REAL)
+    assert is_member(t)
+    assert eval_natural_map(t, F(0)).coords == (0j, complex(-1e-14))
+
+
 def test_eval_natural_map_equivariance():
     rng = random.Random(3)
     for _ in range(25):
