@@ -27,6 +27,7 @@ represented.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .exactalg import (
     real_roots_exact,
     sign_at,
 )
-from .mapdeg import _DEFAULT_CAP, winding_number
+from .mapdeg import winding_number
 from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
 __all__ = [
@@ -82,6 +83,22 @@ class Model31:
     @property
     def degree(self) -> int:
         return self.f1.degree
+
+    @functools.cached_property
+    def _contributions(self) -> tuple:
+        """The ascending real roots of f1 of odd multiplicity, each with its
+        exponent: +1 at an odd position among the roots counted with
+        multiplicity, else -1 (a root of even multiplicity cancels itself).
+        Computed once per model, for r_tilde and r_tilde_exact alike."""
+        if self.degree % 2 == 0:
+            raise ValueError("the alternating evaluation needs odd degree")
+        out = []
+        position = 1
+        for root in real_roots_exact(self.f1):
+            if root.multiplicity % 2:
+                out.append((root, 1 if position % 2 else -1))
+            position += root.multiplicity
+        return tuple(out)
 
 
 def phi(t: SystemTuple) -> Model31:
@@ -129,21 +146,6 @@ def i_d_loop(d: int, theta: float) -> Model31:
     )
 
 
-def _contributions(m: Model31):
-    """The ascending real roots of f1 of odd multiplicity, each with its
-    exponent: +1 at an odd position among the roots counted with
-    multiplicity, else -1 (a root of even multiplicity cancels itself)."""
-    if m.degree % 2 == 0:
-        raise ValueError("the alternating evaluation needs odd degree")
-    out = []
-    position = 1
-    for root in real_roots_exact(m.f1):
-        if root.multiplicity % 2:
-            out.append((root, 1 if position % 2 else -1))
-        position += root.multiplicity
-    return out
-
-
 def r_tilde(m: Model31) -> complex:
     """The alternating evaluation, as a complex number; d must be odd.
     r_tilde and its factors are never zero or infinite on the model space,
@@ -151,7 +153,7 @@ def r_tilde(m: Model31) -> complex:
     the float range and raises ValueError."""
     result = 1.0 + 0.0j
     try:
-        for root, sign in _contributions(m):
+        for root, sign in m._contributions:
             x = root.lo if root.is_exact else root.float_value()
             if root.is_exact or sign_at(m.f1, *x.as_integer_ratio()) == 0:
                 v = complex(GaussianRational(m.f2(Fraction(x)), m.f3(Fraction(x))))
@@ -172,7 +174,7 @@ def r_tilde_exact(m: Model31):
     """Exact value in Q(i) when every odd-multiplicity real root of f1 is
     rational; None otherwise."""
     result = GaussianRational(Fraction(1), Fraction(0))
-    for root, sign in _contributions(m):
+    for root, sign in m._contributions:
         x = root.rational_value()
         if x is None:
             return None
@@ -187,7 +189,7 @@ def r_d(m: Model31) -> complex:
     return v / abs(v)
 
 
-def pi1_winding(loop, refinement_cap: int = _DEFAULT_CAP) -> int:
+def pi1_winding(loop) -> int:
     """Class of a closed loop of odd-degree models: the winding of r_tilde.
 
     `loop` is either a callable theta -> Model31 on [0, 2*pi] or a closed
@@ -195,7 +197,8 @@ def pi1_winding(loop, refinement_cap: int = _DEFAULT_CAP) -> int:
     between their triples (`harness.path_tuple`).  Every segment is
     certified exactly (`harness.locate_violation`) before the lift runs; one
     that leaves the space raises MembershipError naming the segment and the
-    bracket where it does.
+    bracket where it does.  A callable loop that runs too close to zero
+    raises WindingError once the lift reaches the float resolution.
     """
     # harness imports this module, so the path kernel is imported here
     from .harness import locate_violation, path_tuple
@@ -222,7 +225,7 @@ def pi1_winding(loop, refinement_cap: int = _DEFAULT_CAP) -> int:
             i = min(int(math.floor(s)), segments - 1)
             return phi(path_tuple(tuples[i], tuples[i + 1], Fraction(s - i)))
 
-    return winding_number(lambda th: r_tilde(fn(th)), refinement_cap)
+    return winding_number(lambda thetas: [r_tilde(fn(float(th))) for th in thetas])
 
 
 def model_to_json(m: Model31) -> dict:

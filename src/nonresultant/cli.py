@@ -19,7 +19,7 @@ from .case21 import component_of_21
 from .case31 import model_from_json, pi1_winding, r_tilde, r_tilde_exact
 from .exactalg import poly_from_json, poly_to_json, scalar_to_json
 from .harness import census, invariant_sweep
-from .mapdeg import _DEFAULT_CAP, _FIRST_SAMPLES, map_degree
+from .mapdeg import map_degree
 from .nonres import InputError, SystemTuple, is_member, jet, stability_dimension
 from .stab import stabilize_with_report
 
@@ -128,13 +128,11 @@ def _cmd_r_d(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
-    if args.refinement_cap < _FIRST_SAMPLES:
-        raise InputError(f"--refinement-cap must be at least {_FIRST_SAMPLES}")
     obj = _read_json(args)
     if not isinstance(obj, list):
         raise InputError("loop JSON must be a list of model objects")
     models = [_parsed(model_from_json, entry) for entry in obj]
-    print(pi1_winding(models, refinement_cap=args.refinement_cap))
+    print(pi1_winding(models))
     return 0
 
 
@@ -231,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("r-d", _cmd_r_d, "alternating root invariant of a triple model (m=3, n=1)")
 
-    p = add("pi1", _cmd_pi1, "winding of the alternating invariant along a sampled loop")
-    p.add_argument("--refinement-cap", type=int, default=_DEFAULT_CAP)
+    add("pi1", _cmd_pi1, "winding of the alternating invariant along a sampled loop")
 
     add("electric-degree", _cmd_electric_degree, "degree of the field map of a configuration")
 

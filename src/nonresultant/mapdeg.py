@@ -11,18 +11,22 @@ line, read from a signed remainder sequence in integer arithmetic.
 Argument lifts remain for the analytic windings (the pi_1 class of r_tilde
 and the abelianised braid): a parameter segment whose endpoint values turn
 by pi/2 or more is split in half, so any crossing of the branch cut is
-resolved before the lift accumulates; failure to settle under the sample cap
-signals a loop passing too close to zero.
+resolved before the lift accumulates.  A segment that still turns that far
+once its midpoint is one of its ends (adjacent floats) cannot be refined
+further: the loop passes too close to zero, and the lift raises WindingError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .exactalg import ExactPolynomial, cauchy_index, gcd_many
+from .exactalg import ExactPolynomial, GaussianRational, NonConvergenceError, cauchy_index, gcd_many
 from .nonres import MembershipError, SystemTuple, jet
 
 __all__ = [
@@ -40,13 +44,17 @@ __all__ = [
 INFINITY = math.inf
 
 _JUMP_LIMIT = math.pi / 2
-# every lift starts from this many samples; the cap bounds the refined count
+# every lift starts from this many samples
 _FIRST_SAMPLES = 65
-_DEFAULT_CAP = 2**20
+# a memory ceiling for loops that turn fast on every segment
+_MAX_SAMPLES = 2**20
 
 
-class WindingError(RuntimeError):
-    """The argument lift would not settle: the loop runs too close to zero."""
+class WindingError(NonConvergenceError):
+    """The argument lift would not settle: the loop runs too close to zero.
+    A lift's `diagnostics` hold the parameter where it stalled, the sample
+    count it reached and its worst argument step (nan when a sample is
+    exactly zero, where the argument is undefined)."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,7 @@ class ProjectivePoint:
         if len(coords) < 2:
             raise ValueError("projective points need at least two coordinates")
         if not any(coords):
-            raise MembershipError(
-                "zero coordinate vector: the point evaluates a common root"
-            )
+            raise MembershipError("zero coordinate vector: the point evaluates a common root")
 
     def proportional_to(self, other: "ProjectivePoint", rel_tol: float = 1e-9) -> bool:
         if len(self.coords) != len(other.coords):
@@ -89,36 +95,27 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
     Exact arguments (int/Fraction/GaussianRational) are evaluated exactly and
     converted to complex at the end; floats/complexes use float Horner.
     A zero coordinate vector raises MembershipError - it means alpha
-    witnesses a common root of multiplicity >= n.  At an exact alpha the
-    values are exact, and a nonzero value converts to a nonzero complex
-    unless it lies below the float range.
+    witnesses a common root of multiplicity >= n.  At an exact alpha that
+    test reads the exact values, and a vector whose largest coordinate lies
+    outside the normal float range is scaled by a power of two before the
+    conversion, so it converts to the same projective point.
     """
     if len({f.degree for f in t.polys}) != 1:
         raise ValueError("the point map needs entries of one common degree")
-    if isinstance(alpha, float) and math.isinf(alpha):
+    if isinstance(alpha, (float, complex)) and cmath.isinf(alpha):
         return ProjectivePoint((1.0 + 0.0j,) * (t.m * t.n))
-    if isinstance(alpha, complex) and (math.isinf(alpha.real) or math.isinf(alpha.imag)):
-        return ProjectivePoint((1.0 + 0.0j,) * (t.m * t.n))
-    coords = []
-    for f in t.polys:
-        for comp in jet(f, t.n).components:
-            coords.append(complex(comp(alpha)))
-    return ProjectivePoint(tuple(coords))
+    values = [comp(alpha) for f in t.polys for comp in jet(f, t.n).components]
+    if isinstance(alpha, (int, Fraction, GaussianRational)):
+        big = max(abs(q) for v in map(GaussianRational.of, values) for q in (v.re, v.im))
+        if 0 < big < sys.float_info.min or big > sys.float_info.max:
+            scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+            values = [v * scale for v in values]
+    return ProjectivePoint(tuple(values))
 
 
 # ---------------------------------------------------------------------------
 # adaptive argument lifts
 # ---------------------------------------------------------------------------
-
-
-def _eval_vectorized(fn, params: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(params), dtype=complex)
-        if vals.shape == params.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([complex(fn(float(t))) for t in params], dtype=complex)
 
 
 def arg_steps(values: np.ndarray) -> tuple:
@@ -137,39 +134,41 @@ def whole_turns(angle: float) -> int:
     return out
 
 
-def _adaptive_lift(fn, a: float, b: float, cap: int):
-    """Sample fn on [a, b] until adjacent values turn by < pi/2 each.
+def _adaptive_lift(fn, a: float, b: float):
+    """Sample fn, which maps an array of parameters to an array of values,
+    on [a, b] until adjacent values turn by < pi/2 each.
 
-    Returns (values, lifted arguments).  Raises WindingError when the
-    sample budget is exhausted or the path meets zero exactly.
+    Returns (values, lifted arguments).  Raises WindingError when the path
+    meets zero exactly, when a segment that turns too far cannot be split
+    (its ends are adjacent floats), or past the memory ceiling of samples.
     """
     params = np.linspace(a, b, _FIRST_SAMPLES)
-    values = _eval_vectorized(fn, params)
-    while True:
-        if np.any(values == 0):
-            raise WindingError("path passes through zero")
+    values = np.asarray(fn(params), dtype=complex)
+    while not (values == 0).any():
         steps, bad = arg_steps(values)
         if not bad.any():
-            lifted = np.concatenate(([0.0], np.cumsum(steps)))
-            return values, lifted
-        if len(params) > cap:
-            raise WindingError(
-                f"argument lift did not settle within {cap} samples; "
-                "the path runs too close to zero"
-            )
-        idx = np.nonzero(bad)[0]
+            return values, np.concatenate(([0.0], np.cumsum(steps)))
+        idx = np.flatnonzero(bad)
         mids = (params[idx] + params[idx + 1]) / 2.0
-        mid_vals = _eval_vectorized(fn, mids)
+        stuck = (mids == params[idx]) | (mids == params[idx + 1])
+        if stuck.any() or len(params) > _MAX_SAMPLES:
+            limit = "the float resolution" if stuck.any() else f"{_MAX_SAMPLES} samples"
+            raise WindingError(
+                f"argument lift stalled at {limit}; the path runs too close to zero",
+                parameter=float(params[idx[np.argmax(stuck)]]),
+                samples=len(params),
+                worst_step=float(np.max(np.abs(steps))),
+            )
         params = np.insert(params, idx + 1, mids)
-        values = np.insert(values, idx + 1, mid_vals)
+        values = np.insert(values, idx + 1, np.asarray(fn(mids), dtype=complex))
+    at = float(params[np.argmax(values == 0)])
+    raise WindingError("path passes through zero", parameter=at, samples=len(params), worst_step=math.nan)
 
 
-def winding_number(fn, refinement_cap: int = _DEFAULT_CAP) -> int:
+def winding_number(fn) -> int:
     """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
-    argument lifting; a cap below the first 65 samples raises ValueError."""
-    if refinement_cap < _FIRST_SAMPLES:
-        raise ValueError(f"the refinement cap must be at least {_FIRST_SAMPLES} samples")
-    values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi, refinement_cap)
+    argument lifting; fn maps an array of parameters to an array of values."""
+    values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi)
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:
         raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")

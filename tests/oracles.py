@@ -246,7 +246,7 @@ def cauchy_index_real_line(f1: ExactPolynomial, f2: ExactPolynomial) -> int:
     return total
 
 
-def rp1_degree_lift(f1: ExactPolynomial, f2: ExactPolynomial, cap: int = 2**20) -> int:
+def rp1_degree_lift(f1: ExactPolynomial, f2: ExactPolynomial) -> int:
     """Real-axis degree of a member pair as the half-winding of
     s -> cos(s)^d * (f2 + i*f1)(tan(s)) for s from -pi/2 to pi/2, by the
     adaptive float argument lift, evaluated in the homogeneous chart so the
@@ -273,7 +273,7 @@ def rp1_degree_lift(f1: ExactPolynomial, f2: ExactPolynomial, cap: int = 2**20) 
             acc_b = acc_b * u + rev[k]
         return np.where(small_t, acc_a * c**d, acc_b * t**d)
 
-    _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2, cap)
+    _, lifted = _adaptive_lift(homogeneous, -math.pi / 2, math.pi / 2)
     half_turns = (lifted[-1] - lifted[0]) / math.pi
     j = round(half_turns)
     if abs(half_turns - j) > 0.2 or (j - d) % 2 != 0:

@@ -19,6 +19,7 @@ from nonresultant.case31 import (
     s1_act_exact,
 )
 from nonresultant.exactalg import ExactPolynomial, GaussianRational
+from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
 
 from oracles import alternating_value_refined
@@ -213,15 +214,6 @@ def test_sampled_list_loop():
     assert pi1_winding(samples) == 1
 
 
-def test_sampled_list_loop_sample_cap():
-    samples = [i_d_loop(3, 2 * math.pi * k / 48) for k in range(48)]
-    samples.append(samples[0])
-    for cap in (-5, 0, 64):
-        with pytest.raises(ValueError):
-            pi1_winding(samples, refinement_cap=cap)
-    assert pi1_winding(samples, refinement_cap=65) == 1
-
-
 def test_sampled_list_loop_validation():
     samples = [i_d_loop(3, 0.1 * k) for k in range(4)]
     with pytest.raises(ValueError):
@@ -241,3 +233,21 @@ def test_sampled_loop_leaving_the_space_is_certified():
     loop = [Model31(z**3, one * a, one * b) for a, b in [(1, 1), (-2, -2), (-1, 1), (1, 1)]]
     with pytest.raises(MembershipError, match=r"segment 0, .*\[1/3, 1/3\]"):
         pi1_winding(loop)
+
+
+def test_callable_loop_through_zero_stops_at_the_float_resolution(time_limit):
+    # the same loop as a callable: no segment is certified, and r_tilde =
+    # f2 + i*f3 passes through 0 at theta = 2*pi/9, where the lift stalls
+    one = ExactPolynomial.one()
+    vertices = [(F(1), F(1)), (F(-2), F(-2)), (F(-1), F(1)), (F(1), F(1))]
+
+    def loop(theta):
+        s = 3 * theta / (2 * math.pi)
+        i = min(int(s), 2)
+        u = F(s - i)
+        (a2, a3), (b2, b3) = vertices[i], vertices[i + 1]
+        return Model31(z**3, one * (a2 + (b2 - a2) * u), one * (a3 + (b3 - a3) * u))
+
+    with time_limit(5), pytest.raises(WindingError, match="too close to zero") as info:
+        pi1_winding(loop)
+    assert abs(info.value.diagnostics["parameter"] - 2 * math.pi / 9) < 1e-12

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from nonresultant import case31
 from nonresultant.case31 import i_d_loop, model_to_json
 from nonresultant.cli import main
+from nonresultant.exactalg import real_roots_exact
 
 LINEAR_TRIPLE = {"n": 1, "field": "R", "polys": [["0", "1"], ["1", "1"], ["2", "1"]]}
 ALL_EQUAL_TRIPLE = {"n": 1, "field": "R", "polys": [["1", "1"], ["1", "1"], ["1", "1"]]}
@@ -152,6 +154,20 @@ def test_r_d_reports_exact_value(capsys, monkeypatch):
     assert payload["r_d"] == [1.0, 0.0]
 
 
+def test_r_d_isolates_the_real_roots_once(capsys, monkeypatch):
+    isolated = []
+
+    def counting(f):
+        isolated.append(f)
+        return real_roots_exact(f)
+
+    monkeypatch.setattr(case31, "real_roots_exact", counting)
+    doc = '{"f1": ["0", "-2", "0", "1"], "f2": ["1"], "f3": ["0", "1"]}'
+    code, out, _ = run(capsys, ["r-d"], doc, monkeypatch)
+    assert code == 0 and loads(out)["r_tilde_exact"] is None
+    assert len(isolated) == 1
+
+
 def test_r_d_with_a_root_beyond_the_float_range_is_domain_error(capsys, monkeypatch):
     doc = json.dumps({"f1": ["-1" + "0" * 1000, "0", "0", "1"], "f2": ["1"], "f3": ["0", "1"]})
     code, out, err = run(capsys, ["r-d"], doc, monkeypatch)
@@ -185,14 +201,6 @@ def test_pi1_on_sampled_loop(capsys, monkeypatch):
     code, out, _ = run(capsys, ["pi1"], json.dumps(samples), monkeypatch)
     assert code == 0
     assert out.strip() == "1"
-
-
-@pytest.mark.parametrize("cap, code, expected", [(-5, 2, ""), (0, 2, ""), (64, 2, ""), (65, 0, "1\n")])
-def test_pi1_refinement_cap_below_the_first_samples_is_usage_error(capsys, monkeypatch, cap, code, expected):
-    samples = [model_to_json(i_d_loop(3, 2 * math.pi * k / 48)) for k in range(48)]
-    samples.append(samples[0])
-    argv = ["pi1", "--refinement-cap", str(cap)]
-    assert run(capsys, argv, json.dumps(samples), monkeypatch)[:2] == (code, expected)
 
 
 def test_electric_degree_from_pairs(capsys, monkeypatch):

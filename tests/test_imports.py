@@ -1,5 +1,6 @@
 """Every name a module of the package or of the tests imports is used there
-or exported, and every module-level private name of the package is used.
+or exported, every module-level private name of the package is used, and no
+handler of the package catches every exception.
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -107,3 +108,34 @@ def test_private_name_check_sees_dead_and_live_names():
 def test_package_private_names_are_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+def _catch_all_handlers(source: str) -> list:
+    """Lines of the handlers that catch every exception: a bare ``except:``,
+    or one naming Exception or BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")) for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_catch_all_check_sees_broad_and_narrow_handlers():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept BaseException as exc:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, OverflowError):\n    pass\n"
+    )
+    assert _catch_all_handlers(source) == [3, 7, 11]
+
+
+def test_package_has_no_catch_all_handlers():
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (lines := _catch_all_handlers(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}

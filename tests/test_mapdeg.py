@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonresultant.exactalg import ExactPolynomial, GaussianRational
+from nonresultant import mapdeg
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, NonConvergenceError
 from nonresultant.mapdeg import (
     INFINITY,
     ProjectivePoint,
@@ -63,17 +64,45 @@ def test_winding_translation_invariance_away_from_zero():
     assert winding_number(lambda t: np.exp(1j * np.asarray(t)) + 4.0) == 0
 
 
-def test_winding_rejects_zero_crossing():
-    # this loop passes through 0 at theta = pi; no cap can resolve it
-    with pytest.raises(WindingError):
-        winding_number(lambda t: 1 + np.exp(1j * np.asarray(t)), refinement_cap=2**12)
+def test_winding_rejects_zero_crossing(time_limit):
+    # this loop passes through 0 at theta = pi; the lift splits the turning
+    # segment down to adjacent floats around pi and stops there
+    with time_limit(5), pytest.raises(WindingError, match="too close to zero") as info:
+        winding_number(lambda t: 1 + np.exp(1j * np.asarray(t)))
+    assert isinstance(info.value, NonConvergenceError)
+    diag = info.value.diagnostics
+    assert abs(diag["parameter"] - math.pi) < 1e-12
+    assert 65 < diag["samples"] < 200
+    assert math.pi / 2 <= diag["worst_step"] <= math.pi
 
 
-def test_winding_cap_must_cover_the_first_samples():
-    for cap in (-5, 0, 64):
-        with pytest.raises(ValueError):
-            winding_number(circle_power(1), refinement_cap=cap)
-    assert winding_number(circle_power(1), refinement_cap=65) == 1
+def test_winding_rejects_a_sample_at_zero():
+    with pytest.raises(WindingError, match="through zero") as info:
+        winding_number(lambda t: np.asarray(t) - math.pi)
+    diag = info.value.diagnostics
+    assert diag["parameter"] == math.pi and diag["samples"] == 65 and math.isnan(diag["worst_step"])
+
+
+def test_winding_stops_at_the_sample_ceiling(monkeypatch):
+    # e^{40 i theta} turns by more than pi/2 between the first samples
+    monkeypatch.setattr(mapdeg, "_MAX_SAMPLES", 64)
+    with pytest.raises(WindingError, match="64 samples") as info:
+        winding_number(circle_power(40))
+    assert info.value.diagnostics["samples"] == 65
+    assert info.value.diagnostics["worst_step"] >= math.pi / 2
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        (lambda t: np.exp(1j * np.asarray(t)) + 1 - 1e-12, 1),
+        (lambda t: np.exp(1j * np.asarray(t)) + 1 + 1e-12, 0),
+        (lambda t: np.exp(2j * np.asarray(t)) - (1 - 1e-9) * np.exp(1j * np.asarray(t)), 2),
+    ],
+    ids=["inside", "outside", "double"],
+)
+def test_winding_resolves_loops_near_zero(fn, expected):
+    assert winding_number(fn) == expected
 
 
 @given(st.integers(min_value=-4, max_value=4), st.fractions(min_value=-1, max_value=1, max_denominator=8))
@@ -111,6 +140,21 @@ def test_eval_natural_map_small_values_at_an_exact_point_are_not_a_common_root()
     t = SystemTuple((z, z - F(1, 10**14)), 1, FIELD_REAL)
     assert is_member(t)
     assert eval_natural_map(t, F(0)).coords == (0j, complex(-1e-14))
+
+
+def test_eval_natural_map_below_the_float_range_is_scaled_not_a_common_root():
+    # the values at 0 are -10^-400 and -2*10^-400, both below the float range
+    t = SystemTuple((z - F(1, 10**400), z - F(2, 10**400)), 1, FIELD_REAL)
+    assert is_member(t)
+    assert eval_natural_map(t, F(0)).proportional_to(ProjectivePoint((1, 2)))
+
+
+def test_eval_natural_map_beyond_the_float_range_is_scaled():
+    # the values at 10^400 are 10^400 and 10^400 - 1, beyond the float range
+    t = SystemTuple((z, z - 1), 1, FIELD_REAL)
+    assert eval_natural_map(t, F(10**400)).proportional_to(ProjectivePoint((1, 1)))
+    far = GaussianRational(F(0), F(10**400))
+    assert eval_natural_map(t, far).proportional_to(ProjectivePoint((1, 1)))
 
 
 def test_eval_natural_map_equivariance():
