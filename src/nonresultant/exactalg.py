@@ -20,8 +20,9 @@ intermediate coefficient growth polynomial in the input size, unlike the
 naive Euclidean remainder sequence whose numerators explode.  The gcd is the
 last nonzero remainder made monic; the resultant is read off the last
 constant term (Cohen, A Course in Computational Algebraic Number Theory,
-Algorithm 3.3.7).  The PRS runs on the numerators as stored: the monic gcd
-does not depend on content, which is stripped only inside the Sturm chain.
+Algorithm 3.3.7).  The PRS runs on the numerators as stored; a family's gcd
+is one PRS fold that keeps the primitive part between steps (over Z[i], the
+monic associate's numerators) and makes only the final gcd monic.
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built once per squarefree factor over Z with positive content stripped at
@@ -641,6 +642,11 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> list:
     return r
 
 
+def _int_primitive(cs: Sequence[int]) -> list:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
+
+
 def _g_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -693,6 +699,7 @@ class _Z:
     div = staticmethod(operator.floordiv)  # only ever called on exact quotients
     pow = staticmethod(pow)
     prem = staticmethod(_int_prem)
+    primitive = staticmethod(_int_primitive)
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:
@@ -718,6 +725,15 @@ class _ZI:
     @staticmethod
     def pow(a, k: int):
         return _power(a, k, (1, 0), _g_mul)
+
+    @staticmethod
+    def primitive(cs: list) -> list:
+        # the numerators of the monic associate
+        lr, li = cs[-1]
+        if li:
+            cs = [_g_mul(c, (lr, -li)) for c in cs]
+        g = math.gcd(*(x for c in cs for x in c))
+        return [(x // g, y // g) for x, y in cs] if g > 1 else cs
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:
@@ -763,34 +779,29 @@ def gcd_exact(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
     """Monic gcd of two polynomials over Q or Q(i), never both zero."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    if f.degree == 0 or g.degree == 0:
-        return ExactPolynomial.one()
-    ring = _ring(f, g)
-    a, b = ring.numerators(f), ring.numerators(g)
-    if len(a) < len(b):
-        a, b = b, a
-    last, rem, _, _ = _prs(a, b, ring)
-    if rem:
-        return ExactPolynomial.one()
-    return ring.polynomial(last).monic()
+    return gcd_many((f, g))
 
 
 def gcd_many(polys: Sequence[ExactPolynomial]) -> ExactPolynomial:
-    """Monic gcd of a nonempty family, with an early exit at gcd == 1."""
+    """Monic gcd of a nonempty family: one PRS fold over the numerators that
+    stops at the first constant and keeps the primitive part between steps."""
     if not polys:
         raise ValueError("gcd of an empty family")
-    acc = polys[0]
-    for p in polys[1:]:
-        if acc.degree == 0 and not acc.is_zero:
-            return ExactPolynomial.one()
-        acc = gcd_exact(acc, p) if not (acc.is_zero and p.is_zero) else acc
-    if acc.is_zero:
+    ring = _ring(*polys)
+    acc = []
+    for f in polys:
+        if len(acc) == 1:
+            break
+        b = ring.numerators(f)
+        if len(acc) > 1 and len(b) > 1:
+            a, b = (acc, b) if len(acc) >= len(b) else (b, acc)
+            last, rem, _, _ = _prs(a, b, ring)
+            b = [ring.one] if rem else ring.primitive(last)
+        if b:
+            acc = b
+    if not acc:
         raise ValueError("gcd of the zero family")
-    return acc.monic() if acc.degree >= 1 else ExactPolynomial.one()
+    return ring.polynomial(acc).monic() if len(acc) > 1 else ExactPolynomial.one()
 
 
 def squarefree_decomposition(f: ExactPolynomial) -> list:
@@ -810,7 +821,7 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
     d = w.derivative().exact_div(g) - c.derivative()
     i = 1
     while c.degree > 0:
-        p = gcd_exact(c, d) if not d.is_zero else c.monic()
+        p = gcd_exact(c, d)
         if p.degree > 0:
             out.append((p, i))
         c = c.exact_div(p)
@@ -837,11 +848,6 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
 
 def _int_derivative(cs: Sequence[int]) -> list:
     return [k * c for k, c in enumerate(cs)][1:]
-
-
-def _int_primitive(cs: Sequence[int]) -> list:
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else list(cs)
 
 
 def _sign(x: int) -> int:

@@ -167,7 +167,9 @@ def _adaptive_lift(fn, a: float, b: float):
 
 def winding_number(fn) -> int:
     """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
-    argument lifting; fn maps an array of parameters to an array of values."""
+    argument lifting; fn maps an array of parameters to an array of values.
+    Unchecked precondition: fn's argument varies by less than a half turn over
+    each interval of the first 65-sample grid; exp(65j*t) reads 1."""
     values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi)
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:

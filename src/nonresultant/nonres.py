@@ -7,8 +7,10 @@ common root of all m polynomials with multiplicity >= n.
 
 Membership is decided exactly along two independent routes:
 
-* gcd route — the maximal common multiplicity is the largest multiplicity
-  appearing in the squarefree decomposition of gcd(f_1, ..., f_m);
+* gcd route — a root of g = gcd(f_1, ..., f_m) has multiplicity >= n exactly
+  when g, g', ..., g^(n-1) all vanish there (Farb and Wolfson's jets; over F_p
+  Hasse derivatives are needed, as g^(k) = k! * D^(k) g vanishes once p <= k),
+  so members have deg g < n or a constant gcd of those n derivatives;
 * jet route — the tuple fails membership exactly when the m*n jet components
   f_k + f_k^(i) (i < n) share a common root, so membership is equivalent to
   the gcd of all jet components being constant.
@@ -160,15 +162,13 @@ def conjugate_tuple(t: SystemTuple) -> SystemTuple:
 def max_common_multiplicity(t: SystemTuple) -> int:
     """Largest k such that some point of the closure is a common root of all
     entries with multiplicity >= k; 0 when the entries share no root."""
-    g = gcd_many(t.polys)
-    if g.degree == 0:
-        return 0
-    return max(m for _, m in squarefree_decomposition(g))
+    return max((m for _, m in squarefree_decomposition(gcd_many(t.polys))), default=0)
 
 
 def is_member(t: SystemTuple) -> bool:
-    """Exact membership via the gcd route."""
-    return max_common_multiplicity(t) < t.n
+    """Exact membership by the gcd route: deg g < n or gcd(g, g', ..., g^(n-1)) = 1."""
+    g = gcd_many(t.polys)
+    return g.degree < t.n or gcd_many([g.derivative(k) for k in range(t.n)]).degree == 0
 
 
 def is_member_via_jets(t: SystemTuple) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional
 from .case12 import component_of_12, stabilize_12
 from .case31 import Model31, phi, phi_inverse
 from .exactalg import ExactPolynomial, cauchy_root_bound
-from .nonres import FIELD_REAL, SystemTuple, is_member
+from .nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
 
 __all__ = [
     "StabilizationReport",
@@ -84,7 +84,8 @@ def stabilize_31(t: SystemTuple, T) -> SystemTuple:
         raise ValueError("T must exceed the root bound of the entries and their differences")
     shifted = (ExactPolynomial.variable() - ExactPolynomial.constant(T)) * f1
     out = SystemTuple((shifted, shifted + u, shifted + v), 1, FIELD_REAL)
-    assert is_member(out), "stabilization broke membership"
+    if not is_member(out):
+        raise MembershipError("stabilization broke membership")
     return out
 
 
@@ -105,7 +106,8 @@ def stabilize_multiplicity(t: SystemTuple, T) -> SystemTuple:
         raise ValueError("T must exceed the root bound of the entries")
     factor = ExactPolynomial.variable() - ExactPolynomial.constant(T)
     out = SystemTuple(tuple(factor * f for f in t.polys), t.n, t.field)
-    assert is_member(out), "stabilization broke membership"
+    if not is_member(out):
+        raise MembershipError("stabilization broke membership")
     return out
 
 

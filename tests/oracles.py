@@ -1,7 +1,9 @@
 """Independent oracles used to derive frozen expected values in the tests.
 
 Each oracle deliberately avoids the code path it checks: gcds come from
-factor multisets instead of remainder sequences; windings from brute-force
+factor multisets instead of remainder sequences, and family gcds from a
+pairwise fold of Euclid steps on `divmod` instead of one subresultant fold
+on integer numerators; windings from brute-force
 dense sampling instead of adaptive refinement; real-axis degrees from the
 Cauchy index at isolated poles instead of a remainder sequence; map,
 real-axis and electric degrees of members also from float argument lifts
@@ -49,6 +51,28 @@ def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
             remaining.remove(r)
             common.append(r)
     return ExactPolynomial.from_roots(common)
+
+
+def gcd_euclid(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
+    """Monic gcd of two polynomials, not both zero, by Euclid's algorithm
+    over the field: remainders from `divmod`, no pseudo-remainders."""
+    while not g.is_zero:
+        f, g = g, divmod(f, g)[1]
+    return f.monic()
+
+
+def gcd_pairwise(polys, gcd2=gcd_euclid) -> ExactPolynomial:
+    """Monic gcd of a family folded one pair at a time with `gcd2`: zero
+    entries are skipped and the fold stops at the first constant gcd."""
+    acc = ExactPolynomial.zero()
+    for p in polys:
+        if acc.degree == 0:
+            break
+        if not p.is_zero:
+            acc = p.monic() if acc.is_zero else gcd2(acc, p)
+    if acc.is_zero:
+        raise ValueError("gcd of the zero family")
+    return acc.monic()
 
 
 def resultant_from_roots(f: ExactPolynomial, g: ExactPolynomial) -> complex:

@@ -47,7 +47,9 @@ from oracles import (
     circle_starts,
     cluster_roots_scan,
     float_value_fractions,
+    gcd_euclid,
     gcd_from_factor_multisets,
+    gcd_pairwise,
     isolate_squarefree_fractions,
     lagrange,
     rational_value_fractions,
@@ -323,6 +325,55 @@ def test_prs_on_gaussian_inputs_with_large_content():
         ]
         assert squarefree_decomposition(f) == want
         assert resultant_exact(f, g) == resultant_sylvester(f, g)
+
+
+def test_gcd_many_folds_mixed_families_like_the_pairwise_fold():
+    # families of 2-6 entries mixing zero polynomials, nonzero constants,
+    # real and Gaussian products, and the large contents above
+    rng = random.Random(56)
+    scales = [F(1), LARGE_CONTENT, LARGE_CONTENT * F(1, 7), F(-12), GaussianRational(F(1), F(1)) ** 16]
+    pool = [F(k, 2) for k in range(-2, 3)] + [GaussianRational(F(a), F(b)) for a in (-1, 1) for b in (-1, 2)]
+    kinds = ["zero", "constant", "product", "product", "product"]
+    seen = Counter()
+    for _ in range(150):
+        family, root_lists = [], []
+        for _ in range(rng.randint(2, 6)):
+            kind = rng.choice(kinds)
+            if kind == "zero":
+                family.append(ExactPolynomial.zero())
+                continue
+            roots = [] if kind == "constant" else [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            family.append(ExactPolynomial.from_roots(roots) * rng.choice(scales))
+            root_lists.append(roots)
+        if not root_lists:
+            seen["zero family"] += 1
+            with pytest.raises(ValueError, match="gcd of the zero family"):
+                gcd_many(family)
+            continue
+        rest = Counter(root_lists[-1])
+        for roots in root_lists[1:]:
+            rest &= Counter(roots)
+        want = gcd_from_factor_multisets(root_lists[0], list(rest.elements()))
+        got = gcd_many(family)
+        seen["gaussian" if not got.is_real else "constant" if got.degree == 0 else "real"] += 1
+        assert got == want
+        assert got == gcd_pairwise(family, gcd_exact)
+        assert got == gcd_pairwise(family)
+        if len(family) == 2 and not all(f.is_zero for f in family):
+            assert gcd_exact(*family) == gcd_euclid(*family)
+    assert min(seen[k] for k in ("zero family", "constant", "real", "gaussian")) >= 5
+
+
+def test_gcd_errors():
+    zero = ExactPolynomial.zero()
+    with pytest.raises(ValueError, match=r"gcd\(0, 0\) is undefined"):
+        gcd_exact(zero, zero)
+    with pytest.raises(ValueError, match="gcd of an empty family"):
+        gcd_many([])
+    with pytest.raises(ValueError, match="gcd of the zero family"):
+        gcd_many([zero, zero, zero])
+    assert gcd_many([zero, ExactPolynomial.constant(GaussianRational(F(0), F(3))), z]) == ExactPolynomial.one()
+    assert gcd_many([zero, 5 * (z - 1) ** 2, zero, (z - 1) * z]) == z - 1
 
 
 def test_gaussian_gcd_with_large_content_matches_sympy():

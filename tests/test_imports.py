@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used there
-or exported, every module-level private name of the package is used, and no
-handler of the package catches every exception.
+or exported, every module-level private name of the package is used, no
+handler of the package catches every exception, and the package holds no
+``assert`` statement (``python -O`` strips them, so a check must raise).
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -137,5 +138,28 @@ def test_package_has_no_catch_all_handlers():
         p.name: lines
         for p in sorted(PACKAGE.glob("*.py"))
         if (lines := _catch_all_handlers(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def _assert_statements(source: str) -> list:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_check_sees_assert_statements_only():
+    source = (
+        "assert x, 'top level'\n"
+        "def f(x):\n    assert x > 0\n    return x\n"
+        "if not ok:\n    raise ValueError('assert is only a word here')\n"
+        "assertion = True\n"
+    )
+    assert _assert_statements(source) == [1, 3]
+
+
+def test_package_has_no_assert_statements():
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (lines := _assert_statements(p.read_text(encoding="utf-8")))
     }
     assert found == {}

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonresultant import nonres
 from nonresultant.exactalg import ExactPolynomial, GaussianRational
 from nonresultant.nonres import (
     FIELD_COMPLEX,
@@ -165,6 +167,90 @@ def test_membership_routes_agree_gaussian():
         t = SystemTuple((f, g), 1, FIELD_COMPLEX)
         assert is_member(t) == is_member_via_jets(t)
         assert not is_member(t)  # shared root was planted
+
+
+# every (m, n) != (1, 1) with m*n <= 6 and n <= 4
+SHAPES = [(m, n) for n in range(1, 5) for m in range(1, 7) if m * n <= 6 and (m, n) != (1, 1)]
+
+
+def planted_roots(rng, m, n, field):
+    """Root lists of m entries with one planted root of multiplicity 0..n+1
+    in every entry, plus up to three roots from a small pool (so entries
+    share roots by chance), each with multiplicity 1..n; over R a nonreal
+    root comes with its conjugate."""
+    if field == FIELD_REAL:
+        pool = [F(k, 2) for k in range(-4, 5)] + [GaussianRational(F(1), F(1)), GaussianRational(F(-1, 2), F(2))]
+    else:
+        pool = [GaussianRational(F(a), F(b, 2)).canonical() for a in range(-1, 2) for b in range(-2, 3)]
+    planted, mu = rng.choice(pool), rng.randint(0 if m > 1 else 1, n + 1)
+    entries = []
+    for _ in range(m):
+        roots = [planted] * mu
+        for _ in range(rng.randint(0 if mu else 1, 3)):
+            roots += [rng.choice(pool)] * rng.randint(1, n)
+        if field == FIELD_REAL:
+            roots += [r.conjugate() for r in roots if isinstance(r, GaussianRational)]
+        entries.append(roots)
+    return entries
+
+
+def member_by_roots(entries, n) -> bool:
+    """Member unless some root lies in every entry's list n or more times."""
+    common = Counter(entries[0])
+    for roots in entries[1:]:
+        common &= Counter(roots)
+    return all(k < n for k in common.values())
+
+
+@pytest.mark.parametrize("field", [FIELD_REAL, FIELD_COMPLEX])
+@pytest.mark.parametrize("m, n", SHAPES)
+def test_membership_routes_match_planted_roots(m, n, field):
+    rng = random.Random(1000 * m + 10 * n + (field == FIELD_COMPLEX))
+    verdicts = set()
+    for _ in range(16):
+        entries = planted_roots(rng, m, n, field)
+        t = tuple_from_factor_lists(entries, n, field)
+        want = member_by_roots(entries, n)
+        verdicts.add(want)
+        assert is_member(t) == want
+        assert (max_common_multiplicity(t) < n) == want
+        assert is_member_via_jets(t) == want
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "roots, n, member",
+    [
+        # deg g = 3 >= n, yet every common root is simple
+        ([[1, 2, 3, 5], [1, 2, 3, -7]], 2, True),
+        ([[1, 2, 3]], 2, True),
+        # a common root, but deg g = 2 < n
+        ([[1, 1, -1], [1, 1, 4]], 3, True),
+        ([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2), 3], [F(1, 2), F(1, 2), 0]], 3, True),
+        # a common root of multiplicity exactly n
+        ([[1, 1, -2], [1, 1, 1]], 2, False),
+        ([[0, 0, 0, 5]], 3, False),
+        ([[2, 2, 2, 2, 1], [2, 2, 2, 2, 2, -1]], 4, False),
+        # deg g >= n from two simple roots and one of multiplicity n - 1
+        ([[1, 2, 3, 3], [1, 2, 3, 3, 3]], 3, True),
+    ],
+)
+def test_membership_edge_cases(roots, n, member):
+    t = tuple_from_factor_lists(roots, n)
+    assert is_member(t) == member
+    assert is_member_via_jets(t) == member
+    assert (max_common_multiplicity(t) < n) == member
+
+
+def test_is_member_never_runs_the_squarefree_decomposition(monkeypatch):
+    def refuse(f):
+        raise AssertionError("is_member ran Yun's algorithm")
+
+    monkeypatch.setattr(nonres, "squarefree_decomposition", refuse)
+    assert not is_member(tuple_from_factor_lists([[1, 1, 2], [1, 1, 3]], 2))
+    assert is_member(tuple_from_factor_lists([[1, 2, 3], [1, 2, 3, 4]], 2))
+    with pytest.raises(AssertionError):
+        max_common_multiplicity(tuple_from_factor_lists([[1, 1, 2], [1, 1, 3]], 2))
 
 
 # ---------------------------------------------------------------------------

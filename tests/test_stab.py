@@ -6,8 +6,10 @@ import pytest
 from nonresultant.case12 import component_of_12
 from nonresultant.case31 import Model31, i_d_loop, pi1_winding
 from nonresultant.exactalg import ExactPolynomial
+from nonresultant import stab
 from nonresultant.nonres import (
     FIELD_REAL,
+    MembershipError,
     SystemTuple,
     is_member,
     max_common_multiplicity,
@@ -108,6 +110,22 @@ def test_stabilize_multiplicity_pair():
     out = stabilize_multiplicity(t, recommended_T(t))
     assert max_common_multiplicity(out) == 1
     assert is_member(out)
+
+
+@pytest.mark.parametrize(
+    "stabilize, t",
+    [
+        (stabilize_31, linear_triple()),
+        (stabilize_multiplicity, SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL)),
+    ],
+)
+def test_stabilization_checks_its_output_membership(monkeypatch, stabilize, t):
+    # the post-condition is a raise, not an assert, so it runs under python -O
+    # as well; an output judged a non-member must surface as MembershipError
+    degree = t.degrees[0]
+    monkeypatch.setattr(stab, "is_member", lambda s: s.degrees[0] == degree)
+    with pytest.raises(MembershipError, match="stabilization broke membership"):
+        stabilize(t, recommended_T(t))
 
 
 # ---------------------------------------------------------------------------
