@@ -20,6 +20,7 @@ so the upper discriminant carries the whole exponent sum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +86,8 @@ class HalfPlaneConfig:
     def __post_init__(self):
         reals = tuple(float(x) for x in self.real_points)
         uppers = tuple(complex(u) for u in self.upper_points)
+        if not all(map(cmath.isfinite, reals + uppers)):
+            raise ValueError("configuration points must be finite")
         if any(u.imag <= 0 for u in uppers):
             raise ValueError("upper points must have positive imaginary part")
         if list(reals) != sorted(reals):
@@ -129,12 +132,12 @@ class HalfPlaneConfig:
             re, im = float(entry[0]), float(entry[1])
             if im == 0:
                 reals.append(re)
-            elif im > 0:
-                uppers.append(complex(re, im))
-            else:
+            elif -math.inf < im < 0:  # a non-finite im goes on to be rejected
                 raise ValueError(
                     "points below the axis are implicit mirrors; list only im >= 0"
                 )
+            else:
+                uppers.append(complex(re, im))
         return HalfPlaneConfig(tuple(sorted(reals)), tuple(uppers))
 
 

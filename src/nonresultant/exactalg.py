@@ -41,7 +41,10 @@ approximations (Edelman and Murakami 1995) usually pass the first residual
 check unchanged.  Cluster centers are validated against a backward-error
 bound; a polynomial that fails is retried from rotated circles of starting
 points, and failure of every attempt raises `NonConvergenceError` carrying
-the diagnostics to reproduce it.
+the diagnostics to reproduce it.  Clustering and validation are array passes
+over a degree group that repeat CPython's complex arithmetic on split real
+and imaginary floats, so they give the scalar code's results bit for bit
+(numpy's complex product, modulus and power differ in the last bit).
 """
 
 from __future__ import annotations
@@ -1339,83 +1342,166 @@ def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarr
     return out
 
 
-def _link_groups(centers: Sequence[complex], radii: Sequence[float], tol: float) -> list:
-    """Single-linkage groups of discs, as lists of indices; discs i and j link
-    when |c_i - c_j| <= tol + 5 (r_i + r_j).
-
-    A group starts at the least ungrouped index and then takes, one at a
-    time, the least remaining index linked to any of its members, listing
-    them in that order: the order in which a scan that merges one disc at a
-    time into the first cluster with a linked partner would add them, so
-    sums over a group round the same way as that scan's.
-    """
-    k = len(centers)
-    links = [[] for _ in range(k)]
-    for i, (ci, ri) in enumerate(zip(centers, radii)):
-        for j in range(i + 1, k):
-            if abs(ci - centers[j]) <= tol + 5.0 * (ri + radii[j]):
-                links[i].append(j)
-                links[j].append(i)
-    if not any(links):
-        return [[i] for i in range(k)]
-    grouped = [False] * k
-    groups = []
-    for start in range(k):
-        if grouped[start]:
-            continue
-        grouped[start] = True
-        group, reach = [start], set(links[start])
-        while reach:
-            j = min(reach)
-            reach.discard(j)
-            grouped[j] = True
-            group.append(j)
-            reach.update(x for x in links[j] if not grouped[x])
-        groups.append(group)
-    return groups
+# rows per array pass: bounds the (B, d, d) temporaries of Aberth and linking
+_CHUNK = 4096
 
 
-def _cluster_roots(roots: Sequence[complex], tol: float) -> list:
-    """Single-linkage clusters of the roots at radius tol."""
-    pts = sorted(roots, key=lambda c: (c.real, c.imag))
-    out = []
-    for group in _link_groups(pts, [0.0] * len(pts), tol):
-        if len(group) == 1:
-            # sum(c) / len(c) and the radius below, for a single root
-            z0 = (0 + pts[group[0]]) / 1
-            rad = abs(pts[group[0]] - z0)
-        else:
-            c = [pts[i] for i in group]
-            z0 = sum(c) / len(c)
-            rad = max(abs(a - z0) for a in c)
-        out.append(RootCluster(z0, max(rad, tol / 10), len(group)))
-    out.sort(key=lambda cl: (cl.center.real, cl.center.imag))
-    return out
+def _link_rows(re, im, radii, tol: np.ndarray, valid: np.ndarray) -> tuple:
+    """Single-linkage groups of the discs in each row of (B, k) arrays:
+    valid discs i and j link when |c_i - c_j| <= tol + 5 (r_i + r_j).  A
+    group starts at the least ungrouped index, then takes one at a time the
+    least index linked to a member: the order in which a scan merging one
+    disc at a time into the first cluster it links would add them, so sums
+    in it round as the scan's do.  Returns (order, start): each row's indices
+    in that order, and the mask of group starts."""
+    batch, k = re.shape
+    diag = np.arange(k)
+    order, start = np.repeat(diag[None, :], batch, axis=0), np.ones((batch, k), dtype=bool)
+    near = np.hypot(re[:, :, None] - re[:, None, :], im[:, :, None] - im[:, None, :])
+    near = near <= tol[:, None, None] + 5.0 * (radii[:, :, None] + radii[:, None, :])
+    near &= valid[:, :, None] & valid[:, None, :]
+    near[:, diag, diag] = False
+    if not np.count_nonzero(near):
+        return order, start
+    hit = np.flatnonzero(np.logical_or.reduce(near.reshape(batch, -1), axis=1))
+    links, at = near[hit], np.arange(len(hit))
+    grouped, reach = np.zeros((2, len(hit), k), dtype=bool)
+    for pos in range(k):
+        fresh = ~np.logical_or.reduce(reach, axis=1)
+        j = np.where(fresh[:, None], ~grouped, reach).argmax(axis=1)
+        order[hit, pos], start[hit, pos] = j, fresh
+        grouped[at, j] = True
+        reach = (reach | links[at, j]) & ~grouped
+    return order, start
 
 
-def _validate_clusters(f: ExactPolynomial, clusters: list) -> float:
-    """Max relative backward error of cluster centers; inf when degenerate."""
-    worst = 0.0
-    top_down = f.complex_coefficients[::-1]
-    mags = [abs(c) for c in top_down]
-    for cl in clusters:
-        z = cl.center
-        az = max(1.0, abs(z))
-        s = 0.0
-        for m in mags:
-            s = s * az + m
-        # f(z) by Horner, exactly as ExactPolynomial.__call__ evaluates it
-        v = 0j
-        for c in top_down:
-            v = v * z + c
-        err = abs(v) / s
-        # an m-fold cluster center is accurate to about the cluster radius,
-        # so its residual scales like radius**m
-        allowed = max(1e-9, (4.0 * max(cl.radius, 1e-15)) ** cl.multiplicity)
-        if not err <= allowed:
-            # a NaN residual (a non-finite center) is degenerate, not small
-            worst = math.inf if math.isnan(err) else max(worst, err / allowed)
+def _merge_rows(re, im, radii, weight, order: np.ndarray, start: np.ndarray) -> tuple:
+    """Merge each row's discs (B, k) in the groups `_link_rows` gave as
+    (order, start); weight 0 marks an empty slot.  Returns (re, im, radius,
+    weight) of the groups in the order of their first members, then empty
+    slots: the center sum(w c) / sum(w), summed in the visit order, and the
+    radius max |c - center| + r, each float step the one CPython takes for a
+    complex c and an int w (for w = 1 the products are exact)."""
+    at = np.arange(len(re))[:, None]
+    re, im, radii, weight = re[at, order], im[at, order], radii[at, order], weight[at, order]
+    # c * w multiplies by the complex (w, 0); sum() starts from the int 0
+    steps = (re * weight - im * 0.0, re * 0.0 + im * weight, weight)
+    runs = (0.0 + steps[0], 0.0 + steps[1], weight.copy())
+    for pos in range(1, re.shape[1]):  # running sums, restarted at each group
+        go = ~start[:, pos]
+        for run, step in zip(runs, steps):
+            run[go, pos] = run[go, pos - 1] + step[go, pos]
+    # a group's sums stand at its last member; move them to the group's slot
+    group = np.cumsum(start, axis=1) - 1
+    rows, pos = np.nonzero(np.roll(start, -1, axis=1))  # start[:, 0] is set
+    sum_re, sum_im, total = (np.zeros_like(run) for run in runs)
+    for moved, run in zip((sum_re, sum_im, total), runs):
+        moved[rows, group[rows, pos]] = run[rows, pos]
+    # s / n divides by the complex (n, 0)
+    c_re, c_im = np.stack((sum_re + sum_im * 0.0, sum_im - sum_re * 0.0)) / np.maximum(total, 1)
+    radius = np.zeros(re.shape)
+    np.maximum.at(radius, (at, group), np.hypot(re - c_re[at, group], im - c_im[at, group]) + radii)
+    return c_re, c_im, radius, total
+
+
+def _cluster_rows(re: np.ndarray, im: np.ndarray, tol: np.ndarray) -> tuple:
+    """Single-linkage clusters of each row's roots at radius tol (B,): the
+    roots sorted by (real, imag) and merged with radius 0 and weight 1, each
+    cluster's radius at least tol / 10.  Returns (re, im, radius,
+    multiplicity), (B, k) each, sorted by center, then empty slots."""
+    at = np.arange(len(re))[:, None]
+    by_root = np.lexsort((im, re), axis=1)
+    re, im, radii, ones = re[at, by_root], im[at, by_root], np.zeros(re.shape), np.ones(re.shape, dtype=int)
+    order, start = _link_rows(re, im, radii, tol, ones > 0)
+    floor = tol[:, None] / 10
+    if np.logical_and.reduce(start, axis=None):
+        # no link: every root a cluster of one, centered at 0 + root
+        return 0.0 + re, 0.0 + im, floor + radii, ones
+    cre, cim, rad, mult = _merge_rows(re, im, radii, ones, order, start)
+    by_center = np.lexsort((cim, cre, mult == 0), axis=1)
+    return cre[at, by_center], cim[at, by_center], np.maximum(rad, floor)[at, by_center], mult[at, by_center]
+
+
+def _backward_error_ratios(coef: np.ndarray, cre, cim, rad, mult) -> np.ndarray:
+    """Per row of (B, k) clusters of the polynomials with coefficients coef
+    (B, d+1), the worst ratio of a center's relative backward error to its
+    allowance: 0 when every center passes, inf when one is degenerate."""
+    az = np.fmax(1.0, np.hypot(cre, cim))
+    # (|c_j|, re c_j, im c_j) from the leading coefficient down, spread to (B, k)
+    table = np.stack((np.hypot(coef.real, coef.imag), coef.real, coef.imag)).transpose(2, 0, 1)[::-1]
+    scale, v_re, v_im = np.zeros((3, *cre.shape))
+    # f(z) by Horner, exactly as ExactPolynomial.__call__ evaluates it
+    for mag, c_re, c_im in np.repeat(table[..., None], cre.shape[1], axis=3):
+        scale = scale * az + mag
+        v_re, v_im = v_re * cre - v_im * cim + c_re, v_re * cim + v_im * cre + c_im
+    err = np.hypot(v_re, v_im) / scale
+    # an m-fold cluster center is accurate to about the cluster radius, so
+    # its residual scales like radius**m (CPython's float power)
+    power = 4.0 * np.maximum(rad, 1e-15)
+    if np.count_nonzero(mult > 1):
+        power[mult > 1] = [b**m for b, m in zip(power[mult > 1].tolist(), mult[mult > 1].tolist())]
+    allowed = np.fmax(1e-9, power)
+    failed = (mult > 0) & ~(err <= allowed)
+    worst = np.fmax.reduce(np.divide(err, allowed, out=np.zeros(err.shape), where=failed), axis=1)
+    # a NaN residual (a non-finite center) is degenerate, not small
+    worst[np.logical_or.reduce(failed & np.isnan(err), axis=1)] = math.inf
     return worst
+
+
+def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
+    """Root clusters as padded arrays (re, im, radius, multiplicity), each
+    (P, D) for P polynomials of degree at most D: row p holds the clusters
+    of polys[p] sorted by center (real part, then imaginary), then empty
+    slots of multiplicity 0 and center 0.  Aberth starts from one `eigvals`
+    call per degree group and _CHUNK rows; a row whose clusters fail the
+    backward-error check is retried from circle starts (`_ABERTH_RESTARTS`,
+    with 120, 240 and 360 iterations), and the whole group if the
+    eigensolver fails.  A row that fails every attempt raises
+    `NonConvergenceError` with diagnostics: the polynomial's coefficient
+    JSON, the start kinds tried, and its last backward-error ratio."""
+    by_degree: dict = {}
+    for idx, f in enumerate(polys):
+        if f.is_zero:
+            raise ValueError("the zero polynomial has every root")
+        if f.degree:
+            by_degree.setdefault(f.degree, []).append(idx)
+    width = max(by_degree, default=0)
+    out = np.zeros((4, len(polys), width))
+    for d, indices in by_degree.items():
+        for lo in range(0, len(indices), _CHUNK):
+            chunk = np.array(indices[lo : lo + _CHUNK])
+            coef = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
+            mat = coef / coef[:, -1:]
+            pending, ratios, eigen_ran = np.arange(len(chunk)), np.zeros(len(chunk)), False
+            for attempt, offset in enumerate((None, *_ABERTH_RESTARTS)):
+                rows = mat[pending]
+                if offset is None:
+                    try:
+                        z0, max_iter, eigen_ran = _eigenvalue_starts(rows), 120, True
+                    except np.linalg.LinAlgError:
+                        continue
+                else:
+                    z0, max_iter = _circle_starts(rows, offset), 120 * attempt
+                roots = _aberth_batch(rows, z0, max_iter)
+                # double roots blur to ~1e-7 in binary64: "coincident" means 1e-6
+                tol = 1e-6 * np.maximum(1.0, np.maximum.reduce(np.hypot(roots.real, roots.imag), axis=1))
+                clusters = _cluster_rows(roots.real, roots.imag, tol)
+                ratios[pending] = ratio = _backward_error_ratios(coef[pending], *clusters)
+                done = ratio == 0.0
+                out[:, chunk[pending[done]], :d] = np.stack(clusters)[:, done]
+                pending = pending[~done]
+                if not len(pending):
+                    break
+            if len(pending):
+                bad = polys[chunk[pending[0]]]
+                raise NonConvergenceError(
+                    f"root finding failed to certify clusters for {bad!r}",
+                    coefficients=poly_to_json(bad),
+                    starts=("eigenvalues",) * eigen_ran
+                    + tuple(f"circle offset {offset}" for offset in _ABERTH_RESTARTS),
+                    backward_error_ratio=float(ratios[pending[0]]),
+                )
+    return (*out[:3], out[3].astype(int))
 
 
 def complex_roots_numeric(f: ExactPolynomial) -> list:
@@ -1424,74 +1510,11 @@ def complex_roots_numeric(f: ExactPolynomial) -> list:
 
 
 def complex_roots_many(polys: Sequence[ExactPolynomial]) -> list:
-    """Batch variant of `complex_roots_numeric`: one Aberth loop per degree.
-
-    Aberth starts from the companion-matrix eigenvalues of every row of a
-    degree group, found by one `eigvals` call.  A row whose clusters fail the
-    backward-error check is retried from circle starts (`_ABERTH_RESTARTS`,
-    with 120, 240 and 360 iterations); if the eigensolver fails, the whole
-    group goes to the circles.  A row that fails every attempt raises
-    `NonConvergenceError` with diagnostics: the polynomial's coefficient JSON,
-    the start kinds tried, and its worst backward-error ratio (error over
-    allowance) on the last attempt.
-    """
-    results: list = [None] * len(polys)
-    by_degree: dict = {}
-    for idx, f in enumerate(polys):
-        if f.is_zero:
-            raise ValueError("the zero polynomial has every root")
-        if f.degree == 0:
-            results[idx] = []
-            continue
-        by_degree.setdefault(f.degree, []).append(idx)
-    for d, indices in by_degree.items():
-        for start in range(0, len(indices), 4096):
-            chunk = indices[start : start + 4096]
-            mat = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
-            mat = mat / mat[:, -1:]
-            pending = list(range(len(chunk)))
-            eigen_ran = False
-            ratios: dict = {}
-            for attempt, offset in enumerate((None, *_ABERTH_RESTARTS)):
-                rows = mat[pending]
-                if offset is None:
-                    try:
-                        z0 = _eigenvalue_starts(rows)
-                    except np.linalg.LinAlgError:
-                        continue
-                    eigen_ran = True
-                    max_iter = 120
-                else:
-                    z0 = _circle_starts(rows, offset)
-                    max_iter = 120 * attempt
-                roots = _aberth_batch(rows, z0, max_iter)
-                still = []
-                for row, rts in zip(pending, roots.tolist()):
-                    idx = chunk[row]
-                    f = polys[idx]
-                    scale = max(1.0, max(map(abs, rts)))
-                    # double roots blur to ~1e-7 in binary64, so "coincident"
-                    # means a 1e-6 resolution
-                    clusters = _cluster_roots(rts, 1e-6 * scale)
-                    ratio = _validate_clusters(f, clusters)
-                    if ratio == 0.0:
-                        results[idx] = clusters
-                    else:
-                        ratios[row] = ratio
-                        still.append(row)
-                pending = still
-                if not pending:
-                    break
-            if pending:
-                bad = polys[chunk[pending[0]]]
-                raise NonConvergenceError(
-                    f"root finding failed to certify clusters for {bad!r}",
-                    coefficients=poly_to_json(bad),
-                    starts=("eigenvalues",) * eigen_ran
-                    + tuple(f"circle offset {offset}" for offset in _ABERTH_RESTARTS),
-                    backward_error_ratio=ratios[pending[0]],
-                )
-    return results
+    """Batch variant of `complex_roots_numeric`, over `_root_cluster_arrays`."""
+    return [
+        [RootCluster(complex(x, y), r, m) for x, y, r, m in zip(*row) if m]
+        for row in zip(*(a.tolist() for a in _root_cluster_arrays(polys)))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .case12 import component_of_12, legal_labels_12, representative_12
 from .case21 import component_of_21, legal_labels_21, representative_21
 from .case31 import Model31, i_d_loop, pi1_winding, r_tilde
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
-    _link_groups,
-    complex_roots_many,
+    _link_rows,
+    _merge_rows,
+    _root_cluster_arrays,
     gcd_exact,
     has_real_root_between,
     interpolate_equispaced,
@@ -220,62 +223,36 @@ def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tupl
 
 
 _MERGE_REL = 2e-2  # well above the mult-4 blur, well below the lattice gap
-
-
-def _merge_clusters(clusters: list, tol: float) -> list:
-    """Single-linkage merge of root clusters whose centers sit within tol
-    (plus their own radii) of each other, as (center, radius, multiplicity)
-    tuples."""
-    centers = [c.center for c in clusters]
-    radii = [c.radius for c in clusters]
-    mults = [c.multiplicity for c in clusters]
-    merged = []
-    for members in _link_groups(centers, radii, tol):
-        if len(members) == 1:
-            # the sums and the max below, each over one member
-            i = members[0]
-            total = mults[i]
-            center = (0 + centers[i] * total) / total
-            merged.append((center, abs(centers[i] - center) + radii[i], total))
-            continue
-        total = sum(mults[i] for i in members)
-        center = sum(centers[i] * mults[i] for i in members) / total
-        radius = max(abs(centers[i] - center) + radii[i] for i in members)
-        merged.append((center, radius, total))
-    return merged
+_MERGE_ROWS = 512  # rows per merge pass: bounds its (B, k, k) temporaries
 
 
 def numeric_common_multiplicities(tuples: Sequence[SystemTuple]) -> list:
-    """Numeric max common multiplicity for a batch of tuples: all entry
-    polynomials go through one batched root solve, then the fine clusters are
-    re-merged at a scale-relative tolerance (a multiplicity-k root blurs to
-    far more than machine epsilon in binary64) and matched across entries.
-    """
-    flat = [f for t in tuples for f in t.polys]
-    coarse = []
-    for clusters in complex_roots_many(flat):
-        tol = _MERGE_REL * max(1.0, max(abs(c.center) for c in clusters))
-        coarse.append(_merge_clusters(clusters, tol))
-    out = []
-    pos = 0
-    for t in tuples:
-        per_poly = coarse[pos : pos + t.m]
-        pos += t.m
-        best = 0
-        for cand_center, cand_radius, cand_mult in per_poly[0]:
-            mult = cand_mult
-            base = _MERGE_REL * max(1.0, abs(cand_center))
-            for clusters in per_poly[1:]:
-                match = 0
-                for center, radius, multiplicity in clusters:
-                    if abs(center - cand_center) <= base + 5.0 * (cand_radius + radius):
-                        match = max(match, multiplicity)
-                mult = min(mult, match)
-                if mult == 0:
-                    break
-            best = max(best, mult)
-        out.append(best)
-    return out
+    """Numeric max common multiplicity for a batch of tuples, in array
+    passes.  One batched root solve covers every entry; each entry's clusters
+    merge at _MERGE_REL max(1, max |center|) plus five radii, since a
+    multiple root blurs far beyond machine epsilon.  A merged cluster of the
+    first entry counts with the least, over the other entries, of their
+    largest multiplicity within _MERGE_REL max(1, |center|) plus five times
+    both radii; the tuples of each m are matched together."""
+    clusters, merged = _root_cluster_arrays([f for t in tuples for f in t.polys]), []
+    for lo in range(0, len(clusters[0]) or 1, _MERGE_ROWS):
+        re, im, radius, mult = (a[lo : lo + _MERGE_ROWS] for a in clusters)
+        tol = _MERGE_REL * np.maximum(1.0, np.hypot(re, im).max(axis=1, initial=0.0))
+        merged.append(_merge_rows(re, im, radius, mult, *_link_rows(re, im, radius, tol, mult > 0)))
+    re, im, radius, mult = (np.concatenate(parts) for parts in zip(*merged))
+    out, ms = np.zeros(len(tuples), dtype=int), np.array([t.m for t in tuples], dtype=int)
+    for m in set(ms.tolist()):
+        idx = np.flatnonzero(ms == m)
+        row = (np.cumsum(ms) - ms)[idx]
+        best = mult[row]
+        base = _MERGE_REL * np.maximum(1.0, np.hypot(re[row], im[row]))
+        for j in range(1, m):
+            other = row + j
+            dist = np.hypot(re[row, :, None] - re[other, None, :], im[row, :, None] - im[other, None, :])
+            near = dist <= base[:, :, None] + 5.0 * (radius[row, :, None] + radius[other, None, :])
+            best = np.minimum(best, np.where(near, mult[other, None, :], 0).max(axis=2))
+        out[idx] = best.max(axis=1)
+    return out.tolist()
 
 
 def numeric_common_multiplicity(t: SystemTuple) -> int:

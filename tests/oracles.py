@@ -186,6 +186,26 @@ def cluster_roots_scan(roots, tol: float) -> list:
     return sorted(out, key=lambda cl: (cl[0].real, cl[0].imag))
 
 
+def backward_error_ratio_scalar(f: ExactPolynomial, clusters) -> float:
+    """Worst ratio of a cluster center's relative backward error to its
+    allowance max(1e-9, (4 max(radius, 1e-15))**m), over (center, radius,
+    m) clusters, in CPython complex arithmetic: 0 when every center passes,
+    inf when a residual is NaN."""
+    worst = 0.0
+    top_down = f.complex_coefficients[::-1]
+    for z, radius, m in clusters:
+        az = max(1.0, abs(z))
+        s, v = 0.0, 0j
+        for c in top_down:
+            s = s * az + abs(c)
+            v = v * z + c
+        err = abs(v) / s
+        allowed = max(1e-9, (4.0 * max(radius, 1e-15)) ** m)
+        if not err <= allowed:
+            worst = math.inf if math.isnan(err) else max(worst, err / allowed)
+    return worst
+
+
 def union_find_groups(centers, radii, tol: float) -> list:
     """Single-linkage groups of discs (i and j link when |c_i - c_j| <= tol +
     5 (r_i + r_j)) by union-find, each listed in ascending index order, the

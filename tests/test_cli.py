@@ -210,6 +210,27 @@ def test_electric_degree_from_pairs(capsys, monkeypatch):
     assert out.strip() == "2"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "[[NaN, 0.0]]",
+        "[[NaN, 1.0]]",
+        "[[Infinity, 1.0]]",
+        "[[0.0, Infinity]]",
+        "[[NaN, 1.0], [NaN, 1.0]]",
+        "[[0.0, NaN]]",
+        "[[0.0, -Infinity]]",
+        "[[-Infinity, 0.0]]",
+    ],
+)
+def test_electric_degree_rejects_non_finite_points(capsys, monkeypatch, doc):
+    # json.loads reads NaN and Infinity; no such point is a configuration
+    code, out, err = run(capsys, ["electric-degree"], doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "configuration points must be finite" in err
+
+
 def test_census_csv(capsys):
     code, out, _ = run(
         capsys, ["census", "--case", "12", "--d", "5", "--trials", "100", "--seed", "1"]

@@ -33,16 +33,18 @@ from nonresultant.exactalg import (
 
 from nonresultant.exactalg import (
     _aberth_batch,
+    _backward_error_ratios,
     _circle_starts,
-    _cluster_roots,
-    _link_groups,
+    _cluster_rows,
     _eigenvalue_starts,
     _int_primitive,
     _isolate_squarefree,
+    _link_rows,
     _simplest_between,
 )
 from oracles import (
     aberth_every_row,
+    backward_error_ratio_scalar,
     cauchy_index_real_line,
     circle_starts,
     cluster_roots_scan,
@@ -844,7 +846,7 @@ def test_nonconvergence_error_carries_diagnostics(monkeypatch):
     )
     # one 2-fold cluster at 7: f(7) = 30 against the scale 49 + 21 + 2, and
     # the least allowance, 1e-9
-    assert diag["backward_error_ratio"] == pytest.approx((30 / 72) / 1e-9)
+    assert diag["backward_error_ratio"] == (30 / 72) / 1e-9
     # when the eigensolver raises, only the circles were tried
     monkeypatch.setattr("nonresultant.exactalg._eigenvalue_starts", _eigensolver_fails)
     with pytest.raises(NonConvergenceError) as info:
@@ -856,6 +858,12 @@ def test_nonconvergence_error_carries_diagnostics(monkeypatch):
     )
 
 
+def _row_clusters(roots, tol):
+    """(center, radius, multiplicity) of `_cluster_rows` on one row."""
+    row = (np.array([[r.real for r in roots]]), np.array([[r.imag for r in roots]]), np.array([tol]))
+    return [(complex(x, y), r, m) for x, y, r, m in zip(*(a[0].tolist() for a in _cluster_rows(*row))) if m]
+
+
 def test_cluster_roots_matches_full_scan_bitwise():
     rng = random.Random(52)
     for _ in range(400):
@@ -865,9 +873,51 @@ def test_cluster_roots_matches_full_scan_bitwise():
         roots = [b + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-9, -1)
                  for b in base]
         tol = 10.0 ** rng.randint(-8, 0)
-        got = [(c.center, c.radius, c.multiplicity) for c in _cluster_roots(roots, tol)]
-        want = cluster_roots_scan(roots, tol)
-        assert repr(got) == repr(want)
+        assert repr(_row_clusters(roots, tol)) == repr(cluster_roots_scan(roots, tol))
+    # sum() starts from the int 0, which turns a center's -0.0 into 0.0
+    for roots in ([complex(-0.0, 1.0), complex(2.0, -0.0)], [complex(-0.0, -0.0)] * 2):
+        assert repr(_row_clusters(roots, 1e-3)) == repr(cluster_roots_scan(roots, 1e-3))
+
+
+def test_backward_error_ratios_match_scalar_validation():
+    # random centers, mostly with radii of 0.01-0.1 and multiplicities 1-4,
+    # so that the allowance (4 r)**m runs above its 1e-9 floor and through
+    # CPython's float power, which numpy's vectorised power does not match
+    # bit for bit
+    rng = random.Random(57)
+    for _ in range(300):
+        d, k = rng.randint(1, 8), rng.randint(1, 3)
+        f = random_poly(rng, d, gaussian=rng.random() < 0.5)
+        clusters = [
+            (
+                complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                10.0 ** (rng.uniform(-2, -1) if rng.random() < 0.8 else rng.uniform(-16, -2)),
+                rng.randint(1, 4),
+            )
+            for _ in range(k)
+        ]
+        cre, cim = np.array([[c.real for c, _, _ in clusters]]), np.array([[c.imag for c, _, _ in clusters]])
+        rad, mult = np.array([[r for _, r, _ in clusters]]), np.array([[m for _, _, m in clusters]])
+        coef = np.array([f.complex_coefficients], dtype=complex)
+        (got,) = _backward_error_ratios(coef, cre, cim, rad, mult).tolist()
+        assert got == backward_error_ratio_scalar(f, clusters)
+
+
+def _link_groups(centers, radii, tol):
+    """The groups `_link_rows` finds in one row, as lists of indices."""
+    order, start = _link_rows(
+        np.array([[c.real for c in centers]]),
+        np.array([[c.imag for c in centers]]),
+        np.array([radii], dtype=float).reshape(1, -1),
+        np.array([tol]),
+        np.ones((1, len(centers)), dtype=bool),
+    )
+    groups = []
+    for j, first in zip(order[0].tolist(), start[0].tolist()):
+        if first:
+            groups.append([])
+        groups[-1].append(j)
+    return groups
 
 
 def test_link_groups_grow_by_least_linked_index():
@@ -877,6 +927,37 @@ def test_link_groups_grow_by_least_linked_index():
     # radii widen the link by 5 * (r_i + r_j)
     assert _link_groups([0j, 3 + 0j], [0.25, 0.25], 1.0) == [[0, 1]]
     assert _link_groups([], [], 1.0) == []
+
+
+def test_batch_clusters_equal_single_row_clusters(monkeypatch):
+    # one batch of degrees 1-8 with real and Gaussian coefficients, planted
+    # multiplicities 1-4, and generic coefficients.  A degree group holds
+    # real rows (odd degrees) or Gaussian rows (even degrees) only: a real
+    # row grouped with a Gaussian one starts from the complex eigensolver
+    rng = random.Random(56)
+    reals = [F(a, 2) for a in range(-8, 9)]
+    gaussians = [GaussianRational(F(a, 2), F(b, 2)) for a in range(-6, 7) for b in range(-4, 5)]
+    polys = []
+    for k in range(160):
+        gaussian = k % 2 == 1
+        d = 2 * rng.randint(1, 4) - (not gaussian)
+        if k % 4 >= 2:
+            polys.append(random_poly(rng, d, gaussian=gaussian))
+            continue
+        mu = rng.randint(1, min(4, d))
+        while True:  # a Gaussian row needs a nonreal coefficient
+            roots = rng.sample(gaussians if gaussian else reals, d - mu + 1)
+            f = ExactPolynomial.from_roots(roots[:1] * mu + roots[1:])
+            if f.is_real != gaussian:
+                break
+        polys.append(f)
+    assert {f.degree for f in polys} == set(range(1, 9))
+    assert all(f.is_real == (f.degree % 2 == 1) for f in polys)
+    alone = [repr(complex_roots_numeric(f)) for f in polys]
+    assert [repr(c) for c in complex_roots_many(polys)] == alone
+    # rows split across chunks give the same clusters
+    monkeypatch.setattr("nonresultant.exactalg._CHUNK", 3)
+    assert [repr(c) for c in complex_roots_many(polys)] == alone
 
 
 def test_complex_roots_multiplicity_sums():

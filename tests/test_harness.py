@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nonresultant.case21 import component_of_21, representative_21
@@ -10,7 +12,8 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     RootCluster,
-    _link_groups,
+    _link_rows,
+    _merge_rows,
     real_roots_exact,
     resultant_exact,
 )
@@ -18,11 +21,11 @@ from nonresultant.harness import (
     CASE_SHAPES,
     _boundary_polynomial,
     _first_violation,
-    _merge_clusters,
     certify_path,
     invariant_sweep,
     is_member_numeric,
     locate_violation,
+    numeric_common_multiplicities,
     numeric_common_multiplicity,
     path_tuple,
     planted_tuple,
@@ -103,6 +106,49 @@ def test_numeric_multiplicity_complex_field():
         assert numeric_common_multiplicity(t) == mu
 
 
+def _shared_root_tuple(rng, m: int, mu: int, field: str):
+    """A tuple of m entries with pairwise unequal degrees that share one
+    root: mu times in one entry, mu to 4 times in the others.  Their other
+    roots are distinct lattice points, so the largest common multiplicity is
+    mu (for m = 1, the largest multiplicity of the one entry)."""
+    if field == FIELD_REAL:
+        pool = [F(a, 2) for a in range(-12, 13)]
+    else:
+        pool = [GaussianRational(F(a, 2), F(b, 2)) for a in range(-6, 7) for b in range(-4, 5)]
+    rng.shuffle(pool)
+    common = pool.pop()
+    mults = [mu] + [rng.randint(mu, 4) for _ in range(m - 1)]
+    rng.shuffle(mults)
+    polys, degrees = [], set()
+    for k in mults:
+        extra = rng.randint(0, 3)
+        while k + extra in degrees or k + extra == 0:
+            extra += 1
+        degrees.add(k + extra)
+        polys.append(ExactPolynomial.from_roots([common] * k + [pool.pop() for _ in range(extra)]))
+    return SystemTuple(tuple(polys), 2, field)
+
+
+def test_numeric_multiplicities_on_unequal_degrees_and_mixed_m(monkeypatch):
+    rng = random.Random(83)
+    tuples, planted = [], []
+    for k in range(90):
+        m = 1 + k % 3
+        mu = rng.randint(1 if m == 1 else 0, 3)
+        field = FIELD_COMPLEX if k % 2 else FIELD_REAL
+        t = _shared_root_tuple(rng, m, mu, field)
+        assert m == 1 or len(set(t.degrees)) == m
+        tuples.append(t)
+        planted.append(mu)
+    # one batch mixing m = 1, 2 and 3, each tuple on its own, and merge
+    # passes that split the batch mid-tuple
+    assert numeric_common_multiplicities(tuples) == planted
+    assert [numeric_common_multiplicity(t) for t in tuples[:12]] == planted[:12]
+    monkeypatch.setattr("nonresultant.harness._MERGE_ROWS", 7)
+    assert numeric_common_multiplicities(tuples) == planted
+    assert numeric_common_multiplicities([]) == []
+
+
 def test_numeric_multiplicity_close_roots_still_split():
     # distinct roots at distance 1/4 must not merge
     f = ExactPolynomial.from_roots([F(0), F(1, 4)])
@@ -125,10 +171,14 @@ def test_merge_clusters_matches_union_find_oracle():
         rng.shuffle(centers)
         radii = [tol * rng.choice((0.0, 1e-3, 1e-2)) for _ in range(k)]
         clusters = [RootCluster(c, r, rng.randint(1, 4)) for c, r in zip(centers, radii)]
-        groups = _link_groups(centers, radii, tol)
-        assert [sorted(g) for g in groups] == union_find_groups(centers, radii, tol)
-        out_of_order += any(g != sorted(g) for g in groups)
-        got = _merge_clusters(clusters, tol)
+        re, im = np.array([[c.real for c in centers]]), np.array([[c.imag for c in centers]])
+        rad, mult, row_tol = np.array([radii]), np.array([[c.multiplicity for c in clusters]]), np.array([tol])
+        order, start = _link_rows(re, im, rad, row_tol, mult > 0)
+        groups = np.split(order[0], np.flatnonzero(start[0])[1:])
+        assert [sorted(g.tolist()) for g in groups] == union_find_groups(centers, radii, tol)
+        out_of_order += any(g.tolist() != sorted(g.tolist()) for g in groups)
+        merged = [a[0].tolist() for a in _merge_rows(re, im, rad, mult, order, start)]
+        got = [(complex(x, y), r, m) for x, y, r, m in zip(*merged) if m]
         want = merge_clusters_union_find(clusters, tol)
         assert [m for _, _, m in got] == [m for _, _, m in want]
         for (c, r, _), (wc, wr, _) in zip(got, want):
@@ -325,6 +375,41 @@ def test_planted_nonmember_off_the_dyadic_grid_is_located(a, nonmember, t0):
     (cert,) = path.violations
     assert cert.lo <= t0 <= cert.hi and cert.width <= F(1, 10**6)
     assert locate_violation(a, b) == cert
+
+
+def _sqrt2_parts(u: F, v: F, n: int, h: ExactPolynomial) -> tuple:
+    """(A, B) with (z - u - v sqrt 2)^n h = A + B sqrt 2, both rational:
+    the even and odd powers of sqrt 2 in the binomial expansion."""
+    parts = [ExactPolynomial.constant(0), ExactPolynomial.constant(0)]
+    for k in range(n + 1):
+        parts[k % 2] = parts[k % 2] + (z - u) ** (n - k) * (math.comb(n, k) * (-v) ** k * 2 ** (k // 2))
+    return parts[0] * h, parts[1] * h
+
+
+@pytest.mark.parametrize(
+    "n, hs",
+    [(3, [z**2 + 1]), (2, [z + 3, z**2 + 4])],
+    ids=["13", "22"],
+)
+def test_irrational_crossing_is_bracketed(n, hs):
+    # with P = (z - u - v sqrt 2)^n h = M + D sqrt 2 per entry, the path from
+    # M - D to M + 2D is M + (3t - 1) D, which is P at 3t - 1 = sqrt 2: the
+    # entries share a root of multiplicity n at t = (1 + sqrt 2)/3, a root of
+    # 9t^2 - 6t - 1; both (2,2) entries move along the same s = 3t - 1
+    parts = [_sqrt2_parts(F(1, 2), F(1, 3), n, h) for h in hs]
+    a = SystemTuple(tuple(m - d for m, d in parts), n, FIELD_REAL)
+    b = SystemTuple(tuple(m + d * 2 for m, d in parts), n, FIELD_REAL)
+    assert is_member(a) and is_member(b)
+
+    def crossing_sign(t: F) -> int:
+        return (9 * t * t - 6 * t - 1 > 0) - (9 * t * t - 6 * t - 1 < 0)
+
+    cert = locate_violation(a, b)
+    assert cert is not None and cert.lo < cert.hi <= cert.lo + F(1, 10**6)
+    assert crossing_sign(cert.lo) * crossing_sign(cert.hi) == -1
+    path = certify_path(a, b)
+    assert not path.certified
+    assert path.violations == (cert,)
 
 
 def test_crossing_closer_to_an_end_than_the_width_is_located():
