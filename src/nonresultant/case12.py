@@ -30,10 +30,10 @@ import numpy as np
 from .exactalg import (
     ExactPolynomial,
     NonConvergenceError,
-    cauchy_index,
     cauchy_root_bound,
     complex_roots_numeric,
     real_roots_exact,
+    sturm_count,
 )
 from .mapdeg import WindingError, arg_steps, whole_turns
 
@@ -58,11 +58,11 @@ def legal_labels_12(d: int) -> list:
 
 def _check_squarefree(f: ExactPolynomial) -> int:
     """Reject all but squarefree monic real polynomials of positive degree;
-    return the number of real roots.  One signed remainder sequence of f and
-    f' gives both: it ends in gcd(f, f'), and its variations count the roots."""
+    return the number of real roots.  f's Sturm chain gives both: it ends in
+    gcd(f, f'), and its variations count the roots (`sturm_count`)."""
     if f.degree < 1 or not f.is_monic or not f.is_real:
         raise ValueError("expected a monic real polynomial of positive degree")
-    real_count, repeated = cauchy_index(f, f.derivative())
+    real_count, repeated = sturm_count(f)
     if repeated:
         raise ValueError("the polynomial has a repeated root")
     return real_count
@@ -148,10 +148,16 @@ def to_configuration(f: ExactPolynomial) -> HalfPlaneConfig:
     numeric root finder, cross-checked against the exact real-root count.
     When every root is real there are no pairs, and no numeric call.  A
     disagreement raises `NonConvergenceError` whose diagnostics hold the
-    exact real count and the cluster centers."""
+    exact real count and the cluster centers.
+
+    Each real root becomes its nearest float, so two distinct real roots
+    closer than one float apart would become one point; that raises
+    ValueError, since the configuration cannot hold them."""
     _check_squarefree(f)
     real_roots = real_roots_exact(f)
     reals = tuple(r.float_value() for r in real_roots)
+    if any(x == y for x, y in zip(reals, reals[1:])):
+        raise ValueError("distinct real roots are closer than one float apart")
     if len(reals) == f.degree:
         return HalfPlaneConfig(reals, ())
     clusters = complex_roots_numeric(f)

@@ -25,12 +25,14 @@ is one PRS fold that keeps the primitive part between steps (over Z[i], the
 monic associate's numerators) and makes only the final gcd monic.
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
-built once per squarefree factor over Z with positive content stripped at
-each step, and sign variations are counted at p/q from the integer
-q**d * f(p/q).  Bisection runs on integer numerators only, over an explicit
-worklist of dyadic intervals, and produces refinable isolating intervals
-whose endpoints are dyadic rationals.  An exact rational hit during
-bisection is returned as a degenerate interval [r, r].
+built over Z with positive content stripped at each step, once per
+polynomial (it is cached on it, and a chain ending in a constant proves the
+input squarefree, so Yun is skipped), and sign variations are counted at p/q
+from the integer q**d * f(p/q).  Bisection runs on integer numerators only,
+over an explicit worklist of dyadic intervals, and produces refinable
+isolating intervals whose endpoints are dyadic rationals.  An exact rational
+hit during bisection is returned as a degenerate interval [r, r].  Rounding
+a root to its float uses quadratic interval refinement instead of halving.
 
 Complex roots are approximated by the Aberth-Ehrlich simultaneous iteration
 (vectorised, with a batch entry point so many same-degree polynomials share
@@ -83,6 +85,7 @@ __all__ = [
     "scalar_to_json",
     "sign_at",
     "squarefree_decomposition",
+    "sturm_count",
 ]
 
 
@@ -570,6 +573,16 @@ class ExactPolynomial:
             raise ValueError("polynomial has nonreal coefficients")
         return tuple(a / self._den for a in self._re)
 
+    @cached_property
+    def sturm_chain(self) -> list:
+        """The Sturm chain of a real polynomial: the signed remainder
+        sequence of its numerators and their derivative (`_sturm_chain`),
+        ending in gcd(f, f') up to a positive factor.  Built on first use and
+        shared by every later reader, which must not modify it."""
+        if not self.is_real:
+            raise ValueError("Sturm counting needs real coefficients")
+        return _sturm_chain(self._re, _int_derivative(self._re))
+
     def __call__(self, x):
         if isinstance(x, (int, Fraction, GaussianRational)):
             if self.is_zero:
@@ -816,7 +829,11 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
     if f.degree == 0:
         return []
     w = f.monic()
-    g = gcd_exact(w, w.derivative())
+    return _yun(w, gcd_exact(w, w.derivative()))
+
+
+def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
+    """Yun's loop on a monic w of positive degree, given g = gcd(w, w')."""
     if g.degree == 0:
         return [(w, 1)]
     out = []
@@ -836,16 +853,32 @@ def squarefree_decomposition(f: ExactPolynomial) -> list:
 # ---------------------------------------------------------------------------
 # real root isolation (Sturm)
 #
-# Every point the bisection visits is p/q with integers p and q > 0, and
-# `_sign_at` decides the sign of f there from q**d * f(p/q) by Horner on
-# integers; no Fraction is built inside a bisection loop.  Isolation starts
-# from (-2**e, 2**e) with 2**e above the Cauchy bound, and works through an
-# explicit worklist of dyadic intervals (a/2**k, b/2**k, count): an interval
-# holding one root is output, one holding more is halved, and a midpoint that
-# is itself a root is output as [r, r] with a root-free strip around it cut
-# out of the interval.  Sturm variation counts are cached per point, keyed by
-# the reduced (numerator, k).  `RealRoot.refine` brings lo and hi over one
-# denominator and bisects the numerators.
+# Every point the isolation visits is p/q with integers p and q > 0, and
+# `_value_at` gives q**d * f(p/q) by Horner on integers (`_sign_at` is its
+# sign); no Fraction is built inside a refinement loop.  The Sturm chain of a
+# real polynomial is built once and cached on it (`ExactPolynomial.sturm_chain`):
+# `sturm_count`, `count_distinct_real_roots`, `has_real_root_between` and the
+# isolation of a squarefree input all read that one chain.  A chain that ends
+# in a constant proves f squarefree, and `real_roots_exact` then isolates f's
+# positive-leading primitive part with it directly, which is the factor Yun's
+# monic output would give; otherwise Yun starts from the chain's last element,
+# gcd(f, f'), instead of a second remainder sequence.
+#
+# Isolation starts from (-2**e, 2**e) with 2**e above the Cauchy bound, and
+# works through an explicit worklist of dyadic intervals (a/2**k, b/2**k,
+# count): an interval holding one root is output, one holding more is halved,
+# and a midpoint that is itself a root is output as [r, r] with a root-free
+# strip around it cut out of the interval.  Sturm variation counts are cached
+# per point, keyed by the reduced (numerator, k); the chain starts with +-f,
+# so the same evaluations tell whether a point is a root.
+#
+# `RealRoot.refine` brings lo and hi over one denominator and bisects the
+# numerators; its intervals are part of the output (violation brackets, sweep
+# reports), so it stays plain bisection.  `RealRoot.float_value` only needs the
+# correctly rounded float, which is unique, and gets there by quadratic
+# interval refinement (Abbott 2006; Kerber and Sagraloff, ISSAC 2011): a
+# secant step tested on a grid whose size squares on every hit, so the bits
+# gained double per step where bisection gains one.
 # ---------------------------------------------------------------------------
 
 
@@ -857,14 +890,19 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(cs: Sequence[int], p: int, q: int) -> int:
-    """Sign of f(p/q) for q > 0: the sign of sum a_k p**k q**(d-k), exactly."""
+def _value_at(cs: Sequence[int], p: int, q: int) -> int:
+    """q**d * f(p/q) = sum a_k p**k q**(d-k) for q > 0, by Horner on integers."""
     s = 0
     qq = 1
     for a in reversed(cs):
         s = s * p + a * qq
         qq *= q
-    return _sign(s)
+    return s
+
+
+def _sign_at(cs: Sequence[int], p: int, q: int) -> int:
+    """Sign of f(p/q) for q > 0, exactly."""
+    return _sign(_value_at(cs, p, q))
 
 
 def _sturm_chain(a: Sequence[int], b: Sequence[int]) -> list:
@@ -891,24 +929,22 @@ def _sturm_chain(a: Sequence[int], b: Sequence[int]) -> list:
     return chain
 
 
-def _variations(signs: Iterable[int]) -> int:
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros skipped."""
     out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
+    neg = None
+    for v in values:
+        if v:
+            if neg is not None and (v < 0) != neg:
+                out += 1
+            neg = v < 0
     return out
 
 
 def _variations_at_inf(chain: list, positive: bool) -> int:
     if positive:
-        return _variations(_sign(cs[-1]) for cs in chain)
-    return _variations(
-        _sign(cs[-1]) * (-1 if (len(cs) - 1) % 2 else 1) for cs in chain
-    )
+        return _variations(cs[-1] for cs in chain)
+    return _variations(-cs[-1] if (len(cs) - 1) % 2 else cs[-1] for cs in chain)
 
 
 def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
@@ -927,9 +963,23 @@ def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
         raise ValueError("Sturm counting needs real coefficients")
     if g.degree >= f.degree:
         raise ValueError("the Cauchy index needs deg g < deg f")
-    chain = _sturm_chain(f._re, g._re)
+    return _chain_index(_sturm_chain(f._re, g._re))
+
+
+def _chain_index(chain: list) -> tuple:
+    """(V(-inf) - V(+inf), degree of the last element) of a remainder chain."""
     index = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
     return index, len(chain[-1]) - 1
+
+
+def sturm_count(f: ExactPolynomial) -> tuple:
+    """(number of distinct real roots, deg gcd(f, f')) of a real f != 0,
+    read from its cached Sturm chain: the count is the Cauchy index of
+    f'/f, which jumps from -inf to +inf at every real root of f whatever
+    its multiplicity, and the chain ends in gcd(f, f')."""
+    if f.is_zero:
+        raise ValueError("the zero polynomial has every root")
+    return _chain_index(f.sturm_chain)
 
 
 # the largest float, and the least magnitude that rounds to an infinity
@@ -944,13 +994,20 @@ class RealRoot:
     roots, or an exact rational root when lo == hi.  `_sign_lo` is the sign
     of the factor at lo (0 for an exact root).
 
+    `real_roots_exact` makes the factor and the sign from the same
+    positive-leading primitive polynomial whether or not it ran Yun, so a
+    root's value does not depend on the leading coefficient of its input.
+
     `refine` returns a new value whose interval is at most `max_width` wide.
     It puts lo and hi over one common denominator q and bisects the integer
     numerators: each step doubles them and q and takes their sum as the
     midpoint, so the interval's numerator width stays fixed and the width
     test is one integer comparison.  The signs come from `_sign_at`; a
     midpoint where the factor vanishes becomes an exact root.  The endpoints
-    are built as Fractions once, at the end."""
+    are built as Fractions once, at the end.  Its intervals are the dyadic
+    halvings of the isolating one, and callers report them, so `refine`
+    stays bisection; `float_value` uses a faster refinement because only its
+    float, not its interval, is seen."""
 
     lo: Fraction
     hi: Fraction
@@ -989,11 +1046,18 @@ class RealRoot:
     def float_value(self) -> float:
         """The root rounded to the nearest float, at any magnitude.
 
-        The interval is bisected on integer numerators, as in `refine`, until
-        a midpoint is the root or both ends round to one float.  Once they
-        round to two adjacent floats, the factor's sign at the tie between
-        the two decides the side; a root at the tie rounds to even.  A root
-        at or beyond +-(2**1024 - 2**970) would round to an infinity and raises
+        The interval is refined on integer numerators until an evaluated
+        point is the root or both ends round to one float.  Each step is one
+        of quadratic interval refinement: the secant through the factor's
+        values at the ends predicts a cell of a grid of n cells over the
+        interval, and one or two exact evaluations test it.  On a hit the
+        cell is the new interval and n is squared; on a miss n drops to its
+        square root (at least 2) and the interval is halved at its grid
+        midpoint.  With n = 2 the predicted cell is always tested against an
+        end, so the step is a bisection and always hits.  Once the ends round
+        to two adjacent floats, the factor's sign at the tie between the two
+        decides the side; a root at the tie rounds to even.  A root at or
+        beyond +-(2**1024 - 2**970) would round to an infinity and raises
         ValueError; the interval is first cut there, and an end at a cut reads
         as the largest float, the rounding of every point inside it."""
         q = math.lcm(self.lo.denominator, self.hi.denominator)
@@ -1009,22 +1073,49 @@ class RealRoot:
                     a, b = (edge, b) if s == s_lo else (a, edge)
         if a >= top or b <= -top:
             raise ValueError("the real root lies beyond the float range")
-        lo_cut, hi_cut = a == -top, b == top
-        while (x := -_FLOAT_MAX if lo_cut else a / q) != (y := _FLOAT_MAX if hi_cut else b / q):
+        d = len(cs) - 1
+        fa = fb = None
+        n = 4
+        while (x := -_FLOAT_MAX if a == -top else a / q) != (y := _FLOAT_MAX if b == top else b / q):
             if math.nextafter(x, y) == y:
                 tie = (Fraction(x) + Fraction(y)) / 2
                 s = _sign_at(cs, tie.numerator, tie.denominator)
                 if s == 0:
                     return float(tie)
                 return y if s == s_lo else x
-            m, a, b, q = a + b, a << 1, b << 1, q << 1
-            s = _sign_at(cs, m, q)
-            if s == 0:
+            if fa is None:
+                fa, fb = _value_at(cs, a, q), _value_at(cs, b, q)
+            # the secant meets zero at a + t*(b - a), t = fa / (fa - fb); m is
+            # the inner point of the n-cell grid nearest to it
+            u, v = abs(fa), abs(fb)
+            i = min(max((2 * n * u + u + v) // (2 * (u + v)), 1), n - 1)
+            w, scale = b - a, n**d
+            a, b, q, top, fa, fb = a * n, b * n, q * n, top * n, fa * scale, fb * scale
+            m = a + i * w
+            fm = _value_at(cs, m, q)
+            if fm == 0:
                 return m / q
-            if s == s_lo:
-                a, lo_cut = m, False
+            # the cell next to m on the root's side is a hit when the sign
+            # changes across it; else the root lies beyond it
+            right = _sign(fm) == s_lo
+            c = m + w if right else m - w
+            fc = fb if c == b else fa if c == a else _value_at(cs, c, q)
+            if fc == 0:
+                return c / q
+            if (_sign(fc) == s_lo) != right:
+                a, b, fa, fb = (m, c, fm, fc) if right else (c, m, fc, fm)
+                n *= n
+                continue
+            # a miss: halve the interval at its grid midpoint
+            mid = a + n // 2 * w
+            fmid = fm if mid == m else fc if mid == c else _value_at(cs, mid, q)
+            if fmid == 0:
+                return mid / q
+            if _sign(fmid) == s_lo:
+                a, fa = mid, fmid
             else:
-                b, hi_cut = m, False
+                b, fb = mid, fmid
+            n = max(math.isqrt(n), 2)
         return x
 
     __float__ = float_value
@@ -1078,16 +1169,16 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(p * t + p0) / (q * t + q0)
 
 
-def _isolate_squarefree(cs: Sequence[int]) -> list:
-    """Isolating intervals/exact points for a squarefree integer polynomial,
-    as sorted (lo, hi, sign of f at lo) triples of Fractions."""
+def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
+    """Isolating intervals/exact points for a squarefree integer polynomial
+    with Sturm chain `chain` (unused, and may be None, below degree 2), as
+    sorted (lo, hi, sign of f at lo) triples of Fractions."""
     d = len(cs) - 1
     if d < 1:
         return []
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    chain = _sturm_chain(cs, _int_derivative(cs))
     # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
     lead = abs(cs[-1])
     top = lead + max(abs(c) for c in cs[:-1])
@@ -1096,14 +1187,16 @@ def _isolate_squarefree(cs: Sequence[int]) -> list:
         b <<= 1
     var_cache = {}
 
-    def var(p: int, k: int) -> int:
-        # sign variations of the chain at p / 2**k
+    def var(p: int, k: int) -> Optional[int]:
+        # sign variations of the chain at p / 2**k, or None where f vanishes
+        # there (the chain starts with +-f)
         z = min((p & -p).bit_length() - 1, k) if p else k
         key = (p >> z, k - z)
-        v = var_cache.get(key)
-        if v is None:
+        v = var_cache.get(key, -1)
+        if v == -1:
             q = 1 << key[1]
-            v = var_cache[key] = _variations(_sign_at(c, key[0], q) for c in chain)
+            values = [_value_at(c, key[0], q) for c in chain]
+            v = var_cache[key] = _variations(values) if values[0] else None
         return v
 
     out = []
@@ -1118,7 +1211,8 @@ def _isolate_squarefree(cs: Sequence[int]) -> list:
             out.append((Fraction(lo, q), Fraction(hi, q), _sign_at(cs, lo, q)))
             continue
         mid, lo, hi, k = lo + hi, lo << 1, hi << 1, k + 1
-        if _sign_at(cs, mid, 1 << k) == 0:
+        v = var(mid, k)
+        if v is None:
             # exact rational hit: record it and excise a root-free strip
             # (mid - eps, mid + eps) so interval endpoints are never roots;
             # eps = e / 2**k starts at a quarter of the half-width, so the
@@ -1129,15 +1223,15 @@ def _isolate_squarefree(cs: Sequence[int]) -> list:
             mid, lo, hi, k = mid << 3, lo << 3, hi << 3, k + 3
             while True:
                 a, b2 = mid - e, mid + e
-                q = 1 << k
-                if _sign_at(cs, a, q) and _sign_at(cs, b2, q) and var(a, k) - var(b2, k) == 1:
+                v_a = var(a, k)
+                v_b = None if v_a is None else var(b2, k)
+                if v_b is not None and v_a - v_b == 1:
                     break
                 # halve eps: same numerator one level deeper
                 mid, lo, hi, k = mid << 1, lo << 1, hi << 1, k + 1
             work.append((lo, a, k, var(lo, k) - var(a, k)))
             work.append((b2, hi, k, var(b2, k) - var(hi, k)))
         else:
-            v = var(mid, k)
             work.append((lo, mid, k, var(lo, k) - v))
             work.append((mid, hi, k, v - var(hi, k)))
     out.sort(key=lambda t: (t[0], t[1]))
@@ -1158,10 +1252,21 @@ def real_roots_exact(f: ExactPolynomial) -> list:
         raise ValueError("real root isolation needs real coefficients")
     if f.degree == 0:
         return []
+    chain = f.sturm_chain
+    if len(chain[-1]) == 1:
+        # squarefree: f's own chain, and the positive-leading primitive part
+        # of f, which is what Yun's monic factor would give
+        lead = chain[0][-1]
+        parts = [(tuple(c if lead > 0 else -c for c in chain[0]), 1, chain)]
+    else:
+        # Yun's first gcd is the chain's last element, made monic
+        parts = [
+            (tuple(_int_primitive(p._re)), mult, p.sturm_chain if p.degree > 1 else None)
+            for p, mult in _yun(f.monic(), _Z.polynomial(chain[-1]).monic())
+        ]
     roots = []
-    for factor, mult in squarefree_decomposition(f):
-        ics = tuple(_int_primitive(factor._re))
-        for lo, hi, s_lo in _isolate_squarefree(ics):
+    for ics, mult, factor_chain in parts:
+        for lo, hi, s_lo in _isolate_squarefree(ics, factor_chain):
             roots.append(RealRoot(lo, hi, mult, ics, s_lo))
     # roots of coprime factors are distinct, so refining whichever of two
     # overlapping intervals is wider separates them after finitely many passes
@@ -1185,13 +1290,8 @@ def real_roots_exact(f: ExactPolynomial) -> list:
 
 
 def count_distinct_real_roots(f: ExactPolynomial) -> int:
-    """Number of distinct real roots: the Cauchy index of f'/f, which jumps
-    from -inf to +inf at every real root of f, whatever its multiplicity."""
-    if f.is_zero:
-        raise ValueError("the zero polynomial has every root")
-    if not f.is_real:
-        raise ValueError("Sturm counting needs real coefficients")
-    return cauchy_index(f, f.derivative())[0]
+    """Number of distinct real roots of a real f != 0 (`sturm_count`)."""
+    return sturm_count(f)[0]
 
 
 def sign_at(f: ExactPolynomial, p: int, q: int) -> int:
@@ -1213,8 +1313,7 @@ def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
     ends = [(x.numerator, x.denominator) for x in (Fraction(lo), Fraction(hi))]
     if any(_sign_at(cs, p, q) == 0 for p, q in ends):
         return True
-    chain = _sturm_chain(cs, _int_derivative(cs))
-    v_lo, v_hi = (_variations(_sign_at(c, p, q) for c in chain) for p, q in ends)
+    v_lo, v_hi = (_variations(_value_at(c, p, q) for c in f.sturm_chain) for p, q in ends)
     return v_lo > v_hi
 
 

@@ -19,11 +19,15 @@ from nonresultant.case12 import (
     stabilize_12,
     to_configuration,
 )
+from nonresultant import exactalg
 from nonresultant.exactalg import (
     ExactPolynomial,
     NonConvergenceError,
     RootCluster,
     cauchy_root_bound,
+    count_distinct_real_roots,
+    has_real_root_between,
+    real_roots_exact,
 )
 from nonresultant.harness import census
 from nonresultant.mapdeg import WindingError
@@ -119,6 +123,34 @@ def test_to_configuration_reports_small_real_points_to_the_last_bit():
 def test_to_configuration_of_a_real_point_beyond_the_float_range_raises():
     with pytest.raises(ValueError, match="beyond the float range"):
         to_configuration((z - 10**400) * (z - 1))
+
+
+def test_to_configuration_of_real_roots_closer_than_one_float_raises():
+    # squarefree, monic and real (label 1 and 0), but 1 and 1 + 2**-60 round
+    # to the same float
+    close = (z - 1) * (z - 1 - F(1, 2**60))
+    for f in (close * (z * z + 1), close):
+        assert component_of_12(f) == (f.degree - 2) // 2
+        with pytest.raises(ValueError, match="closer than one float apart"):
+            to_configuration(f)
+
+
+def test_one_sturm_chain_per_polynomial(monkeypatch):
+    built = []
+    chain = exactalg._sturm_chain
+
+    def counting_chain(a, b):
+        built.append(len(a) - 1)
+        return chain(a, b)
+
+    monkeypatch.setattr(exactalg, "_sturm_chain", counting_chain)
+    f = (z - 1) * (z + 2) * (z - F(1, 3)) * (z * z + 9)
+    assert component_of_12(f) == 1
+    cfg = to_configuration(f)
+    assert count_distinct_real_roots(f) == len(cfg.real_points) == 3
+    assert len(real_roots_exact(f)) == 3
+    assert has_real_root_between(f, 0, 1)
+    assert built == [5]
 
 
 def test_to_configuration_split_error_carries_count_and_centers(monkeypatch):

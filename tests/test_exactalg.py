@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonresultant import exactalg
 from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
@@ -29,6 +30,7 @@ from nonresultant.exactalg import (
     scalar_to_json,
     sign_at,
     squarefree_decomposition,
+    sturm_count,
 )
 
 from nonresultant.exactalg import (
@@ -497,6 +499,25 @@ def test_float_value_is_the_correctly_rounded_root():
             assert real_roots_exact(z**2 - c)[1].float_value() == math.sqrt(c)
 
 
+@pytest.mark.parametrize("f", [z**2 - 2, z**5 - 3 * z + 1])
+def test_float_value_takes_few_exact_evaluations(monkeypatch, f):
+    # quadratic interval refinement: halving takes 53-55 evaluations per root
+    calls = []
+    value = exactalg._value_at
+
+    def counting_value(cs, p, q):
+        calls.append(p)
+        return value(cs, p, q)
+
+    roots = real_roots_exact(f)
+    expected = [float_value_fractions(r) for r in roots]
+    monkeypatch.setattr(exactalg, "_value_at", counting_value)
+    for root, want in zip(roots, expected):
+        calls.clear()
+        assert root.float_value() == want
+        assert 0 < len(calls) <= 30
+
+
 @pytest.mark.parametrize("root", [F(1, 2**30), F(1, 10**30), F(1, 10**300)])
 def test_float_value_resolves_roots_far_below_one(root):
     # the companion roots +-sqrt(3) keep the small root inexact at isolation
@@ -574,16 +595,22 @@ real_factors = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(real_factors, st.integers(1, 3)), min_size=1, max_size=4))
-def test_real_roots_match_fraction_bisection_oracle(factors):
-    f = ExactPolynomial.one()
+@given(
+    st.lists(st.tuples(real_factors, st.integers(1, 3)), min_size=1, max_size=4),
+    st.sampled_from([F(1), F(-1), F(-3, 7), F(12)]),
+)
+def test_real_roots_match_fraction_bisection_oracle(factors, scalar):
+    f = ExactPolynomial.constant(scalar)
     for factor, mult in factors:
         f = f * factor**mult
     for factor, _ in squarefree_decomposition(f):
         ics = tuple(_int_primitive(factor._re))
-        assert _isolate_squarefree(ics) == isolate_squarefree_fractions(ics)
+        assert _isolate_squarefree(ics, factor.sturm_chain) == isolate_squarefree_fractions(ics)
     roots = real_roots_exact(f)
+    # the oracle runs Yun on every input, so the factor and the sign at lo
+    # must not depend on f's leading coefficient or on whether f is squarefree
     assert roots == real_roots_fractions(f)
+    assert roots == real_roots_exact(f.monic())
     for r in roots:
         for width in (F(1, 10**6), F(3, 7**20), F(1, 2**90), F(1, 10**40)):
             assert r.refine(width) == refine_fractions(r, width)
@@ -637,6 +664,67 @@ def test_count_distinct_real_roots():
     for _ in range(40):
         f = random_poly(rng, rng.randint(1, 6))
         assert count_distinct_real_roots(f) == len(real_roots_exact(f))
+
+
+# a real polynomial as a multiset of coprime irreducible factors: distinct
+# rational roots, distinct irrational pairs +-sqrt(p) and distinct conjugate
+# pairs, each with a multiplicity, under a scalar with content and sign
+planted_real_polys = st.tuples(
+    st.dictionaries(st.fractions(-9, 9, max_denominator=5), st.integers(1, 3), max_size=4),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), max_size=2),
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(1, 3)), st.integers(1, 3), max_size=2
+    ),
+    st.sampled_from([F(1), F(-1), F(6), F(-10, 3), F(21, 4)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_real_polys)
+def test_sturm_count_matches_the_planted_factors(planted):
+    rational, irrational, conjugate, scalar = planted
+    f = ExactPolynomial.constant(scalar)
+    for r, k in rational.items():
+        f = f * (z - r) ** k
+    for p, k in irrational.items():
+        f = f * (z**2 - p) ** k
+    for (a, b), k in conjugate.items():
+        f = f * ((z - a) ** 2 + b * b) ** k
+    distinct = len(rational) + 2 * len(irrational)
+    repeated = sum(k - 1 for k in rational.values()) + sum(
+        2 * (k - 1) for k in (*irrational.values(), *conjugate.values())
+    )
+    assert sturm_count(f) == (distinct, repeated)
+    assert count_distinct_real_roots(f) == distinct
+    if f.degree > 0:
+        assert len(real_roots_exact(f)) == distinct
+
+
+def test_sturm_count_matches_sympy_real_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(57)
+    for _ in range(60):
+        f = ExactPolynomial.constant(random_rational(rng) or F(1))
+        for _ in range(rng.randint(1, 4)):
+            f = f * random_poly(rng, rng.randint(1, 3), monic=False) ** rng.randint(1, 3)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coefficients)]
+        poly = sympy.Poly(coeffs, x, domain="QQ")
+        distinct = len(set(poly.real_roots()))
+        assert sturm_count(f) == (distinct, poly.gcd(poly.diff(x)).degree())
+
+
+def test_real_roots_of_squarefree_input_skip_yun(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Yun's algorithm ran on a squarefree input")
+
+    inputs = ((z**2 - 2) * (z - F(1, 3)), -3 * (z**5 - 3 * z + 1), F(2, 7) * (z - 4))
+    expected = [real_roots_fractions(f) for f in inputs]
+    monkeypatch.setattr(exactalg, "squarefree_decomposition", refuse)
+    monkeypatch.setattr(exactalg, "_yun", refuse)
+    assert [real_roots_exact(f) for f in inputs] == expected
+    with pytest.raises(AssertionError, match="Yun"):
+        real_roots_exact((z - 1) ** 2)
 
 
 def test_cauchy_index_matches_pole_oracle():
