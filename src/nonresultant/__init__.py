@@ -39,7 +39,6 @@ from .mapdeg import (
     eval_natural_map,
     map_degree,
     rp1_degree,
-    winding_number,
 )
 from .case21 import ComponentLabel21, component_of_21, legal_labels_21, representative_21
 from .case12 import (
@@ -68,6 +67,7 @@ from .case31 import (
 )
 from .stab import (
     StabilizationReport,
+    loop_T,
     recommended_T,
     stabilize_31,
     stabilize_31_model,

@@ -15,7 +15,8 @@ only odd-multiplicity roots contribute, with the parity of their position)
 and never zero or infinite on the model space.  Normalised to the unit
 circle it retracts the model space onto the basic loop theta -> (z^d, z +
 cos theta, z + sin theta), whose class generates the fundamental group; the
-winding of r along a loop is the loop's class.
+winding of r along a loop is the loop's class, which `pi1_winding` reads
+exactly as a signed count of the factors' crossings with one ray.
 
 A contributing root that isolation finds exactly, or that is itself a
 float, is evaluated exactly in Q(i); at every other root f2 and f3 are
@@ -35,13 +36,14 @@ from fractions import Fraction
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
+    gcd_exact,
     gcd_many,
     poly_from_json,
     poly_to_json,
     real_roots_exact,
     sign_at,
+    squarefree_decomposition,
 )
-from .mapdeg import winding_number
 from .nonres import FIELD_REAL, MembershipError, SystemTuple
 
 __all__ = [
@@ -190,42 +192,88 @@ def r_d(m: Model31) -> complex:
 
 
 def pi1_winding(loop) -> int:
-    """Class of a closed loop of odd-degree models: the winding of r_tilde.
-
-    `loop` is either a callable theta -> Model31 on [0, 2*pi] or a closed
-    sampled list of models (first == last), joined by the straight paths
-    between their triples (`harness.path_tuple`).  Every segment is
-    certified exactly (`harness.locate_violation`) before the lift runs; one
-    that leaves the space raises MembershipError naming the segment and the
-    bracket where it does.  A callable loop that runs too close to zero
-    raises WindingError once the lift reaches the float resolution.
-    """
+    """Class of a closed sampled loop of odd-degree models (first == last),
+    joined by the straight paths between their triples.  A segment that
+    leaves the space (`harness.locate_violation`) raises MembershipError
+    naming it and the bracket where it does.  The class is the signed count
+    of crossings (`_ray_crossings`) with the first ray t = 0, 1, 2, ... that
+    meets no segment degenerately; finitely many rays do."""
     # harness imports this module, so the path kernel is imported here
-    from .harness import locate_violation, path_tuple
+    from .harness import locate_violation
 
-    if callable(loop):
-        fn = loop
-    else:
-        tuples = [phi_inverse(m) for m in loop]
-        if len(tuples) < 3:
-            raise ValueError("a sampled loop needs at least three entries")
-        if tuples[0] != tuples[-1]:
-            raise ValueError("a sampled loop must close up: first != last")
-        for i, (a, b) in enumerate(zip(tuples, tuples[1:])):
-            cert = locate_violation(a, b)
-            if cert is not None:
-                raise MembershipError(
-                    f"the loop leaves the space on segment {i}, "
-                    f"at a parameter in [{cert.lo}, {cert.hi}]"
-                )
-        segments = len(tuples) - 1
+    tuples = [phi_inverse(m) for m in loop]
+    if len(tuples) < 3:
+        raise ValueError("a sampled loop needs at least three entries")
+    if tuples[0] != tuples[-1]:
+        raise ValueError("a sampled loop must close up: first != last")
+    if loop[0].degree % 2 == 0:
+        raise ValueError("the alternating evaluation needs odd degree")
+    for i, (a, b) in enumerate(zip(tuples, tuples[1:])):
+        cert = locate_violation(a, b)
+        if cert is not None:
+            raise MembershipError(
+                f"the loop leaves the space on segment {i}, "
+                f"at a parameter in [{cert.lo}, {cert.hi}]"
+            )
+    # a constant segment crosses no ray in 0 < u < 1
+    segments = [(a, b, *_odd_parts(a.f1, b.f1)) for a, b in zip(loop, loop[1:]) if a != b]
+    t = 0
+    while True:
+        try:
+            return sum(_ray_crossings(*segment, t) for segment in segments)
+        except _DegenerateRay:
+            t += 1
 
-        def fn(theta: float) -> Model31:
-            s = (theta / (2.0 * math.pi)) * segments
-            i = min(int(math.floor(s)), segments - 1)
-            return phi(path_tuple(tuples[i], tuples[i + 1], Fraction(s - i)))
 
-    return winding_number(lambda thetas: [r_tilde(fn(float(th))) for th in thetas])
+class _DegenerateRay(Exception):
+    """The ray meets a segment at a vertex, tangentially or along a piece."""
+
+
+def _odd_parts(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
+    """f and g over the even-multiplicity part of their gcd c: on the segment
+    h_u = (1-u) h_f + u h_g is f1 = c ((1-u) f/c + u g/c) over a square, so
+    r_tilde's factors sit at its simple real roots, with exponents sign h_u'."""
+    c = gcd_exact(f, g)
+    odd = ExactPolynomial.one()
+    for p, mult in squarefree_decomposition(c):
+        if mult % 2:
+            odd *= p
+    return odd * f.exact_div(c), odd * g.exact_div(c)
+
+
+def _ray_crossings(a: Model31, b: Model31, ha, hb, t: int) -> int:
+    """Signed crossings, over 0 < u < 1, of f2_u + i f3_u along the zero
+    curve of h_u(x) with the ray through ((1-t^2)/(1+t^2), 2t/(1+t^2)).
+
+    S and P, the components across and along the ray, and h are affine in u.
+    With {h = 0} oriented by (h_x, -h_u), the winding of r_tilde counts its
+    points where S = 0 < P, signed sign(S_u h_x - S_x h_u) (Milnor, Topology
+    from the Differentiable Viewpoint, 1965).  They lie at the real roots xi
+    of Q = h_b S_a - h_a S_b, at u = h_a/(h_a - h_b) (or where S = 0 on a root
+    of f1 all along the segment), and a simple root adds -sign Q'(xi)."""
+    x, y = 1 - t * t, 2 * t
+    sa, sb = a.f3 * x - a.f2 * y, b.f3 * x - b.f2 * y
+    pa, pb = a.f2 * x + a.f3 * y, b.f2 * x + b.f3 * y
+    q = hb * sa - ha * sb
+    if q.is_zero:
+        raise _DegenerateRay
+    dq, hp, sp = q.derivative(), ha * pb - hb * pa, sa * pb - sb * pa
+    count = 0
+    for xi in real_roots_exact(q):
+        side_a, side_b, lp = xi.sign_of(ha), xi.sign_of(hb), hp
+        if side_a == side_b == 0:  # a root of f1 all along the segment
+            side_a, side_b, lp = xi.sign_of(sa), xi.sign_of(sb), sp
+        if side_a * side_b == 0:
+            raise _DegenerateRay
+        # with L = h or S, u lies in (0, 1) when L_a and L_b differ in sign
+        # (with equal signs u is outside, or no u makes h vanish), and there
+        # P has the sign of (L_a P_b - L_b P_a) / (L_a - L_b)
+        if side_a == side_b or xi.sign_of(lp) != side_a:
+            continue
+        if xi.multiplicity > 1:
+            raise _DegenerateRay
+        count -= xi.sign_of(dq)
+    return count
 
 
 def model_to_json(m: Model31) -> dict:

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("r-d", _cmd_r_d, "alternating root invariant of a triple model (m=3, n=1)")
 
-    add("pi1", _cmd_pi1, "winding of the alternating invariant along a sampled loop")
+    add("pi1", _cmd_pi1, "exact pi_1 class of a sampled loop: a signed count of ray crossings")
 
     add("electric-degree", _cmd_electric_degree, "degree of the field map of a configuration")
 

@@ -1145,6 +1145,17 @@ class RealRoot:
                 return None
             bits <<= 1
 
+    def sign_of(self, q: "ExactPolynomial") -> int:
+        """Sign of the real polynomial q at the root: 0 when gcd(q, factor)
+        has a root in the interval, else q's sign at an end once halving has
+        cleared q's roots from the interval."""
+        r = self
+        if not r.is_exact and has_real_root_between(gcd_exact(q, _poly(r._factor)), r.lo, r.hi):
+            return 0
+        while not r.is_exact and has_real_root_between(q, r.lo, r.hi):
+            r = r.refine((r.hi - r.lo) / 2)
+        return sign_at(q, r.hi.numerator, r.hi.denominator)
+
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """Minimal-denominator rational in [lo, hi], by the continued fraction

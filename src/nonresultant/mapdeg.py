@@ -1,4 +1,4 @@
-"""Degrees of the natural maps, and the argument lifts of analytic loops.
+"""Degrees of the natural maps, and the argument steps of the braid winding.
 
 The point map sends alpha to the projective point whose mn coordinates are
 the jet components of the tuple's entries evaluated at alpha, and sends the
@@ -8,12 +8,8 @@ degree of the gcd of the jet components (d for members), computed exactly.
 The real-axis degree of a pair is the Cauchy index of f2/f1 over the real
 line, read from a signed remainder sequence in integer arithmetic.
 
-Argument lifts remain for the analytic windings (the pi_1 class of r_tilde
-and the abelianised braid): a parameter segment whose endpoint values turn
-by pi/2 or more is split in half, so any crossing of the branch cut is
-resolved before the lift accumulates.  A segment that still turns that far
-once its midpoint is one of its ends (adjacent floats) cannot be refined
-further: the loop passes too close to zero, and the lift raises WindingError.
+Argument steps serve the one analytic winding, the abelianised braid of
+`case12.abelian_braid_invariant`, which refuses a step of pi/2 or more.
 """
 
 from __future__ import annotations
@@ -38,23 +34,14 @@ __all__ = [
     "map_degree",
     "rp1_degree",
     "whole_turns",
-    "winding_number",
 ]
 
 INFINITY = math.inf
 
-_JUMP_LIMIT = math.pi / 2
-# every lift starts from this many samples
-_FIRST_SAMPLES = 65
-# a memory ceiling for loops that turn fast on every segment
-_MAX_SAMPLES = 2**20
-
 
 class WindingError(NonConvergenceError):
-    """The argument lift would not settle: the loop runs too close to zero.
-    A lift's `diagnostics` hold the parameter where it stalled, the sample
-    count it reached and its worst argument step (nan when a sample is
-    exactly zero, where the argument is undefined)."""
+    """An argument lift would not settle: its loop is sampled too coarsely
+    or runs too close to zero; `diagnostics` may say where."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,7 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
 
 
 # ---------------------------------------------------------------------------
-# adaptive argument lifts
+# argument steps
 # ---------------------------------------------------------------------------
 
 
@@ -122,7 +109,7 @@ def arg_steps(values: np.ndarray) -> tuple:
     """Argument turns between adjacent nonzero samples, and the mask of the
     turns of pi/2 or more, which a lift may not take in one step."""
     steps = np.angle(values[1:] / values[:-1])
-    return steps, np.abs(steps) >= _JUMP_LIMIT
+    return steps, np.abs(steps) >= math.pi / 2
 
 
 def whole_turns(angle: float) -> int:
@@ -132,49 +119,6 @@ def whole_turns(angle: float) -> int:
     if abs(turns - out) > 0.05:
         raise WindingError("accumulated lift is far from a whole turn count")
     return out
-
-
-def _adaptive_lift(fn, a: float, b: float):
-    """Sample fn, which maps an array of parameters to an array of values,
-    on [a, b] until adjacent values turn by < pi/2 each.
-
-    Returns (values, lifted arguments).  Raises WindingError when the path
-    meets zero exactly, when a segment that turns too far cannot be split
-    (its ends are adjacent floats), or past the memory ceiling of samples.
-    """
-    params = np.linspace(a, b, _FIRST_SAMPLES)
-    values = np.asarray(fn(params), dtype=complex)
-    while not (values == 0).any():
-        steps, bad = arg_steps(values)
-        if not bad.any():
-            return values, np.concatenate(([0.0], np.cumsum(steps)))
-        idx = np.flatnonzero(bad)
-        mids = (params[idx] + params[idx + 1]) / 2.0
-        stuck = (mids == params[idx]) | (mids == params[idx + 1])
-        if stuck.any() or len(params) > _MAX_SAMPLES:
-            limit = "the float resolution" if stuck.any() else f"{_MAX_SAMPLES} samples"
-            raise WindingError(
-                f"argument lift stalled at {limit}; the path runs too close to zero",
-                parameter=float(params[idx[np.argmax(stuck)]]),
-                samples=len(params),
-                worst_step=float(np.max(np.abs(steps))),
-            )
-        params = np.insert(params, idx + 1, mids)
-        values = np.insert(values, idx + 1, np.asarray(fn(mids), dtype=complex))
-    at = float(params[np.argmax(values == 0)])
-    raise WindingError("path passes through zero", parameter=at, samples=len(params), worst_step=math.nan)
-
-
-def winding_number(fn) -> int:
-    """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
-    argument lifting; fn maps an array of parameters to an array of values.
-    Unchecked precondition: fn's argument varies by less than a half turn over
-    each interval of the first 65-sample grid; exp(65j*t) reads 1."""
-    values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi)
-    closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
-    if closure > 1e-6:
-        raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")
-    return whole_turns(lifted[-1] - lifted[0])
 
 
 # ---------------------------------------------------------------------------

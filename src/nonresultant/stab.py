@@ -27,6 +27,7 @@ from .nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
 
 __all__ = [
     "StabilizationReport",
+    "loop_T",
     "recommended_T",
     "stabilize_31",
     "stabilize_31_model",
@@ -112,12 +113,29 @@ def stabilize_multiplicity(t: SystemTuple, T) -> SystemTuple:
 
 
 def recommended_T(t: SystemTuple) -> Fraction:
-    """A T safely beyond everything either map inspects."""
+    """A T safely beyond everything either map inspects at this one tuple.
+    The bound is pointwise: stabilizing the vertices of a (3,1) loop each
+    with its own, or with the largest, may change the loop's class (use
+    `loop_T`)."""
     polys = list(t.polys)
     if t.m == 3 and t.n == 1:
         f1 = t.polys[0]
         polys += [f - f1 for f in t.polys[1:] if f != f1]
     return cauchy_root_bound([f for f in polys if not f.is_zero]) + 1
+
+
+def loop_T(loop) -> Fraction:
+    """A T that stabilizes a closed sampled loop of (3,1) models, vertex by
+    vertex with `stabilize_31_model`, without changing its class: beyond
+    every vertex's `recommended_T` and every root of the nonzero cross
+    polynomials c_k = f2_k f3_(k+1) - f3_k f2_(k+1).  On segment k, f2 + i f3
+    passes through 0 at tau only where c_k(tau) = 0, so the winding of
+    u -> (f2 + i f3)(tau), by which the classes after two stabilizations
+    differ, is one number for every tau beyond that bound."""
+    T = max(recommended_T(phi_inverse(m)) for m in loop)
+    cross = [a.f2 * b.f3 - a.f3 * b.f2 for a, b in zip(loop, loop[1:])]
+    cross = [c for c in cross if not c.is_zero]
+    return max(T, cauchy_root_bound(cross) + 1) if cross else T
 
 
 def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) -> StabilizationReport:

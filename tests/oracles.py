@@ -4,7 +4,9 @@ Each oracle deliberately avoids the code path it checks: gcds come from
 factor multisets instead of remainder sequences, and family gcds from a
 pairwise fold of Euclid steps on `divmod` instead of one subresultant fold
 on integer numerators; windings from brute-force
-dense sampling instead of adaptive refinement; real-axis degrees from the
+dense sampling instead of adaptive refinement; the pi_1 class of a sampled
+loop from a float argument lift of r_tilde at exact path parameters instead
+of an exact count of ray crossings; real-axis degrees from the
 Cauchy index at isolated poles instead of a remainder sequence; map,
 real-axis and electric degrees of members also from float argument lifts
 instead of gcds and remainder sequences; resultants from the root-product
@@ -25,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from nonresultant.case31 import phi, phi_inverse, r_tilde
 from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
@@ -37,7 +40,7 @@ from nonresultant.exactalg import (
     squarefree_decomposition,
 )
 from nonresultant.harness import path_tuple
-from nonresultant.mapdeg import WindingError, _adaptive_lift, winding_number
+from nonresultant.mapdeg import WindingError, arg_steps, whole_turns
 from nonresultant.nonres import is_member, jet
 
 
@@ -251,6 +254,87 @@ def winding_dense(loop, samples: int = 200_000) -> int:
     args = np.angle(vals[1:] / vals[:-1])
     total = float(np.sum(args))
     return round(total / (2.0 * math.pi))
+
+
+# ---------------------------------------------------------------------------
+# adaptive argument lifts of float loops
+# ---------------------------------------------------------------------------
+
+
+# every lift starts from this many samples
+_FIRST_SAMPLES = 65
+# a memory ceiling for loops that turn fast on every segment
+_MAX_SAMPLES = 2**20
+
+
+def _adaptive_lift(fn, a: float, b: float):
+    """Sample fn, which maps an array of parameters to an array of values,
+    on [a, b] until adjacent values turn by < pi/2 each.
+
+    Returns (values, lifted arguments).  Raises WindingError when the path
+    meets zero exactly, when a segment that turns too far cannot be split
+    (its ends are adjacent floats), or past the memory ceiling of samples.
+    """
+    params = np.linspace(a, b, _FIRST_SAMPLES)
+    values = np.asarray(fn(params), dtype=complex)
+    while not (values == 0).any():
+        steps, bad = arg_steps(values)
+        if not bad.any():
+            return values, np.concatenate(([0.0], np.cumsum(steps)))
+        idx = np.flatnonzero(bad)
+        mids = (params[idx] + params[idx + 1]) / 2.0
+        stuck = (mids == params[idx]) | (mids == params[idx + 1])
+        if stuck.any() or len(params) > _MAX_SAMPLES:
+            limit = "the float resolution" if stuck.any() else f"{_MAX_SAMPLES} samples"
+            raise WindingError(
+                f"argument lift stalled at {limit}; the path runs too close to zero",
+                parameter=float(params[idx[np.argmax(stuck)]]),
+                samples=len(params),
+                worst_step=float(np.max(np.abs(steps))),
+            )
+        params = np.insert(params, idx + 1, mids)
+        values = np.insert(values, idx + 1, np.asarray(fn(mids), dtype=complex))
+    at = float(params[np.argmax(values == 0)])
+    raise WindingError("path passes through zero", parameter=at, samples=len(params), worst_step=math.nan)
+
+
+def winding_number(fn) -> int:
+    """Winding of the closed loop fn on [0, 2*pi] around 0, by adaptive
+    argument lifting; fn maps an array of parameters to an array of values.
+    Unchecked precondition: fn's argument varies by less than a half turn over
+    each interval of the first 65-sample grid; exp(65j*t) reads 1."""
+    values, lifted = _adaptive_lift(fn, 0.0, 2.0 * math.pi)
+    closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
+    if closure > 1e-6:
+        raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")
+    return whole_turns(lifted[-1] - lifted[0])
+
+
+def pi1_dense_lift(loop, max_step: float = 0.3) -> int:
+    """Class of a closed sampled loop of models as the winding of r_tilde,
+    evaluated along each straight segment (`path_tuple`) at exact Fraction
+    parameters: eight equal steps, each bisected until r_tilde turns by less
+    than max_step radians across it."""
+    total = 0.0
+    for a, b in zip(loop, loop[1:]):
+        ta, tb = phi_inverse(a), phi_inverse(b)
+
+        def value(u, _a=ta, _b=tb):
+            return r_tilde(phi(path_tuple(_a, _b, u)))
+
+        nodes = [Fraction(k, 8) for k in range(9)]
+        values = [value(u) for u in nodes]
+        stack = list(zip(nodes, values, nodes[1:], values[1:]))[::-1]
+        while stack:
+            u0, v0, u1, v1 = stack.pop()
+            step = cmath.phase(v1 / v0)
+            if abs(step) < max_step:
+                total += step
+                continue
+            mid = (u0 + u1) / 2
+            vm = value(mid)
+            stack += [(mid, vm, u1, v1), (u0, v0, mid, vm)]
+    return whole_turns(total)
 
 
 def cauchy_index_real_line(f1: ExactPolynomial, f2: ExactPolynomial) -> int:

@@ -1,9 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import strategies as st
 
+from nonresultant import case31
 from nonresultant.case31 import (
     Model31,
     i_d_loop,
@@ -18,11 +22,10 @@ from nonresultant.case31 import (
     s1_act,
     s1_act_exact,
 )
-from nonresultant.exactalg import ExactPolynomial, GaussianRational
-from nonresultant.mapdeg import WindingError
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, RealRoot, poly_from_json
 from nonresultant.nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
 
-from oracles import alternating_value_refined
+from oracles import alternating_value_refined, pi1_dense_lift
 
 z = ExactPolynomial.variable()
 
@@ -189,23 +192,33 @@ def test_i_d_loop_shape():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [3, 5])
+def closed(models):
+    models = list(models)
+    return models + models[:1]
+
+
+def sampled(fn, n=16):
+    """The closed loop of fn's values at theta = 2*pi*k/n."""
+    return closed(fn(2 * math.pi * k / n) for k in range(n))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
 def test_reference_loop_winds_once(d):
-    assert pi1_winding(lambda theta: i_d_loop(d, theta)) == 1
+    assert pi1_winding(sampled(lambda theta: i_d_loop(d, theta))) == 1
 
 
 def test_double_speed_loop_winds_twice():
-    assert pi1_winding(lambda theta: i_d_loop(3, 2 * theta)) == 2
+    assert pi1_winding(sampled(lambda theta: i_d_loop(3, 2 * theta))) == 2
 
 
 def test_constant_loop_winds_zero():
-    assert pi1_winding(lambda theta: WORKED) == 0
+    assert pi1_winding([WORKED, WORKED, WORKED]) == 0
 
 
 def test_orbit_loops_generate():
     # the circle orbit of any member is freely homotopic to the generator
     for m in (WORKED, Model31(z**3 - 2, ExactPolynomial.one(), z)):
-        assert pi1_winding(lambda theta: s1_act(theta, m)) == 1
+        assert pi1_winding(sampled(lambda theta: s1_act(theta, m))) == 1
 
 
 def test_sampled_list_loop():
@@ -227,27 +240,168 @@ def test_sampled_list_loop_validation():
 
 def test_sampled_loop_leaving_the_space_is_certified():
     # f1 = z^3 with constant (f2, f3) through (1, 1), (-2, -2), (-1, 1):
-    # the first segment meets (0, 0) at u = 1/3, between the samples any
-    # lift draws; the exact certificate ends the call before a lift runs
+    # the first segment meets (0, 0) at u = 1/3; the exact certificate ends
+    # the call before any crossing is counted
     one = ExactPolynomial.one()
     loop = [Model31(z**3, one * a, one * b) for a, b in [(1, 1), (-2, -2), (-1, 1), (1, 1)]]
     with pytest.raises(MembershipError, match=r"segment 0, .*\[1/3, 1/3\]"):
         pi1_winding(loop)
 
 
-def test_callable_loop_through_zero_stops_at_the_float_resolution(time_limit):
-    # the same loop as a callable: no segment is certified, and r_tilde =
-    # f2 + i*f3 passes through 0 at theta = 2*pi/9, where the lift stalls
+# a loop of constant f1 = (z + 5)(z - 2/3)(z - 3) that the adaptive float
+# lift (`oracles.winding_number`, 65 first samples over its 9 segments) reads
+# as class 1: its per-root windings are 0, -1 and +1 at the roots -5, 2/3
+# and 3, whose exponents are +1, -1 and +1, so the class is 2
+OFF_BY_ONE_F1 = ["10", "-49/3", "4/3", "1"]
+OFF_BY_ONE_VERTICES = [
+    (["-1", "-1/2"], ["-4/3", "1/3"]),
+    (["5/4", "8"], ["-4/3", "4/3"]),
+    (["-3", "-7/3"], ["-1", "8"]),
+    (["1/2", "-5/3"], ["7", "3"]),
+    (["1/2", "1"], ["1", "-8"]),
+    (["4", "-5/3"], ["-7/3", "2/3"]),
+    (["-3", "-3"], ["-7/4", "-5/4"]),
+    (["5/2", "3"], ["-1/2", "9"]),
+    (["-7/4", "-3/4"], ["-2", "-7/4"]),
+]
+
+
+def off_by_one_loop():
+    f1 = poly_from_json(OFF_BY_ONE_F1)
+    return closed(Model31(f1, poly_from_json(a), poly_from_json(b)) for a, b in OFF_BY_ONE_VERTICES)
+
+
+def test_loop_a_coarse_lift_read_as_one_has_class_two():
+    loop = off_by_one_loop()
+    assert pi1_winding(loop) == 2
+    assert pi1_dense_lift(loop) == 2
+
+
+def test_pi1_needs_neither_r_tilde_nor_floats(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact count evaluated a float")
+
+    monkeypatch.setattr(case31, "r_tilde", refuse)
+    monkeypatch.setattr(RealRoot, "float_value", refuse)
+    assert pi1_winding(off_by_one_loop()) == 2
+    assert pi1_winding(sampled(lambda theta: i_d_loop(5, theta))) == 1
+
+
+def test_pi1_needs_odd_degree():
+    quartic = Model31(z**4 + 1, z, ExactPolynomial.one())
+    with pytest.raises(ValueError, match="odd degree"):
+        pi1_winding([quartic, s1_act_exact(F(3, 5), F(4, 5), quartic), quartic])
+
+
+def test_a_ray_that_meets_the_loop_tangentially_is_replaced():
+    # f1's real root runs from 1 to -1 along the first segment, where
+    # f2 + i f3 = 1 + i x^3 at it: the ray t = 0 touches that curve at x = 0
+    # with an inflection, a triple root of Q whose derivative has no sign.
+    # f2 > 0 throughout keeps every factor of r_tilde off the negative axis.
     one = ExactPolynomial.one()
-    vertices = [(F(1), F(1)), (F(-2), F(-2)), (F(-1), F(1)), (F(1), F(1))]
+    pair = (z * z + 1) * (z * z + 4)
+    a = Model31((z - 1) * pair, one, z**3)
+    b = Model31((z + 1) * pair, one, z**3)
+    c = Model31((z + 1) * pair, 2 * one, z)
+    with pytest.raises(case31._DegenerateRay):
+        case31._ray_crossings(a, b, *case31._odd_parts(a.f1, b.f1), 0)
+    assert pi1_winding([a, b, c, a]) == pi1_dense_lift([a, b, c, a]) == 0
 
-    def loop(theta):
-        s = 3 * theta / (2 * math.pi)
-        i = min(int(s), 2)
-        u = F(s - i)
-        (a2, a3), (b2, b3) = vertices[i], vertices[i + 1]
-        return Model31(z**3, one * (a2 + (b2 - a2) * u), one * (a3 + (b3 - a3) * u))
 
-    with time_limit(5), pytest.raises(WindingError, match="too close to zero") as info:
-        pi1_winding(loop)
-    assert abs(info.value.diagnostics["parameter"] - 2 * math.pi / 9) < 1e-12
+# ---------------------------------------------------------------------------
+# the crossing count against a dense lift
+# ---------------------------------------------------------------------------
+
+LOOP_KINDS = ["constant", "moving", "double", "triple", "vanishing", "steady"]
+
+
+def _rational(rng, top=9, den=4):
+    return F(rng.randint(-top, top), rng.randint(1, den))
+
+
+def _entry(rng, degree):
+    return ExactPolynomial(tuple(_rational(rng) for _ in range(degree + 1)))
+
+
+def random_loop(kind: str, seed: int) -> list:
+    """A closed loop of 3-7 models of degree 3 or 5.
+
+    constant: one f1 for the whole loop; moving: a fresh f1 at every vertex,
+    some with a complex pair; double, triple: a root xi of f1 of that
+    multiplicity at every vertex, the other roots moving; vanishing: f3
+    vanishes at a simple root of f1 at the first vertex, so the ray t = 0
+    meets the loop there; steady: a simple root xi of f1 at every vertex,
+    with f2 + i f3 equal at xi on consecutive vertices, so it is constant
+    along those segments."""
+    rng = random.Random(seed)
+    d = rng.choice((3, 5))
+    persistent = {"double": 2, "triple": 3, "steady": 1}.get(kind, 0)
+    xi = _rational(rng, 3, 2)
+
+    def draw_f1():
+        roots = [xi] * persistent + [_rational(rng, 5, 3) for _ in range(d - persistent)]
+        if d - persistent >= 2 and rng.random() < 0.3:
+            pair = z * z + _rational(rng, 3, 2) * z + 3
+            return ExactPolynomial.from_roots(roots[:-2]) * pair
+        return ExactPolynomial.from_roots(roots)
+
+    f1 = draw_f1()
+    if kind == "vanishing":
+        roots = [xi + k for k in range(d)]
+        f1 = ExactPolynomial.from_roots(roots)
+    size = rng.randint(3, 7)
+    models = []
+    while len(models) < size:
+        if models and kind != "constant" and (kind == "moving" or rng.random() < 0.5):
+            f1 = draw_f1()
+        f2, f3 = _entry(rng, d - 2), _entry(rng, d - 2)
+        if kind == "vanishing" and not models:
+            f3 = (z - xi) * _entry(rng, d - 3)
+        if kind == "steady" and models:
+            f2 = models[-1].f2 + (z - xi) * _entry(rng, d - 3)
+            f3 = models[-1].f3 + (z - xi) * _entry(rng, d - 3)
+        try:
+            models.append(Model31(f1, f2, f3))
+        except MembershipError:
+            pass
+    return closed(models)
+
+
+@pytest.mark.parametrize("kind", LOOP_KINDS)
+def test_random_loop_kinds_have_their_features(kind):
+    loop = random_loop(kind, 3)
+    ones = [m.f1 for m in loop]
+    if kind in ("constant", "moving"):
+        assert (len(set(ones)) == 1) == (kind == "constant")
+    common = ones[0]
+    for f in ones:
+        common = case31.gcd_exact(common, f)
+    if kind in ("double", "triple"):
+        assert [mult for _, mult in case31.squarefree_decomposition(common)] == [{"double": 2, "triple": 3}[kind]]
+    if kind == "vanishing":
+        segment = (loop[0], loop[1], *case31._odd_parts(loop[0].f1, loop[1].f1))
+        with pytest.raises(case31._DegenerateRay):
+            case31._ray_crossings(*segment, 0)
+    if kind == "steady":
+        (xi,) = [r.rational_value() for r in case31.real_roots_exact(common)]
+        assert any(a.f2(xi) == b.f2(xi) and a.f3(xi) == b.f3(xi) for a, b in zip(loop, loop[1:]))
+
+
+@given(st.sampled_from(LOOP_KINDS), st.integers(min_value=0, max_value=2**32))
+# time_limit is a stateless factory, so sharing it between examples is safe
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example("constant", 1)
+@example("moving", 2)
+@example("double", 3)
+@example("triple", 4)
+@example("vanishing", 5)
+@example("steady", 6)
+def test_crossing_count_matches_a_dense_lift(time_limit, kind, seed):
+    loop = random_loop(kind, seed)
+    with time_limit(10):
+        try:
+            count = pi1_winding(loop)
+        except MembershipError:
+            reject()
+    with time_limit(60):
+        assert count == pi1_dense_lift(loop)

@@ -196,11 +196,29 @@ def test_pi1_on_a_loop_that_leaves_the_space_is_domain_error(capsys, monkeypatch
 
 
 def test_pi1_on_sampled_loop(capsys, monkeypatch):
-    samples = [model_to_json(i_d_loop(3, 2 * math.pi * k / 48)) for k in range(48)]
-    samples.append(samples[0])
-    code, out, _ = run(capsys, ["pi1"], json.dumps(samples), monkeypatch)
-    assert code == 0
-    assert out.strip() == "1"
+    for d in (3, 5, 7):
+        samples = [model_to_json(i_d_loop(d, 2 * math.pi * k / 48)) for k in range(48)]
+        samples.append(samples[0])
+        code, out, _ = run(capsys, ["pi1"], json.dumps(samples), monkeypatch)
+        assert (code, out) == (0, "1\n")
+
+
+def test_pi1_prints_the_exact_class_where_a_coarse_lift_read_one(capsys, monkeypatch):
+    # f1 = (z + 5)(z - 2/3)(z - 3) at every vertex; the class is 2
+    vertices = [
+        (["-1", "-1/2"], ["-4/3", "1/3"]),
+        (["5/4", "8"], ["-4/3", "4/3"]),
+        (["-3", "-7/3"], ["-1", "8"]),
+        (["1/2", "-5/3"], ["7", "3"]),
+        (["1/2", "1"], ["1", "-8"]),
+        (["4", "-5/3"], ["-7/3", "2/3"]),
+        (["-3", "-3"], ["-7/4", "-5/4"]),
+        (["5/2", "3"], ["-1/2", "9"]),
+        (["-7/4", "-3/4"], ["-2", "-7/4"]),
+    ]
+    loop = [{"f1": ["10", "-49/3", "4/3", "1"], "f2": a, "f3": b} for a, b in vertices]
+    code, out, _ = run(capsys, ["pi1"], json.dumps(loop + loop[:1]), monkeypatch)
+    assert (code, out) == (0, "2\n")
 
 
 def test_electric_degree_from_pairs(capsys, monkeypatch):

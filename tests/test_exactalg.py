@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonresultant import exactalg
@@ -516,6 +516,45 @@ def test_float_value_takes_few_exact_evaluations(monkeypatch, f):
         calls.clear()
         assert root.float_value() == want
         assert 0 < len(calls) <= 30
+
+
+def _surd_value(q: ExactPolynomial, a: F, s: int, c: int) -> tuple:
+    """q(a + s*sqrt(c)) as (A, B) with value A + B*sqrt(c), by Horner in
+    Q(sqrt(c))."""
+    x, y = F(0), F(0)
+    for k in reversed(q.coefficients):
+        x, y = x * a + y * s * c + k, x * s + y * a
+    return x, y
+
+
+def _surd_sign(A: F, B: F, c: int) -> int:
+    if A >= 0 and B >= 0 or A <= 0 and B <= 0:
+        total = A + B
+        return (total > 0) - (total < 0)
+    # mixed signs: the larger of A^2 and c B^2 decides
+    gap = A * A - c * B * B
+    return ((A > 0) - (A < 0)) * ((gap > 0) - (gap < 0))
+
+
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1, -1]),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=2),
+)
+# time_limit is a stateless factory, so sharing it between examples is safe
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sign_of_matches_quadratic_surd_arithmetic(time_limit, a, c, s, multiplier, remainder):
+    # q = w * ((z - a)^2 - c) + v vanishes at a +- sqrt(c) exactly when v
+    # does; the roots' factor carries a complex pair besides.  Halving alone
+    # would never settle a zero at an irrational root, hence the limit.
+    quadratic = (z - a) ** 2 - c
+    q = ExactPolynomial(tuple(multiplier)) * quadratic + ExactPolynomial(tuple(remainder))
+    root = real_roots_exact(quadratic * (z * z + 1))[(s + 1) // 2]
+    with time_limit(5):
+        assert root.sign_of(q) == _surd_sign(*_surd_value(q, a, s, c), c)
+        assert root.sign_of(quadratic) == 0
 
 
 @pytest.mark.parametrize("root", [F(1, 2**30), F(1, 10**30), F(1, 10**300)])

@@ -1,7 +1,8 @@
 """Every name a module of the package or of the tests imports is used there
-or exported, every module-level private name of the package is used, no
-handler of the package catches every exception, and the package holds no
-``assert`` statement (``python -O`` strips them, so a check must raise).
+or exported, every module-level private name of the package or of the tests
+is used, no handler of the package catches every exception, and the package
+holds no ``assert`` statement (``python -O`` strips them, so a check must
+raise).
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -108,6 +109,13 @@ def test_private_name_check_sees_dead_and_live_names():
 
 def test_package_private_names_are_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_test_private_names_are_referenced():
+    # the oracles' helpers, the float lift among them, are used by a test
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    assert len(sources) > 1
     assert _unreferenced_private_names(sources) == []
 
 

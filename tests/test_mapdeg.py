@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonresultant import mapdeg
 from nonresultant.exactalg import ExactPolynomial, GaussianRational, NonConvergenceError
 from nonresultant.mapdeg import (
     INFINITY,
@@ -16,7 +15,6 @@ from nonresultant.mapdeg import (
     eval_natural_map,
     map_degree,
     rp1_degree,
-    winding_number,
 )
 from nonresultant.nonres import (
     FIELD_COMPLEX,
@@ -27,7 +25,8 @@ from nonresultant.nonres import (
     is_member,
 )
 
-from oracles import cauchy_index_real_line, map_degree_winding, rp1_degree_lift, winding_dense
+import oracles
+from oracles import cauchy_index_real_line, map_degree_winding, rp1_degree_lift, winding_dense, winding_number
 
 z = ExactPolynomial.variable()
 
@@ -37,7 +36,7 @@ def circle_power(k):
 
 
 # ---------------------------------------------------------------------------
-# winding numbers
+# winding numbers: the adaptive lift that the oracles build on
 # ---------------------------------------------------------------------------
 
 
@@ -85,7 +84,7 @@ def test_winding_rejects_a_sample_at_zero():
 
 def test_winding_stops_at_the_sample_ceiling(monkeypatch):
     # e^{40 i theta} turns by more than pi/2 between the first samples
-    monkeypatch.setattr(mapdeg, "_MAX_SAMPLES", 64)
+    monkeypatch.setattr(oracles, "_MAX_SAMPLES", 64)
     with pytest.raises(WindingError, match="64 samples") as info:
         winding_number(circle_power(40))
     assert info.value.diagnostics["samples"] == 65

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from nonresultant.case12 import component_of_12
-from nonresultant.case31 import Model31, i_d_loop, pi1_winding
-from nonresultant.exactalg import ExactPolynomial
+from nonresultant.case31 import Model31, i_d_loop, phi_inverse, pi1_winding
+from nonresultant.exactalg import ExactPolynomial, poly_from_json, real_roots_exact
 from nonresultant import stab
 from nonresultant.nonres import (
     FIELD_REAL,
@@ -15,6 +18,7 @@ from nonresultant.nonres import (
     max_common_multiplicity,
 )
 from nonresultant.stab import (
+    loop_T,
     recommended_T,
     stabilize_31,
     stabilize_31_model,
@@ -85,6 +89,99 @@ def test_stabilized_generator_loop_still_winds_once():
         samples.append(stabilize_31_model(m, F(25)))
     samples.append(samples[0])
     assert pi1_winding(samples) == 1
+
+
+# ---------------------------------------------------------------------------
+# a stabilization T that is safe along a whole loop
+# ---------------------------------------------------------------------------
+
+
+def stabilized_twice(loop, pick_T):
+    for _ in range(2):
+        T = pick_T(loop)
+        loop = [stabilize_31_model(m, T) for m in loop]
+    return loop
+
+
+def largest_vertex_T(loop):
+    return max(recommended_T(phi_inverse(m)) for m in loop)
+
+
+def closed_loop(f1, vertices):
+    models = [Model31(f1, poly_from_json(a), poly_from_json(b)) for a, b in vertices]
+    return models + models[:1]
+
+
+# f1 = (z - 1)(z + 1)(z - 2) throughout; the leading coefficients of f2 and
+# f3 change sign along the segments, and the cross polynomial of the last
+# segment has a root near 18.46, beyond every vertex's recommended_T (12)
+POINTWISE_REGRESSION = closed_loop(
+    poly_from_json(["2", "-1", "-2", "1"]),
+    [
+        (["-7/4", "-2"], ["5", "-1/2"]),
+        (["6", "7/3"], ["0", "4"]),
+        (["-7/4", "-5/2"], ["3", "5/2"]),
+        (["-8/3", "5"], ["-5/2", "2/3"]),
+    ],
+)
+
+
+def test_loop_T_keeps_a_class_that_the_pointwise_T_changes():
+    loop = POINTWISE_REGRESSION
+    assert pi1_winding(loop) == 0
+    assert pi1_winding(stabilized_twice(loop, largest_vertex_T)) == -1
+    image = stabilized_twice(loop, loop_T)
+    assert image[0].degree == 5
+    assert pi1_winding(image) == 0
+
+
+def test_loop_T_clears_the_vertices_and_the_cross_polynomials():
+    loop = POINTWISE_REGRESSION
+    T = loop_T(loop)
+    assert T >= largest_vertex_T(loop)
+    for a, b in zip(loop, loop[1:]):
+        cross = a.f2 * b.f3 - a.f3 * b.f2
+        assert all(r.refine(F(1)).hi < T for r in real_roots_exact(cross))
+    # with only constant cross polynomials the vertex bound is the answer
+    one = ExactPolynomial.one()
+    square = [Model31(z**3, one * a, one * b) for a, b in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]]
+    assert loop_T(square) == largest_vertex_T(square)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3])
+def test_loop_T_keeps_every_class_of_the_reference_loops(k, d):
+    # every class of degree d + 2 is the image of a loop of degree d
+    loop = [i_d_loop(d, 2 * math.pi * k * j / 16) for j in range(16)]
+    loop.append(loop[0])
+    assert pi1_winding(loop) == k
+    assert pi1_winding(stabilized_twice(loop, loop_T)) == k
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=15, deadline=None)
+def test_loop_T_keeps_the_class_of_random_loops(seed):
+    rng = random.Random(seed)
+    d = rng.choice((3, 5))
+
+    def rational(top):
+        return F(rng.randint(-top, top), rng.randint(1, 4))
+
+    f1 = ExactPolynomial.from_roots([rational(5) for _ in range(d)])
+    size = rng.randint(3, 6)
+    loop = []
+    while len(loop) < size:
+        entries = [ExactPolynomial(tuple(rational(9) for _ in range(d - 1))) for _ in range(2)]
+        try:
+            loop.append(Model31(f1, *entries))
+        except MembershipError:
+            pass
+    loop.append(loop[0])
+    try:
+        before = pi1_winding(loop)
+    except MembershipError:  # a segment leaves the space
+        reject()
+    assert pi1_winding(stabilized_twice(loop, loop_T)) == before
 
 
 # ---------------------------------------------------------------------------
