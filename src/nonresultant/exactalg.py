@@ -22,7 +22,10 @@ last nonzero remainder made monic; the resultant is read off the last
 constant term (Cohen, A Course in Computational Algebraic Number Theory,
 Algorithm 3.3.7).  The PRS runs on the numerators as stored; a family's gcd
 is one PRS fold that keeps the primitive part between steps (over Z[i], the
-monic associate's numerators) and makes only the final gcd monic.
+monic associate's numerators) and makes only the final gcd monic.  Families
+are lazy streams of numerator lists, read only up to the first constant.  The
+Z[i] kernel writes the Gaussian products out and divides each remainder by
+the step's divisor with its conjugate and norm computed once.
 
 Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built over Z with positive content stripped at each step, once per
@@ -538,11 +541,7 @@ class ExactPolynomial:
             raise ValueError("derivative order must be nonnegative")
         if order == 0:
             return self
-
-        def diff(cs):
-            return [math.perm(k, order) * c for k, c in enumerate(cs) if k >= order]
-
-        return _poly(diff(self._re), self._im and diff(self._im), self._den)
+        return _poly(_Z.derivative(self._re, order), self._im and _Z.derivative(self._im, order), self._den)
 
     def monic(self) -> "ExactPolynomial":
         if self.is_zero:
@@ -581,7 +580,7 @@ class ExactPolynomial:
         shared by every later reader, which must not modify it."""
         if not self.is_real:
             raise ValueError("Sturm counting needs real coefficients")
-        return _sturm_chain(self._re, _int_derivative(self._re))
+        return _sturm_chain(self._re, _Z.derivative(self._re, 1))
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction, GaussianRational)):
@@ -667,15 +666,6 @@ def _g_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _g_divexact(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    x = a[0] * b[0] + a[1] * b[1]
-    y = a[1] * b[0] - a[0] * b[1]
-    if x % n or y % n:
-        raise ArithmeticError("inexact division in Z[i]")
-    return (x // n, y // n)
-
-
 def _power(base, k: int, one, mul):
     """base**k by square-and-multiply, for a nonnegative integer k."""
     if not isinstance(k, int) or k < 0:
@@ -684,24 +674,26 @@ def _power(base, k: int, one, mul):
     while k:
         if k & 1:
             out = mul(out, base)
-        base = mul(base, base)
         k >>= 1
+        if k:
+            base = mul(base, base)
     return out
 
 
 def _g_prem(a: list, b: list) -> list:
+    """Pseudo-remainder over Z[i], with the Gaussian products written out."""
     da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
+    lr, li = b[-1]
     r = list(a)
     for k in range(da - db, -1, -1):
-        c = r[db + k]
-        for i in range(db + k):
-            t = _g_mul(lb, r[i])
-            if i >= k:
-                u = _g_mul(c, b[i - k])
-                t = (t[0] - u[0], t[1] - u[1])
-            r[i] = t
-        del r[db + k :]
+        cr, ci = r.pop()
+        for i in range(k):
+            x, y = r[i]
+            r[i] = (lr * x - li * y, lr * y + li * x)
+        for i in range(k, db + k):
+            x, y = r[i]
+            u, v = b[i - k]
+            r[i] = (lr * x - li * y - cr * u + ci * v, lr * y + li * x - cr * v - ci * u)
     while r and r[-1] == (0, 0):
         r.pop()
     return r
@@ -712,18 +704,29 @@ class _Z:
 
     one = 1
     mul = staticmethod(operator.mul)
-    div = staticmethod(operator.floordiv)  # only ever called on exact quotients
     pow = staticmethod(pow)
     prem = staticmethod(_int_prem)
     primitive = staticmethod(_int_primitive)
+
+    @staticmethod
+    def divide(cs: list, d: int) -> list:
+        return [c // d for c in cs]  # only ever called on exact quotients
+
+    @staticmethod
+    def derivative(cs: Sequence[int], k: int) -> list:
+        return [math.perm(j, k) * c for j, c in enumerate(cs[k:], k)]
+
+    @staticmethod
+    def add(a: list, b: list) -> list:
+        return _lin(1, a, 1, b)
 
     @staticmethod
     def numerators(f: ExactPolynomial) -> list:
         return list(f._re)
 
     @staticmethod
-    def polynomial(cs: list) -> ExactPolynomial:
-        return _poly(cs)
+    def polynomial(cs: list, den: int = 1) -> ExactPolynomial:
+        return _poly(cs, None, den)
 
     @staticmethod
     def scalar(x: int, den: int) -> Scalar:
@@ -735,12 +738,33 @@ class _ZI:
 
     one = (1, 0)
     mul = staticmethod(_g_mul)
-    div = staticmethod(_g_divexact)
     prem = staticmethod(_g_prem)
 
     @staticmethod
     def pow(a, k: int):
         return _power(a, k, (1, 0), _g_mul)
+
+    @staticmethod
+    def divide(cs: list, d: tuple) -> list:
+        dr, di = d
+        n = dr * dr + di * di
+        out = []
+        for x, y in cs:
+            re, sr = divmod(x * dr + y * di, n)
+            im, si = divmod(y * dr - x * di, n)
+            if sr or si:
+                raise ArithmeticError("inexact division in Z[i]")
+            out.append((re, im))
+        return out
+
+    @staticmethod
+    def derivative(cs: list, k: int) -> list:
+        return [(math.perm(j, k) * x, math.perm(j, k) * y) for j, (x, y) in enumerate(cs[k:], k)]
+
+    @staticmethod
+    def add(a: list, b: list) -> list:
+        # b no longer than a
+        return [(x + u, y + v) for (x, y), (u, v) in zip(a, b)] + a[len(b) :]
 
     @staticmethod
     def primitive(cs: list) -> list:
@@ -756,8 +780,8 @@ class _ZI:
         return list(zip(f._re, f._im_parts))
 
     @staticmethod
-    def polynomial(cs: list) -> ExactPolynomial:
-        return _poly([x for x, _ in cs], [y for _, y in cs])
+    def polynomial(cs: list, den: int = 1) -> ExactPolynomial:
+        return _poly([x for x, _ in cs], [y for _, y in cs], den)
 
     @staticmethod
     def scalar(x: tuple, den: int) -> Scalar:
@@ -782,12 +806,12 @@ def _prs(a: list, b: list, ring) -> tuple:
             s = -s
         r = ring.prem(a, b)
         div = ring.mul(g, ring.pow(h, delta))
-        a, b = b, [ring.div(c, div) for c in r]
+        a, b = b, ring.divide(r, div) if div != ring.one else r
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = ring.div(ring.pow(g, delta), ring.pow(h, delta - 1))
+            (h,) = ring.divide([ring.pow(g, delta)], ring.pow(h, delta - 1))
     return a, b, h, s
 
 
@@ -799,25 +823,30 @@ def gcd_exact(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
 
 
 def gcd_many(polys: Sequence[ExactPolynomial]) -> ExactPolynomial:
-    """Monic gcd of a nonempty family: one PRS fold over the numerators that
-    stops at the first constant and keeps the primitive part between steps."""
+    """Monic gcd of a nonempty family, by `_gcd_fold` on its numerators."""
     if not polys:
         raise ValueError("gcd of an empty family")
     ring = _ring(*polys)
+    acc = _gcd_fold(ring, map(ring.numerators, polys))
+    if not acc:
+        raise ValueError("gcd of the zero family")
+    return ring.polynomial(acc).monic() if len(acc) > 1 else ExactPolynomial.one()
+
+
+def _gcd_fold(ring, family: Iterable[list]) -> list:
+    """Numerators, up to a unit, of the gcd of a lazy family of numerator lists:
+    one PRS fold that strips content and stops at the first constant ([] if all zero)."""
     acc = []
-    for f in polys:
-        if len(acc) == 1:
-            break
-        b = ring.numerators(f)
+    for b in family:
         if len(acc) > 1 and len(b) > 1:
             a, b = (acc, b) if len(acc) >= len(b) else (b, acc)
             last, rem, _, _ = _prs(a, b, ring)
             b = [ring.one] if rem else ring.primitive(last)
         if b:
             acc = b
-    if not acc:
-        raise ValueError("gcd of the zero family")
-    return ring.polynomial(acc).monic() if len(acc) > 1 else ExactPolynomial.one()
+        if len(acc) == 1:
+            break
+    return acc
 
 
 def squarefree_decomposition(f: ExactPolynomial) -> list:
@@ -880,10 +909,6 @@ def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
 # secant step tested on a grid whose size squares on every hit, so the bits
 # gained double per step where bisection gains one.
 # ---------------------------------------------------------------------------
-
-
-def _int_derivative(cs: Sequence[int]) -> list:
-    return [k * c for k, c in enumerate(cs)][1:]
 
 
 def _sign(x: int) -> int:
@@ -1655,7 +1680,7 @@ def resultant_exact(f: ExactPolynomial, g: ExactPolynomial) -> Scalar:
     if not b:
         return Fraction(0)
     d = len(a) - 1
-    res = ring.div(ring.pow(b[0], d), ring.pow(h, d - 1))
+    (res,) = ring.divide([ring.pow(b[0], d)], ring.pow(h, d - 1))
     # the sign rides on the denominator; the scalar constructors normalize it
     return ring.scalar(res, sign * s * den)
 

@@ -15,7 +15,8 @@ Membership is decided exactly along two independent routes:
   f_k + f_k^(i) (i < n) share a common root, so membership is equivalent to
   the gcd of all jet components being constant.
 
-Both are kept callable so they can cross-check each other.
+Both are kept callable so they can cross-check each other.  Each is one lazy
+gcd fold on integer numerators that generates no member past a constant gcd.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 
 from .exactalg import (
     ExactPolynomial,
+    _gcd_fold,
+    _ring,
     gcd_many,
     poly_from_json,
     poly_to_json,
@@ -86,10 +89,18 @@ def jet(f: ExactPolynomial, n: int) -> JetTuple:
         raise ValueError("jet order must be >= 1")
     if f.is_zero:
         raise ValueError("jet of the zero polynomial")
-    comps = [f]
+    if n == 1:
+        return JetTuple((f,))
+    ring = _ring(f)
+    _, *later = _jet_numerators(ring, ring.numerators(f), n)
+    return JetTuple((f, *(ring.polynomial(cs, f._den) for cs in later)))
+
+
+def _jet_numerators(ring, cs: list, n: int):
+    """Numerators cs, cs + cs', ..., cs + cs^(n-1) of the jet components."""
+    yield cs
     for i in range(1, n):
-        comps.append(f + f.derivative(i))
-    return JetTuple(tuple(comps))
+        yield ring.add(cs, ring.derivative(cs, i))
 
 
 @dataclass(frozen=True)
@@ -167,15 +178,17 @@ def max_common_multiplicity(t: SystemTuple) -> int:
 
 def is_member(t: SystemTuple) -> bool:
     """Exact membership by the gcd route: deg g < n or gcd(g, g', ..., g^(n-1)) = 1."""
-    g = gcd_many(t.polys)
-    return g.degree < t.n or gcd_many([g.derivative(k) for k in range(t.n)]).degree == 0
+    ring = _ring(*t.polys)
+    g = _gcd_fold(ring, map(ring.numerators, t.polys))
+    return len(g) <= t.n or len(_gcd_fold(ring, (ring.derivative(g, k) for k in range(t.n)))) == 1
 
 
 def is_member_via_jets(t: SystemTuple) -> bool:
     """Exact membership via the jet route: members are exactly the tuples
     whose m*n jet components have constant gcd."""
-    components = [c for f in t.polys for c in jet(f, t.n).components]
-    return gcd_many(components).degree == 0
+    ring = _ring(*t.polys)
+    family = (cs for f in t.polys for cs in _jet_numerators(ring, ring.numerators(f), t.n))
+    return len(_gcd_fold(ring, family)) == 1
 
 
 def stability_dimension(d: int, m: int, n: int) -> int:

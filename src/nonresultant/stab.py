@@ -140,7 +140,10 @@ def loop_T(loop) -> Fraction:
 
 def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) -> StabilizationReport:
     """Route to the construction named by `case` ('31', '12', or 'mult';
-    inferred from (m, n) when omitted) and record what happened."""
+    inferred from (m, n) when omitted) and record what happened.
+
+    `member_in` and `member_out` are True whenever a report is returned: the
+    constructions (for case '12', `component_of_12`) raise outside the space."""
     if case is None:
         if t.m == 3 and t.n == 1:
             case = "31"
@@ -151,7 +154,6 @@ def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) ->
         else:
             raise ValueError("no stabilization applies to this (m, n)")
     T = recommended_T(t) if T is None else _as_fraction(T)
-    member_in = is_member(t)
     label_in = label_out = None
     if case == "31":
         out = stabilize_31(t, T)
@@ -169,8 +171,8 @@ def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) ->
     return StabilizationReport(
         case=case,
         T_used=T,
-        member_in=member_in,
-        member_out=is_member(out),
+        member_in=True,
+        member_out=True,
         input_label=label_in,
         output_label=label_out,
         output=out,

@@ -16,7 +16,11 @@ integer numerators; interpolation by Lagrange basis products instead of
 forward differences; path samples by the exact gcd route at every sample
 instead of the sign of the path's boundary polynomial; JSON coefficients by
 one `Fraction` per value instead of integer parts; single-linkage groups by
-union-find instead of growth by the least linked index.
+union-find instead of growth by the least linked index; the Z[i]
+pseudo-remainder and subresultant PRS by one tuple-building Gaussian product
+per term and one exact division per coefficient instead of the written-out
+kernel that divides once per step; jet components by `Fraction` coefficient
+arithmetic instead of the numerator kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     RealRoot,
-    _int_derivative,
     _int_primitive,
     _sturm_chain,
     _variations,
@@ -76,6 +79,77 @@ def gcd_pairwise(polys, gcd2=gcd_euclid) -> ExactPolynomial:
     if acc.is_zero:
         raise ValueError("gcd of the zero family")
     return acc.monic()
+
+
+def _g_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _g_divexact(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    x = a[0] * b[0] + a[1] * b[1]
+    y = a[1] * b[0] - a[0] * b[1]
+    if x % n or y % n:
+        raise ArithmeticError("inexact division in Z[i]")
+    return (x // n, y // n)
+
+
+def _g_pow(a, k: int):
+    out = (1, 0)
+    for _ in range(k):
+        out = _g_mul(out, a)
+    return out
+
+
+def g_prem_by_products(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over Z[i], on
+    (re, im) pairs, with one `_g_mul` call and tuple per product."""
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    for k in range(da - db, -1, -1):
+        c = r[db + k]
+        for i in range(db + k):
+            t = _g_mul(lb, r[i])
+            if i >= k:
+                u = _g_mul(c, b[i - k])
+                t = (t[0] - u[0], t[1] - u[1])
+            r[i] = t
+        del r[db + k :]
+    while r and r[-1] == (0, 0):
+        r.pop()
+    return r
+
+
+def g_prs_by_products(a: list, b: list) -> tuple:
+    """The subresultant PRS over Z[i] from deg a >= deg b >= 1, returning
+    (a, b, h, s) like `exactalg._prs`: `g_prem_by_products` for every
+    remainder, then one exact Gaussian division per coefficient."""
+    g = h = (1, 0)
+    s = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            s = -s
+        r = g_prem_by_products(a, b)
+        div = _g_mul(g, _g_pow(h, delta))
+        a, b = b, [_g_divexact(c, div) for c in r]
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _g_divexact(_g_pow(g, delta), _g_pow(h, delta - 1))
+    return a, b, h, s
+
+
+def jet_by_sums(f: ExactPolynomial, n: int) -> tuple:
+    """Jet components f, f + f', ..., f + f^(n-1), each derivative taken
+    on the Fraction/GaussianRational coefficients."""
+    cs = f.coefficients
+    out = [f]
+    for i in range(1, n):
+        out.append(f + ExactPolynomial([math.perm(j, i) * c for j, c in enumerate(cs) if j >= i]))
+    return tuple(out)
 
 
 def resultant_from_roots(f: ExactPolynomial, g: ExactPolynomial) -> complex:
@@ -500,7 +574,7 @@ def isolate_squarefree_fractions(cs) -> list:
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    chain = _sturm_chain(cs, _int_derivative(cs))
+    chain = _sturm_chain(cs, [k * c for k, c in enumerate(cs)][1:])
     lead = abs(cs[-1])
     bound = 1 + max(abs(c) for c in cs[:-1]) / Fraction(lead)
     b = Fraction(1)

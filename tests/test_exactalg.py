@@ -51,6 +51,8 @@ from oracles import (
     circle_starts,
     cluster_roots_scan,
     float_value_fractions,
+    g_prem_by_products,
+    g_prs_by_products,
     gcd_euclid,
     gcd_from_factor_multisets,
     gcd_pairwise,
@@ -294,27 +296,27 @@ def test_gcd_scaling_invariance():
 
 # (1+i)**9 * (2+i)**4 * 6: Gaussian content the PRS must carry through
 LARGE_CONTENT = GaussianRational(F(1), F(1)) ** 9 * GaussianRational(F(2), F(1)) ** 4 * 6
+LARGE_CONTENT_SCALES = [
+    LARGE_CONTENT,
+    LARGE_CONTENT * GaussianRational(F(3), F(-2)) ** 5 * F(1, 7),
+    F(-12),
+    GaussianRational(F(1), F(1)) ** 16,
+]
+GAUSSIAN_ROOT_POOL = [
+    GaussianRational(F(a, c), F(b, c)).canonical()
+    for a in range(-2, 3)
+    for b in range(-2, 3)
+    for c in (1, 3)
+]
 
 
 def test_prs_on_gaussian_inputs_with_large_content():
     # the PRS runs on the numerators as stored: scale planted products by
     # scalars with large Gaussian content and leave them non-monic
     rng = random.Random(54)
-    scales = [
-        LARGE_CONTENT,
-        LARGE_CONTENT * GaussianRational(F(3), F(-2)) ** 5 * F(1, 7),
-        F(-12),
-        GaussianRational(F(1), F(1)) ** 16,
-    ]
-    pool = [
-        GaussianRational(F(a, c), F(b, c)).canonical()
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-        for c in (1, 3)
-    ]
     for _ in range(40):
-        roots = [[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(3)]
-        polys = [ExactPolynomial.from_roots(rs) * rng.choice(scales) for rs in roots]
+        roots = [[rng.choice(GAUSSIAN_ROOT_POOL) for _ in range(rng.randint(1, 5))] for _ in range(3)]
+        polys = [ExactPolynomial.from_roots(rs) * rng.choice(LARGE_CONTENT_SCALES) for rs in roots]
         f, g, h = polys
         assert not f.is_monic
         assert gcd_exact(f, g) == gcd_from_factor_multisets(roots[0], roots[1])
@@ -329,6 +331,45 @@ def test_prs_on_gaussian_inputs_with_large_content():
         ]
         assert squarefree_decomposition(f) == want
         assert resultant_exact(f, g) == resultant_sylvester(f, g)
+
+
+def test_gaussian_kernel_matches_the_product_kernel_bit_for_bit():
+    # random Gaussian numerators, then the large-content products above,
+    # some with a common factor so the PRS ends in a zero remainder
+    rng = random.Random(57)
+
+    def pairs(k, bits):
+        out = [(rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)) for _ in range(k)]
+        return out[:-1] + [out[-1] if out[-1] != (0, 0) else (1, -1)]
+
+    inputs = []
+    for _ in range(150):
+        db = rng.randint(1, 7)
+        inputs.append((pairs(db + rng.randint(0, 4) + 1, rng.choice((3, 40, 300))), pairs(db + 1, 30)))
+    for _ in range(150):
+        common = [rng.choice(GAUSSIAN_ROOT_POOL) for _ in range(rng.randint(0, 3))]
+        a, b = (
+            ExactPolynomial.from_roots(common + [rng.choice(GAUSSIAN_ROOT_POOL) for _ in range(k)])
+            * rng.choice(LARGE_CONTENT_SCALES)
+            for k in sorted((rng.randint(1, 6), rng.randint(1, 6)), reverse=True)
+        )
+        inputs.append((exactalg._ZI.numerators(a), exactalg._ZI.numerators(b)))
+    endings = Counter()
+    for a, b in inputs:
+        assert exactalg._g_prem(a, b) == g_prem_by_products(a, b)
+        got = exactalg._prs(a, b, exactalg._ZI)
+        assert got == g_prs_by_products(a, b)
+        endings["zero" if not got[1] else "constant"] += 1
+    assert min(endings.values()) >= 20
+
+
+def test_gaussian_divide_raises_on_an_inexact_quotient():
+    assert exactalg._ZI.divide([(6, 4), (0, 10), (0, 0)], (1, 1)) == [(5, -1), (5, 5), (0, 0)]
+    assert exactalg._ZI.divide([(6, -4)], (2, 0)) == [(3, -2)]
+    with pytest.raises(ArithmeticError, match="inexact division in Z\\[i\\]"):
+        exactalg._ZI.divide([(6, 4), (1, 0)], (1, 1))
+    with pytest.raises(ArithmeticError):
+        exactalg._ZI.divide([(3, 4)], (2, 0))
 
 
 def test_gcd_many_folds_mixed_families_like_the_pairwise_fold():

@@ -3,10 +3,10 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nonresultant import nonres
+from nonresultant import exactalg, nonres
 from nonresultant.exactalg import ExactPolynomial, GaussianRational
 from nonresultant.nonres import (
     FIELD_COMPLEX,
@@ -21,6 +21,7 @@ from nonresultant.nonres import (
     max_common_multiplicity,
     stability_dimension,
 )
+from oracles import jet_by_sums
 
 z = ExactPolynomial.variable()
 
@@ -173,21 +174,29 @@ def test_membership_routes_agree_gaussian():
 SHAPES = [(m, n) for n in range(1, 5) for m in range(1, 7) if m * n <= 6 and (m, n) != (1, 1)]
 
 
-def planted_roots(rng, m, n, field):
+def planted_roots(rng, m, n, field, max_degree=None):
     """Root lists of m entries with one planted root of multiplicity 0..n+1
     in every entry, plus up to three roots from a small pool (so entries
-    share roots by chance), each with multiplicity 1..n; over R a nonreal
+    share roots by chance), each with multiplicity 1..n, left out where it
+    would take the entry's degree beyond `max_degree`; over R a nonreal
     root comes with its conjugate."""
     if field == FIELD_REAL:
         pool = [F(k, 2) for k in range(-4, 5)] + [GaussianRational(F(1), F(1)), GaussianRational(F(-1, 2), F(2))]
     else:
         pool = [GaussianRational(F(a), F(b, 2)).canonical() for a in range(-1, 2) for b in range(-2, 3)]
+
+    def degree(roots):
+        pairs = sum(isinstance(r, GaussianRational) for r in roots) if field == FIELD_REAL else 0
+        return len(roots) + pairs
+
     planted, mu = rng.choice(pool), rng.randint(0 if m > 1 else 1, n + 1)
     entries = []
     for _ in range(m):
         roots = [planted] * mu
         for _ in range(rng.randint(0 if mu else 1, 3)):
-            roots += [rng.choice(pool)] * rng.randint(1, n)
+            extra = [rng.choice(pool)] * rng.randint(1, n)
+            if max_degree is None or degree(roots + extra) <= max_degree:
+                roots += extra
         if field == FIELD_REAL:
             roots += [r.conjugate() for r in roots if isinstance(r, GaussianRational)]
         entries.append(roots)
@@ -202,20 +211,102 @@ def member_by_roots(entries, n) -> bool:
     return all(k < n for k in common.values())
 
 
+def refuse(*args):
+    raise AssertionError("a membership route built a polynomial")
+
+
 @pytest.mark.parametrize("field", [FIELD_REAL, FIELD_COMPLEX])
 @pytest.mark.parametrize("m, n", SHAPES)
-def test_membership_routes_match_planted_roots(m, n, field):
+def test_membership_routes_match_planted_roots(monkeypatch, m, n, field):
     rng = random.Random(1000 * m + 10 * n + (field == FIELD_COMPLEX))
-    verdicts = set()
+    cases = []
     for _ in range(16):
         entries = planted_roots(rng, m, n, field)
         t = tuple_from_factor_lists(entries, n, field)
         want = member_by_roots(entries, n)
-        verdicts.add(want)
-        assert is_member(t) == want
+        cases.append((t, want))
         assert (max_common_multiplicity(t) < n) == want
+    assert {want for _, want in cases} == {True, False}
+    # both routes fold integer numerators: neither makes a polynomial monic
+    # nor takes the derivative of one
+    monkeypatch.setattr(ExactPolynomial, "monic", refuse)
+    monkeypatch.setattr(ExactPolynomial, "derivative", refuse)
+    for t, want in cases:
+        assert is_member(t) == want
         assert is_member_via_jets(t) == want
-    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "entries, n, field",
+    [
+        ([[1, 2, 3]], 3, FIELD_REAL),
+        ([[1, 2], [3, 4]], 2, FIELD_REAL),
+        ([[GaussianRational(F(1), F(2)), 3, -1]], 3, FIELD_COMPLEX),
+        ([[GaussianRational(F(0), F(1)), 2], [1, 1]], 2, FIELD_COMPLEX),
+    ],
+)
+def test_jet_route_stops_at_the_first_coprime_components(monkeypatch, entries, n, field):
+    # f and f + f' are coprime for a squarefree f: the fold stops there and
+    # the later components f + f^(i), i >= 2, are never generated
+    t = tuple_from_factor_lists(entries, n, field)
+    ring = exactalg._ring(*t.polys)
+    orders = []
+    derivative = ring.derivative
+
+    def counted(cs, k):
+        orders.append(k)
+        return derivative(cs, k)
+
+    monkeypatch.setattr(ring, "derivative", staticmethod(counted))
+    assert is_member_via_jets(t)
+    assert orders == [1]
+
+
+@pytest.mark.parametrize(
+    "entries, n, field",
+    [
+        ([[1, 1, -1], [1, 1, 4]], 3, FIELD_REAL),
+        ([[1, 2, 3]], 4, FIELD_REAL),
+        ([[GaussianRational(F(1), F(1))] * 2 + [5], [GaussianRational(F(1), F(1))] * 2], 3, FIELD_COMPLEX),
+    ],
+)
+def test_gcd_route_builds_no_derivative_when_deg_g_is_below_n(monkeypatch, entries, n, field):
+    for ring in (exactalg._Z, exactalg._ZI):
+        monkeypatch.setattr(ring, "derivative", staticmethod(refuse))
+    assert is_member(tuple_from_factor_lists(entries, n, field))
+
+
+LARGE_SCALES = [F(10**25 + 13), F(3**52, 2**80 + 1), F(1, 10**24 + 7), F(-(7**28) * 6**3, 5)]
+LARGE_GAUSSIAN_SCALES = [
+    GaussianRational(F(10**12 + 1), F(1 - 10**12)) ** 2,
+    GaussianRational(F(1), F(1)) ** 80 * GaussianRational(F(2), F(1)) ** 30 * F(1, 11),
+]
+
+
+# time_limit is a stateless factory, so sharing it between examples is safe
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(SHAPES),
+    st.sampled_from([FIELD_REAL, FIELD_COMPLEX]),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=len(LARGE_SCALES + LARGE_GAUSSIAN_SCALES) - 1),
+)
+def test_membership_routes_on_planted_tuples_with_large_coefficients(time_limit, shape, field, seed, k):
+    # roots of the planted recipe times one scale, so coefficients reach
+    # about 10**300 at degree 12; a Gaussian scale only over C
+    m, n = shape
+    scales = LARGE_SCALES + (LARGE_GAUSSIAN_SCALES if field == FIELD_COMPLEX else [])
+    scale = scales[k % len(scales)]
+    entries = [[r * scale for r in roots] for roots in planted_roots(random.Random(seed), m, n, field, 12)]
+    want = member_by_roots(entries, n)
+    with time_limit(20):
+        t = tuple_from_factor_lists(entries, n, field)
+        assert max(t.degrees) <= 12
+        assert is_member(t) == want
+        assert is_member_via_jets(t) == want
+        assert (max_common_multiplicity(t) < n) == want
+        for f in t.polys:
+            assert jet(f, n).components == jet_by_sums(f, n)
 
 
 @pytest.mark.parametrize(

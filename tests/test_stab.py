@@ -266,6 +266,39 @@ def test_report_json_round_trips_through_membership():
     assert out == report.output
 
 
+@pytest.mark.parametrize(
+    "t, calls",
+    [
+        (linear_triple(), 2),
+        (SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL), 2),
+        (SystemTuple(((z - 1) * (z * z + 1),), 2, FIELD_REAL), 0),
+    ],
+)
+def test_report_decides_membership_once_per_tuple(monkeypatch, t, calls):
+    # the constructions' own checks decide membership of the input and of
+    # the output; case '12' reads it from the squarefree check of its labels
+    seen = []
+
+    def counted(s):
+        seen.append(s)
+        return is_member(s)
+
+    monkeypatch.setattr(stab, "is_member", counted)
+    report = stabilize_with_report(t)
+    assert report.member_in and report.member_out
+    assert seen == [t, report.output][: calls]
+
+
+def test_report_refuses_inputs_outside_the_space():
+    # a report is never returned with member_in or member_out False
+    with pytest.raises(ValueError, match="common root"):
+        stabilize_with_report(SystemTuple((z, z * (z + 1), z * (z + 2)), 1, FIELD_REAL))
+    with pytest.raises(ValueError, match="repeated root"):
+        stabilize_with_report(SystemTuple(((z - 1) ** 2 * (z + 1),), 2, FIELD_REAL))
+    with pytest.raises(ValueError, match="multiplicity bound"):
+        stabilize_with_report(SystemTuple(((z - 1) ** 3, (z - 1) ** 3 * z), 3, FIELD_REAL))
+
+
 def test_report_explicit_case_override():
     t = SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL)
     report = stabilize_with_report(t, case="mult")
