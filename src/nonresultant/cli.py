@@ -241,7 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = add("stabilize", _cmd_stabilize, "degree-raising stabilization with a report")
-    p.add_argument("--T", type=_rational_flag, default=None, help="shift parameter 'p/q' (default: recommended bound)")
+    p.add_argument(
+        "--T",
+        type=_rational_flag,
+        default=None,
+        help="shift parameter 'p/q' (default: stab.recommended_T, a pointwise bound for this one "
+        "tuple; stabilizing the vertices of a (3,1) loop one by one needs --T set to stab.loop_T "
+        "of the whole loop, or the loop's class may change)",
+    )
     p.add_argument("--case", default=None, choices=["31", "12", "mult"], help="construction override")
 
     p = add("sweep", _cmd_sweep, "seeded invariant sweep report", needs_input=False)

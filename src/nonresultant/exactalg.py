@@ -41,15 +41,18 @@ Complex roots are approximated by the Aberth-Ehrlich simultaneous iteration
 (vectorised, with a batch entry point so many same-degree polynomials share
 one iteration loop), then grouped into clusters whose multiplicity is the
 cluster size.  The iteration starts from the eigenvalues of the companion
-matrices, one `eigvals` call per degree group; these backward-stable
-approximations (Edelman and Murakami 1995) usually pass the first residual
-check unchanged.  Cluster centers are validated against a backward-error
-bound; a polynomial that fails is retried from rotated circles of starting
-points, and failure of every attempt raises `NonConvergenceError` carrying
-the diagnostics to reproduce it.  Clustering and validation are array passes
-over a degree group that repeat CPython's complex arithmetic on split real
-and imaginary floats, so they give the scalar code's results bit for bit
-(numpy's complex product, modulus and power differ in the last bit).
+matrices, one `eigvals` call per degree group for its real rows and one for
+the others; these backward-stable approximations (Edelman and Murakami 1995)
+usually pass the first residual check unchanged.  Cluster centers are
+validated against a backward-error bound; a monic row whose roots all passed
+the residual check and whose clusters are single roots needs no validation,
+since its centers are those roots.  A polynomial that fails is retried from
+rotated circles of starting points, and failure of every attempt raises
+`NonConvergenceError` carrying the diagnostics to reproduce it.  Clustering
+and validation are array passes over a degree group that repeat CPython's
+complex arithmetic on split real and imaginary floats, so they give the scalar
+code's results bit for bit (numpy's complex product, modulus and power differ
+in the last bit).
 """
 
 from __future__ import annotations
@@ -470,23 +473,24 @@ class ExactPolynomial:
         return hash((self._re, self._im, self._den))
 
     # -- ring operations ------------------------------------------------------
-    def _add(self, other, sign: int) -> "ExactPolynomial":
-        other = _as_poly(other)
+    def _combine(self, u: int, other: "ExactPolynomial", v: int, w: int = 1) -> "ExactPolynomial":
+        """(u*self + v*other) / w for integers u, v and w != 0, on the
+        numerators over the least common denominator."""
         den = math.lcm(self._den, other._den)
-        sf, sg = den // self._den, sign * (den // other._den)
+        sf, sg = u * (den // self._den), v * (den // other._den)
         re = _lin(sf, self._re, sg, other._re)
         im = None
         if self._im is not None or other._im is not None:
             im = _lin(sf, self._im_parts, sg, other._im_parts)
-        return _poly(re, im, den)
+        return _poly(re, im, den * w)
 
     def __add__(self, other):
-        return self._add(other, 1)
+        return self._combine(1, _as_poly(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._add(other, -1)
+        return self._combine(1, _as_poly(other), -1)
 
     def __rsub__(self, other):
         return _as_poly(other) - self
@@ -893,13 +897,19 @@ def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
 # monic output would give; otherwise Yun starts from the chain's last element,
 # gcd(f, f'), instead of a second remainder sequence.
 #
-# Isolation starts from (-2**e, 2**e) with 2**e above the Cauchy bound, and
-# works through an explicit worklist of dyadic intervals (a/2**k, b/2**k,
-# count): an interval holding one root is output, one holding more is halved,
-# and a midpoint that is itself a root is output as [r, r] with a root-free
-# strip around it cut out of the interval.  Sturm variation counts are cached
-# per point, keyed by the reduced (numerator, k); the chain starts with +-f,
-# so the same evaluations tell whether a point is a root.
+# Isolation starts from (-2**j, 2**j) with 2**j the least power of 2 above
+# the Cauchy bound, taken from one integer quotient, and works through an
+# explicit worklist of dyadic intervals (a/2**k, b/2**k, count): an interval
+# holding one root is output, one holding more is halved, and a midpoint that
+# is itself a root is output as [r, r] with a root-free strip around it cut
+# out of the interval.  Sturm variation counts are cached per point, keyed by
+# the reduced (numerator, k); the chain starts with +-f, so the same
+# evaluations tell whether a point is a root.  f has no root of modulus
+# >= 2**e, for the e of Fujiwara's bound that `_root_bound_exponent` reads
+# from bit lengths and confirms with one exact inequality; by Sturm's theorem
+# the count at a point there is V(-inf) or V(+inf), read once from the
+# chain's leading coefficients, and no chain element is evaluated (other
+# elements may vanish beyond the bound; the count does not depend on them).
 #
 # `RealRoot.refine` brings lo and hi over one denominator and bisects the
 # numerators; its intervals are part of the output (violation brackets, sweep
@@ -1205,6 +1215,25 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(p * t + p0) / (q * t + q0)
 
 
+def _root_bound_exponent(cs: Sequence[int]) -> int:
+    """An e with |a_d| 2**(e d) > sum_{k<d} |a_k| 2**(e k), so that f has no
+    root of modulus >= 2**e, for integer coefficients cs of degree >= 1
+    with a nonzero lower one.  Read from bit lengths: 2**e0 exceeds
+    M = max_k |a_k / a_d|**(1/(d-k)); e0 is kept when the inequality
+    confirms it, else e0 + 1, where 2**(e0+1) > 2M, Fujiwara's bound
+    (Tohoku Math. J. 10, 1916), for which the sum is below |a_d| 2**(e d)
+    times sum_j 2**-j < 1."""
+    d, lead = len(cs) - 1, abs(cs[-1])
+    n = lead.bit_length()
+    # ceil((bits(a_k) - bits(a_d) + 1) / (d - k)), as |a_d| >= 2**(bits - 1)
+    e = max(-((n - 1 - abs(a).bit_length()) // (d - k)) for k, a in enumerate(cs[:-1]) if a)
+    # both sides times 2**(-lo), which makes every shift a nonnegative one
+    lo = min(e, 0) * d
+    if lead << (e * d - lo) > sum(abs(a) << (e * k - lo) for k, a in enumerate(cs[:-1])):
+        return e
+    return e + 1
+
+
 def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
     """Isolating intervals/exact points for a squarefree integer polynomial
     with Sturm chain `chain` (unused, and may be None, below degree 2), as
@@ -1215,12 +1244,13 @@ def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
+    # the least 2**j >= top / lead = 1 + max|a_k| / |a_d|, the Cauchy bound
     lead = abs(cs[-1])
     top = lead + max(abs(c) for c in cs[:-1])
-    b = 1
-    while b * lead < top:
-        b <<= 1
+    b = 1 << (-(-top // lead) - 1).bit_length()
+    # no root lies at or beyond 2**e, so there V is V(-inf) or V(+inf)
+    e = _root_bound_exponent(cs)
+    at_inf = (_variations_at_inf(chain, False), _variations_at_inf(chain, True))
     var_cache = {}
 
     def var(p: int, k: int) -> Optional[int]:
@@ -1230,9 +1260,14 @@ def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
         key = (p >> z, k - z)
         v = var_cache.get(key, -1)
         if v == -1:
-            q = 1 << key[1]
-            values = [_value_at(c, key[0], q) for c in chain]
-            v = var_cache[key] = _variations(values) if values[0] else None
+            p, k = key
+            if p and p.bit_length() > k + e:  # |p| / 2**k >= 2**e
+                v = at_inf[p > 0]
+            else:
+                q = 1 << k
+                values = [_value_at(c, p, q) for c in chain]
+                v = _variations(values) if values[0] else None
+            var_cache[key] = v
         return v
 
     out = []
@@ -1399,8 +1434,10 @@ def _circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
 
 
 def _eigenvalue_starts(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the rows' companion matrices, from one `eigvals` call
-    on the (B, d, d) stack; real rows use the real eigensolver.  (B, d).
+    """Eigenvalues of the rows' companion matrices, (B, d): one `eigvals`
+    call on the stack of real rows, which uses the real eigensolver, and one
+    on the stack of the others.  Each row's solver depends on that row
+    alone, so its starts do not depend on the batch it came in.
 
     These are backward-stable root approximations (Edelman and Murakami,
     Math. Comp. 64, 1995), so Aberth usually certifies them on its first
@@ -1408,32 +1445,41 @@ def _eigenvalue_starts(coeffs: np.ndarray) -> np.ndarray:
     non-finite entry or the eigensolver does not converge."""
     batch, dp1 = coeffs.shape
     d = dp1 - 1
-    real = not coeffs.imag.any()
-    comp = np.zeros((batch, d, d), dtype=float if real else complex)
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -(coeffs.real if real else coeffs)[:, :-1]
-    return np.linalg.eigvals(comp).astype(complex)
+    real = ~np.logical_or.reduce(coeffs.imag != 0, axis=1)
+    out = np.empty((batch, d), dtype=complex)
+    for rows, part in ((real, coeffs.real), (~real, coeffs)):
+        if rows.any():
+            comp = np.zeros((np.count_nonzero(rows), d, d), dtype=part.dtype)
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, :, -1] = -part[rows, :-1]
+            out[rows] = np.linalg.eigvals(comp)
+    return out
 
 
-def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
+def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> tuple:
     """Run Aberth-Ehrlich on a batch of monic polynomials of equal degree.
 
     coeffs: (B, d+1) complex, ascending, last column all ones; z0: (B, d)
-    start points.  Returns (B, d).
+    start points.  Returns (z, settled): the (B, d) iterates, and the (B,)
+    mask of rows whose every root passed the residual test
+    |p(z)| <= 1e-14 * sum |c_k| max(1, |z|)**k at its final value, with a
+    finite right-hand side.
     A root stops moving once its residual is at rounding level, so a row
     whose roots have all stopped is final; such rows leave the working set,
-    and the rows still moving give bit-for-bit the same iterates.  The
-    (B, d, d) pairwise terms, the one large intermediate, live in buffers
-    made once per call rather than in fresh arrays on every iteration.
+    and the rows still moving give bit-for-bit the same iterates.  p' is
+    built only once a root is still moving.  The (B, d, d) pairwise terms,
+    the one large intermediate, live in buffers made once per call rather
+    than in fresh arrays on every iteration.
     """
     batch, dp1 = coeffs.shape
     d = dp1 - 1
     z = np.array(z0, dtype=complex)
-    out = z
+    out, settled = z, np.zeros(batch, dtype=bool)
     rows = np.arange(batch)
     dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
     abs_coeffs = np.abs(coeffs)
     active = np.ones((batch, d), dtype=bool)
+    s = np.zeros(z.shape)
     pair_buf = np.empty((batch, d, d), dtype=complex)
     mag_buf = np.empty((batch, d, d))
     tiny_buf = np.empty((batch, d, d), dtype=bool)
@@ -1441,18 +1487,17 @@ def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarr
         p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
         for k in range(d - 1, -1, -1):
             p = p * z + coeffs[:, k][:, None]
-        dp = np.broadcast_to(dcoeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 2, -1, -1):
-            dp = dp * z + dcoeffs[:, k][:, None]
         az = np.maximum(1.0, np.abs(z))
         # backward-error scale: sum |c_k| * max(1,|z|)^k via Horner in |z|
         s = np.broadcast_to(abs_coeffs[:, -1][:, None], z.shape).copy()
         for k in range(d - 1, -1, -1):
             s = s * az + abs_coeffs[:, k][:, None]
-        small = np.abs(p) <= 1e-14 * s
-        active &= ~small
+        active &= ~(np.abs(p) <= 1e-14 * s)
         if not active.any():
             break
+        dp = np.broadcast_to(dcoeffs[:, -1][:, None], z.shape).copy()
+        for k in range(d - 2, -1, -1):
+            dp = dp * z + dcoeffs[:, k][:, None]
         dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
         newton = p / dp
         n = len(z)
@@ -1471,10 +1516,15 @@ def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarr
         moving = active.any(axis=1)
         if not moving.all():
             out[rows[~moving]] = z[~moving]
-            rows, z, active = rows[moving], z[moving], active[moving]
+            settled[rows[~moving]] = np.logical_and.reduce(np.isfinite(s[~moving]), axis=1)
+            rows, z, active, s = rows[moving], z[moving], active[moving], s[moving]
             coeffs, dcoeffs, abs_coeffs = coeffs[moving], dcoeffs[moving], abs_coeffs[moving]
     out[rows] = z
-    return out
+    # a stopped root has not moved since its last test, so that test's scale
+    # is at its final value; an infinite scale passes the test vacuously
+    settled[rows] = ~np.logical_or.reduce(active, axis=1)
+    settled[rows] &= np.logical_and.reduce(np.isfinite(s), axis=1)
+    return out, settled
 
 
 # rows per array pass: bounds the (B, d, d) temporaries of Aberth and linking
@@ -1587,9 +1637,12 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
     """Root clusters as padded arrays (re, im, radius, multiplicity), each
     (P, D) for P polynomials of degree at most D: row p holds the clusters
     of polys[p] sorted by center (real part, then imaginary), then empty
-    slots of multiplicity 0 and center 0.  Aberth starts from one `eigvals`
-    call per degree group and _CHUNK rows; a row whose clusters fail the
-    backward-error check is retried from circle starts (`_ABERTH_RESTARTS`,
+    slots of multiplicity 0 and center 0.  Aberth starts from the
+    eigenvalues of each degree group of up to _CHUNK rows
+    (`_eigenvalue_starts`); a monic row whose roots all settled and whose
+    clusters are single roots is certified as it stands, and any other row
+    whose clusters fail the backward-error check is retried from circle
+    starts (`_ABERTH_RESTARTS`,
     with 120, 240 and 360 iterations), and the whole group if the
     eigensolver fails.  A row that fails every attempt raises
     `NonConvergenceError` with diagnostics: the polynomial's coefficient
@@ -1607,6 +1660,7 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
             chunk = np.array(indices[lo : lo + _CHUNK])
             coef = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
             mat = coef / coef[:, -1:]
+            monic = coef[:, -1] == 1.0
             pending, ratios, eigen_ran = np.arange(len(chunk)), np.zeros(len(chunk)), False
             for attempt, offset in enumerate((None, *_ABERTH_RESTARTS)):
                 rows = mat[pending]
@@ -1617,12 +1671,21 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
                         continue
                 else:
                     z0, max_iter = _circle_starts(rows, offset), 120 * attempt
-                roots = _aberth_batch(rows, z0, max_iter)
+                roots, settled = _aberth_batch(rows, z0, max_iter)
                 # double roots blur to ~1e-7 in binary64: "coincident" means 1e-6
                 tol = 1e-6 * np.maximum(1.0, np.maximum.reduce(np.hypot(roots.real, roots.imag), axis=1))
                 clusters = _cluster_rows(roots.real, roots.imag, tol)
-                ratios[pending] = ratio = _backward_error_ratios(coef[pending], *clusters)
-                done = ratio == 0.0
+                # a monic row whose roots all passed Aberth's residual test and
+                # stayed unlinked is certified: its centers are those roots,
+                # whose residuals of <= 1e-14 (plus d rounding errors) lie far
+                # under the allowance of at least 1e-9
+                done = settled & monic[pending] & np.logical_and.reduce(clusters[3] == 1, axis=1)
+                check = np.flatnonzero(~done)
+                if len(check):
+                    ratios[pending[check]] = ratio = _backward_error_ratios(
+                        coef[pending[check]], *(c[check] for c in clusters)
+                    )
+                    done[check] = ratio == 0.0
                 out[:, chunk[pending[done]], :d] = np.stack(clusters)[:, done]
                 pending = pending[~done]
                 if not len(pending):

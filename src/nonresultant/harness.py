@@ -11,6 +11,9 @@ with f_1, each interpolated from exact resultant values at equispaced nodes
 is res(f1, f2) and res(f, f').  Its sign decides membership at every dyadic
 sample, and its roots in (0, 1) are the violations, so irrational crossings
 and even-order touches that boolean sampling can never see are found too.
+The entries at the nodes are built on integer numerators over one
+denominator, and a path whose polynomial has no root in [0, 1] is clear
+without a sign per sample.
 
 Sweeps draw every trial from a per-index seed, so serial and parallel runs
 agree, and reports serialize to canonical JSON bytes for reproducibility
@@ -300,7 +303,8 @@ def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
     R(t, lam) = res_z(c_1, sum_{k>=2} lam^(k-2) c_k) vanishes for every lam
     (the generic combination; Cox, Little and O'Shea, Ideals, Varieties, and
     Algorithms, ch. 3).  deg_t R <= d_1 + max_k deg c_k =: N, and R_lam(t) is
-    interpolated from its exact values at t = i/N.  deg_lam R <= (mn-2)*d_1,
+    interpolated from its exact values at t = i/N, where each entry is
+    ((N - i) c(a) + i c(b)) / N on integer numerators.  deg_lam R <= (mn-2)*d_1,
     so the gcd over lam = 0, 1, ..., (mn-2)*d_1 of R_lam(t) is the gcd B(t) of
     R's lam-coefficients.  The running gcd stops early once it has no root in
     [0, 1]; otherwise it ends equal to B up to a constant, the zero
@@ -310,21 +314,24 @@ def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
     """
     ca = [c for f in a.polys for c in jet(f, a.n).components]
     cb = [c for f in b.polys for c in jet(f, b.n).components]
-    steps = [fb - fa for fa, fb in zip(ca, cb)]
     d1 = ca[0].degree
     count = d1 + max(c.degree for c in ca[1:])
-    nodes = [Fraction(i, count) for i in range(count + 1)]
-    firsts = [ca[0] + steps[0] * t for t in nodes]
+
+    def nodes(fa: ExactPolynomial, fb: ExactPolynomial) -> list:
+        # f(i/N) = ((N - i) fa + i fb) / N, on integer numerators
+        return [fa._combine(count - i, fb, i, count) for i in range(count + 1)]
+
+    firsts = nodes(ca[0], cb[0])
     g = ExactPolynomial.zero()
     last = (len(ca) - 2) * d1
     for lam in range(last + 1):
-        # the combination at t = 0 and its step to t = 1
-        comb = step = ExactPolynomial.zero()
-        for k in range(1, len(ca)):
-            comb += ca[k] * lam ** (k - 1)
-            step += steps[k] * lam ** (k - 1)
+        # the combination at t = 0 and at t = 1
+        comb_a, comb_b = ca[1], cb[1]
+        for k in range(2, len(ca)):
+            comb_a = comb_a._combine(1, ca[k], lam ** (k - 1))
+            comb_b = comb_b._combine(1, cb[k], lam ** (k - 1))
         r = interpolate_equispaced(
-            [resultant_exact(f, comb + step * t) for f, t in zip(firsts, nodes)]
+            [resultant_exact(f, h) for f, h in zip(firsts, nodes(comb_a, comb_b))]
         )
         if not r.is_real:
             # a real t is a root of r exactly when it is a root of r's real
@@ -347,6 +354,8 @@ def _first_violation(a: SystemTuple, g: ExactPolynomial):
     else:
         kind = "resultant_root" if a.m == 2 else "discriminant_root"
     for r in real_roots_exact(g):
+        if r.hi <= 0 or r.lo >= 1:
+            continue  # 0 and 1 are not roots: the root lies outside [0, 1]
         r = r.refine(_BRACKET_WIDTH)
         # 0 and 1 are not roots, so refining long enough settles the side
         while r.lo < 0 < r.hi or r.lo < 1 < r.hi:
@@ -442,14 +451,19 @@ def certify_path(
     Membership at every sample and the crossings are read from one exact
     boundary polynomial of the path (`_boundary_polynomial`), which vanishes
     in [0, 1] exactly at the non-members; the invariant runs only at member
-    samples.  Sample parameters are kept as integer numerators over
+    samples.  A path whose polynomial is nonzero with no root in [0, 1],
+    one Sturm count on its cached chain, is clear: every sample is a member
+    and there is no violation, so no sign is read per sample and no root is
+    isolated.  Sample parameters are kept as integer numerators over
     2**_DEPTH_CAP until the result is built."""
     _same_shape(a, b)
     g = _boundary_polynomial(a, b)
     scale = 1 << _DEPTH_CAP
+    # no root in [0, 1]: every sample is a member and nothing is violated
+    clear = not g.is_zero and not has_real_root_between(g, 0, 1)
 
     def probe(p: int):
-        member = sign_at(g, p, scale) != 0
+        member = clear or sign_at(g, p, scale) != 0
         t = Fraction(p, scale)
         value = invariant(path_tuple(a, b, t)) if (invariant is not None and member) else None
         return (t, member, value)
@@ -470,7 +484,7 @@ def certify_path(
             samples[p] = probe(p)
 
     cert = None
-    if samples[0][1] and samples[scale][1]:
+    if not clear and samples[0][1] and samples[scale][1]:
         cert = _first_violation(a, g)
     return PathInSpace(
         endpoints=(a, b),

@@ -12,15 +12,19 @@ real-axis and electric degrees of members also from float argument lifts
 instead of gcds and remainder sequences; resultants from the root-product
 formula or the Sylvester determinant instead of remainder sequences; real
 root isolation and refinement by recursive bisection on Fractions instead of
-integer numerators; interpolation by Lagrange basis products instead of
-forward differences; path samples by the exact gcd route at every sample
-instead of the sign of the path's boundary polynomial; JSON coefficients by
-one `Fraction` per value instead of integer parts; single-linkage groups by
-union-find instead of growth by the least linked index; the Z[i]
-pseudo-remainder and subresultant PRS by one tuple-building Gaussian product
-per term and one exact division per coefficient instead of the written-out
-kernel that divides once per step; jet components by `Fraction` coefficient
-arithmetic instead of the numerator kernels.
+integer numerators, and isolation on integer numerators with the whole chain
+evaluated at every point instead of the count at infinity read beyond a root
+bound; the first violation of a path with every root of its boundary
+polynomial refined instead of the roots outside [0, 1] skipped;
+interpolation by Lagrange basis products instead of forward differences;
+path samples by the exact gcd route at every sample instead of the sign of the
+path's boundary polynomial; JSON coefficients by one `Fraction` per value
+instead of integer parts; single-linkage groups by union-find instead of
+growth by the least linked index; the Z[i] pseudo-remainder and subresultant
+PRS by one tuple-building Gaussian product per term and one exact division per
+coefficient instead of the written-out kernel that divides once per step; jet
+components by `Fraction` coefficient arithmetic instead of the numerator
+kernels.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +42,9 @@ from nonresultant.exactalg import (
     GaussianRational,
     RealRoot,
     _int_primitive,
+    _sign_at,
     _sturm_chain,
+    _value_at,
     _variations,
     real_roots_exact,
     squarefree_decomposition,
@@ -200,16 +207,19 @@ def circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
     return radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + offset))[None, :]
 
 
-def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
+def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> tuple:
     """Batched Aberth-Ehrlich iterates from the start points z0, with every
     row updated on every iteration in fresh arrays (a row whose roots have
-    all stopped gets a zero step); the kernel must reproduce these bits."""
+    all stopped gets a zero step); the kernel must reproduce these bits.
+    Also returns the rows whose every root stopped at a residual test with a
+    finite scale: each root's verdict is recorded when it stops."""
     batch, dp1 = coeffs.shape
     d = dp1 - 1
     z = np.array(z0, dtype=complex)
     dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
     abs_coeffs = np.abs(coeffs)
     active = np.ones((batch, d), dtype=bool)
+    passed = np.zeros((batch, d), dtype=bool)
     for _ in range(max_iter):
         p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
         for k in range(d - 1, -1, -1):
@@ -221,7 +231,9 @@ def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.nd
         s = np.broadcast_to(abs_coeffs[:, -1][:, None], z.shape).copy()
         for k in range(d - 1, -1, -1):
             s = s * az + abs_coeffs[:, k][:, None]
-        active &= ~(np.abs(p) <= 1e-14 * s)
+        stops = active & (np.abs(p) <= 1e-14 * s)
+        passed |= stops & np.isfinite(s)
+        active &= ~stops
         if not active.any():
             break
         dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
@@ -235,7 +247,7 @@ def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> np.nd
         z = z - w
         if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
             break
-    return z
+    return z, passed.all(axis=1)
 
 
 def cluster_roots_scan(roots, tol: float) -> list:
@@ -624,6 +636,79 @@ def isolate_squarefree_fractions(cs) -> list:
     return out
 
 
+def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> list:
+    """Isolating intervals/exact points for a squarefree integer polynomial
+    with Sturm chain `chain` (unused, and may be None, below degree 2), as
+    sorted (lo, hi, sign of f at lo) triples of Fractions.
+
+    The reference for `exactalg._isolate_squarefree`: the same worklist, with
+    the whole chain evaluated at every point visited and the Cauchy bound's
+    power of 2 found by doubling."""
+    d = len(cs) - 1
+    if d < 1:
+        return []
+    if d == 1:
+        r = Fraction(-cs[0], cs[1])
+        return [(r, r, 0)]
+    # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
+    lead = abs(cs[-1])
+    top = lead + max(abs(c) for c in cs[:-1])
+    b = 1
+    while b * lead < top:
+        b <<= 1
+    var_cache = {}
+
+    def var(p: int, k: int) -> Optional[int]:
+        # sign variations of the chain at p / 2**k, or None where f vanishes
+        # there (the chain starts with +-f)
+        z = min((p & -p).bit_length() - 1, k) if p else k
+        key = (p >> z, k - z)
+        v = var_cache.get(key, -1)
+        if v == -1:
+            q = 1 << key[1]
+            values = [_value_at(c, key[0], q) for c in chain]
+            v = var_cache[key] = _variations(values) if values[0] else None
+        return v
+
+    out = []
+    # invariant: f(lo) != 0 != f(hi), count = #roots in (lo/2**k, hi/2**k)
+    work = [(-b, b, 0, var(-b, 0) - var(b, 0))]
+    while work:
+        lo, hi, k, count = work.pop()
+        if count == 0:
+            continue
+        if count == 1:
+            q = 1 << k
+            out.append((Fraction(lo, q), Fraction(hi, q), _sign_at(cs, lo, q)))
+            continue
+        mid, lo, hi, k = lo + hi, lo << 1, hi << 1, k + 1
+        v = var(mid, k)
+        if v is None:
+            # exact rational hit: record it and excise a root-free strip
+            # (mid - eps, mid + eps) so interval endpoints are never roots;
+            # eps = e / 2**k starts at a quarter of the half-width, so the
+            # strip lies inside (lo, hi)
+            r = Fraction(mid, 1 << k)
+            out.append((r, r, 0))
+            e = hi - lo
+            mid, lo, hi, k = mid << 3, lo << 3, hi << 3, k + 3
+            while True:
+                a, b2 = mid - e, mid + e
+                v_a = var(a, k)
+                v_b = None if v_a is None else var(b2, k)
+                if v_b is not None and v_a - v_b == 1:
+                    break
+                # halve eps: same numerator one level deeper
+                mid, lo, hi, k = mid << 1, lo << 1, hi << 1, k + 1
+            work.append((lo, a, k, var(lo, k) - var(a, k)))
+            work.append((b2, hi, k, var(b2, k) - var(hi, k)))
+        else:
+            work.append((lo, mid, k, var(lo, k) - v))
+            work.append((mid, hi, k, v - var(hi, k)))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return out
+
+
 def refine_fractions(root: RealRoot, max_width) -> RealRoot:
     """Bisect the Fraction interval (lo, hi) until it is at most max_width
     wide or a midpoint is the root."""
@@ -743,6 +828,20 @@ def lagrange(nodes, values) -> ExactPolynomial:
             denom *= xi - xj
         total = total + basis * (yi / denom)
     return total
+
+
+def first_violation_refining_every_root(g: ExactPolynomial, width: Fraction):
+    """(lo, hi, sign_change) of the least root of g in (0, 1), or None, for
+    g nonzero at 0 and 1: every root of g, wherever it lies, is refined to
+    the width and halved until its bracket lies on one side of 0 and of 1,
+    and only then tested against [0, 1]."""
+    for r in real_roots_exact(g):
+        r = r.refine(width)
+        while r.lo < 0 < r.hi or r.lo < 1 < r.hi:
+            r = r.refine((r.hi - r.lo) / 2)
+        if 0 <= r.lo and r.hi <= 1:
+            return r.lo, r.hi, r.multiplicity % 2 == 1
+    return None
 
 
 def path_samples_by_gcd(a, b, depth_cap: int = 10, invariant=None, min_depth: int = 6) -> tuple:

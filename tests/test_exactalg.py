@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nonresultant import exactalg
@@ -42,6 +42,7 @@ from nonresultant.exactalg import (
     _int_primitive,
     _isolate_squarefree,
     _link_rows,
+    _root_bound_exponent,
     _simplest_between,
 )
 from oracles import (
@@ -56,6 +57,7 @@ from oracles import (
     gcd_euclid,
     gcd_from_factor_multisets,
     gcd_pairwise,
+    isolate_squarefree_every_point,
     isolate_squarefree_fractions,
     lagrange,
     rational_value_fractions,
@@ -631,6 +633,81 @@ def test_float_value_at_the_edge_of_the_float_range():
         real_roots_exact(z**3 - 10**1000)[0].float_value()
 
 
+# factors of the isolation family: roots at +-2**k, which a bound one
+# power too small would put beyond it; dyadic roots that bisection hits
+# exactly, so the excision strip runs; huge and tiny roots; generic integer
+# polynomials with coefficients up to 10**300; and z**3 + p z + q with
+# |q| >> p, whose third chain element -(2p/3 z + q) vanishes at -3q/(2p),
+# far beyond the root bound
+power_roots = st.builds(lambda s, k: s * F(2) ** k, st.sampled_from([-1, 1]), st.integers(-30, 60))
+strip_roots = st.builds(lambda m, k: F(m, 2**k), st.integers(-2**12, 2**12), st.integers(0, 12))
+isolation_factors = st.one_of(
+    st.one_of(power_roots, strip_roots).map(lambda r: z - r),
+    st.builds(lambda a, b: a * z - b, st.integers(1, 10**300), st.integers(-10**300, 10**300).filter(bool)),
+    st.lists(st.integers(-10**300, 10**300), min_size=3, max_size=5)
+    .filter(lambda cs: cs[-1] and any(cs[:-1]))
+    .map(ExactPolynomial),
+    st.builds(lambda p, q: z**3 + p * z + q, st.integers(1, 9), st.integers(10**3, 10**300)),
+)
+
+
+def _far_chain_roots(cs, chain) -> bool:
+    """Whether an element of the chain of cs has a real root at or beyond
+    2**e, the bound past which isolation reads the count at infinity."""
+    bound = F(2) ** _root_bound_exponent(cs)
+    return any(
+        abs(r.lo) >= bound or abs(r.hi) >= bound
+        for c in chain[1:]
+        if len(c) > 1
+        for r in real_roots_exact(ExactPolynomial(c))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(isolation_factors, min_size=1, max_size=4))
+@example([z - 2**40, z - 1])
+@example([z**3 + z + 1000, z - 3])
+def test_isolation_matches_the_every_point_oracle(factors):
+    f = ExactPolynomial.one()
+    for factor in factors:
+        f = f * factor
+    if f.degree > 12:
+        f = factors[0]
+    for factor, _ in squarefree_decomposition(f):
+        ics = tuple(_int_primitive(factor._re))
+        chain = factor.sturm_chain if factor.degree > 1 else None
+        assert _isolate_squarefree(ics, chain) == isolate_squarefree_every_point(ics, chain)
+
+
+def test_root_bound_is_confirmed_and_fixes_the_count_beyond_it():
+    # the bound exponent satisfies |a_d| 2**(e d) > sum |a_k| 2**(e k), so f
+    # has no root of modulus >= 2**e; at e - 1 the roots +-2**k below sit
+    # inside, and a count read from infinity there would be wrong
+    rng = random.Random(71)
+    for k in range(-8, 40):
+        for f in ((z - F(2) ** k) * (z + 1), (z + F(2) ** k) * (z**2 - 3), (z - F(2) ** k) * (z**2 + F(2) ** k)):
+            cs = tuple(_int_primitive(f._re))
+            e = _root_bound_exponent(cs)
+            d = len(cs) - 1
+            bound = F(2) ** e
+            assert abs(cs[-1]) * bound**d > sum(abs(a) * bound**j for j, a in enumerate(cs[:-1]))
+            far = max(bound, cauchy_root_bound([f]))
+            assert not has_real_root_between(f, bound, far) and not has_real_root_between(f, -far, -bound)
+            # within a factor 16 of M = max |a_j / a_d|**(1/(d-j)), where
+            # Fujiwara's bound is 2M: read from bit lengths, not scanned
+            assert bound <= 16 * max(abs(F(a, cs[-1])) ** (1 / (d - j)) for j, a in enumerate(cs[:-1]) if a)
+            assert _isolate_squarefree(cs, f.sturm_chain) == isolate_squarefree_every_point(cs, f.sturm_chain)
+    # a chain element with a root beyond the bound leaves the count unchanged
+    f = z**3 + z + 1000
+    cs = tuple(f._re)
+    assert _far_chain_roots(cs, f.sturm_chain)
+    assert _isolate_squarefree(cs, f.sturm_chain) == isolate_squarefree_every_point(cs, f.sturm_chain)
+    # coefficients of 10**300 take one bound, not a thousand doublings
+    f = ExactPolynomial([rng.randint(-10**300, 10**300) for _ in range(12)] + [1])
+    cs = tuple(f._re)
+    assert _isolate_squarefree(cs, f.sturm_chain) == isolate_squarefree_every_point(cs, f.sturm_chain)
+
+
 def test_float_value_near_and_at_a_tie_between_floats():
     # sqrt(c) lies within a relative 2**-100 of a point halfway between two
     # floats; the nearest float is the one on the root's side of the tie
@@ -929,9 +1006,67 @@ def test_aberth_batch_matches_every_row_iteration_bitwise():
             (eig + 1e-3 * rng.standard_normal(eig.shape), 120),  # a few sweeps each
         )
         for z0, max_iter in starts:
-            got = _aberth_batch(coeffs.copy(), z0.copy(), max_iter)
-            want = aberth_every_row(coeffs.copy(), z0.copy(), max_iter)
+            got, settled = _aberth_batch(coeffs.copy(), z0.copy(), max_iter)
+            want, want_settled = aberth_every_row(coeffs.copy(), z0.copy(), max_iter)
             assert got.tobytes() == want.tobytes()
+            assert settled.tolist() == want_settled.tolist()
+    # rows whose roots stop at an infinite scale (a root near 1e200) do not
+    # settle, also when they leave the working set while another row moves
+    coeffs = np.array([[0, -1e200, 1], [1, -1e200, 1], [-2, 0, 1], [2, -3, 1]], dtype=complex)
+    z0 = _eigenvalue_starts(coeffs) + np.array([[0, 0], [0, 0], [0.1, -0.1], [0, 0]])
+    with np.errstate(over="ignore"):
+        got, settled = _aberth_batch(coeffs.copy(), z0.copy(), 120)
+        want, want_settled = aberth_every_row(coeffs.copy(), z0.copy(), 120)
+    assert got.tobytes() == want.tobytes()
+    assert settled.tolist() == want_settled.tolist() == [False, False, True, True]
+
+
+def test_aberth_certifies_only_settled_unlinked_monic_rows(monkeypatch):
+    # a row skips the backward-error pass only when it is monic, every root
+    # passed the residual test against a finite scale, and no clusters link
+    checked = []
+    real_ratios = exactalg._backward_error_ratios
+
+    def spy(coef, *clusters):
+        checked.extend(tuple(row) for row in coef.tolist())
+        return real_ratios(coef, *clusters)
+
+    simple = [z**3 - 2, (z - 1) * (z + 2) * (z**2 + 1), z - F(1, 3), z**2 + z * i_unit + 1]
+    linked = (z - 1) ** 2 * (z + 2)  # settles, but its double root links
+    scaled = 3 * z**2 - 1  # not monic
+    overflow = z**2 - 10**200 * z  # the scale at the root 1e200 is infinite
+    baseline = [complex_roots_numeric(f) for f in simple]
+    monkeypatch.setattr("nonresultant.exactalg._backward_error_ratios", spy)
+    with np.errstate(over="ignore"):
+        got = complex_roots_many([*simple, linked, scaled, overflow])
+    assert checked == [f.complex_coefficients for f in (linked, scaled, overflow)]
+    assert [c.multiplicity for c in got[len(simple)]] == [1, 2]
+    # the certified rows pass the check they skipped
+    for f, clusters in zip(simple, got):
+        assert backward_error_ratio_scalar(f, [(c.center, c.radius, c.multiplicity) for c in clusters]) == 0
+
+    # a root still moving when the iteration stops is checked, and its row
+    # retried from the circles, though none of its clusters link
+    real_aberth = exactalg._aberth_batch
+    calls = []
+
+    def one_step_from_off(coeffs, z0, max_iter):
+        calls.append(max_iter)
+        if len(calls) == 1:
+            return real_aberth(coeffs, z0 + 0.25, 1)
+        return real_aberth(coeffs, z0, max_iter)
+
+    monkeypatch.setattr("nonresultant.exactalg._aberth_batch", one_step_from_off)
+    for f, want in zip(simple, baseline):
+        if f.degree == 1:
+            continue  # one Newton step is exact there
+        calls.clear()
+        checked.clear()
+        got = complex_roots_numeric(f)
+        assert checked == [f.complex_coefficients] and len(calls) == 2
+        assert [c.multiplicity for c in got] == [1] * f.degree
+        for a in got:
+            assert min(abs(a.center - b.center) for b in want) <= 1e-9
 
 
 def _re_im(c):
@@ -1000,7 +1135,8 @@ def test_circle_restarts_certify_when_eigenvalue_starts_fail(monkeypatch, eigenv
 def test_nonconvergence_error_carries_diagnostics(monkeypatch):
     # an iteration that never leaves 7 cannot certify the roots 1 and 2
     monkeypatch.setattr(
-        "nonresultant.exactalg._aberth_batch", lambda coeffs, z0, max_iter: np.full_like(z0, 7.0)
+        "nonresultant.exactalg._aberth_batch",
+        lambda coeffs, z0, max_iter: (np.full_like(z0, 7.0), np.zeros(len(z0), dtype=bool)),
     )
     with pytest.raises(NonConvergenceError) as info:
         complex_roots_numeric((z - 1) * (z - 2))
@@ -1099,16 +1235,15 @@ def test_link_groups_grow_by_least_linked_index():
 
 def test_batch_clusters_equal_single_row_clusters(monkeypatch):
     # one batch of degrees 1-8 with real and Gaussian coefficients, planted
-    # multiplicities 1-4, and generic coefficients.  A degree group holds
-    # real rows (odd degrees) or Gaussian rows (even degrees) only: a real
-    # row grouped with a Gaussian one starts from the complex eigensolver
+    # multiplicities 1-4, and generic coefficients; real and Gaussian rows
+    # share every degree, and each row keeps its own eigensolver
     rng = random.Random(56)
     reals = [F(a, 2) for a in range(-8, 9)]
     gaussians = [GaussianRational(F(a, 2), F(b, 2)) for a in range(-6, 7) for b in range(-4, 5)]
     polys = []
     for k in range(160):
         gaussian = k % 2 == 1
-        d = 2 * rng.randint(1, 4) - (not gaussian)
+        d = rng.randint(1, 8)
         if k % 4 >= 2:
             polys.append(random_poly(rng, d, gaussian=gaussian))
             continue
@@ -1119,8 +1254,8 @@ def test_batch_clusters_equal_single_row_clusters(monkeypatch):
             if f.is_real != gaussian:
                 break
         polys.append(f)
-    assert {f.degree for f in polys} == set(range(1, 9))
-    assert all(f.is_real == (f.degree % 2 == 1) for f in polys)
+    for real in (True, False):
+        assert {f.degree for f in polys if f.is_real == real} == set(range(1, 9))
     alone = [repr(complex_roots_numeric(f)) for f in polys]
     assert [repr(c) for c in complex_roots_many(polys)] == alone
     # rows split across chunks give the same clusters

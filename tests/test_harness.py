@@ -39,7 +39,12 @@ from nonresultant.nonres import (
     jet,
     max_common_multiplicity,
 )
-from oracles import merge_clusters_union_find, path_samples_by_gcd, union_find_groups
+from oracles import (
+    first_violation_refining_every_root,
+    merge_clusters_union_find,
+    path_samples_by_gcd,
+    union_find_groups,
+)
 
 z = ExactPolynomial.variable()
 i_unit = GaussianRational(F(0), F(1))
@@ -427,6 +432,21 @@ def test_crossing_closer_to_an_end_than_the_width_is_located():
     assert path.violations == (cert,) and not path.certified
 
 
+def test_even_order_touch_inside_the_path_is_found():
+    # f_t = z^2 + 2(3t - 1) z + 6t/5 - 11/25 has discriminant 36 (t - 2/5)^2:
+    # a double root at t = 2/5 only, off the dyadic grid, where the
+    # boundary polynomial touches 0 without changing sign on [0, 1]
+    a = SystemTuple((z**2 - 2 * z - F(11, 25),), 2, FIELD_REAL)
+    b = SystemTuple((z**2 + 4 * z + F(19, 25),), 2, FIELD_REAL)
+    assert not is_member(path_tuple(a, b, F(2, 5)))
+    path = certify_path(a, b)
+    assert all(member for _, member, _ in path.samples) and path.refinement_depth == 6
+    (cert,) = path.violations
+    assert cert.kind == "discriminant_root" and not cert.sign_change
+    assert cert.lo <= F(2, 5) <= cert.hi and cert.width <= F(1, 10**6)
+    assert not path.certified and locate_violation(a, b) == cert
+
+
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_bracket_straddling_one_is_halved_until_it_settles(sign):
     # isolation hits the root 2 exactly and leaves (0, 3/2) around
@@ -483,6 +503,10 @@ def test_certify_path_samples_match_the_gcd_route_on_every_sample():
         bad_end += not ends
         bad_inside += ends and not all(member for _, member, _ in samples)
         refined += depth > 6
+        if ends:
+            # the certificate of the loop that refines every root of g
+            want = first_violation_refining_every_root(_boundary_polynomial(a, b), F(1, 10**6))
+            assert [(v.lo, v.hi, v.sign_change) for v in path.violations] == ([want] if want else [])
         if path.violations:
             assert locate_violation(a, b) == path.violations[0]
     # the mix the seed gives: 38, 18 and 56
