@@ -43,6 +43,7 @@ __all__ = [
     "component_of_12",
     "electric_degree",
     "electric_field",
+    "from_configuration",
     "legal_labels_12",
     "representative_12",
     "stabilize_12",

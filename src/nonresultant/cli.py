@@ -10,7 +10,6 @@ usage error (bad flags or malformed input).
 import argparse
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -100,9 +99,7 @@ def _cmd_jet(args) -> int:
 
 def _cmd_degree(args) -> int:
     t = _parsed(SystemTuple.from_json, _read_json(args))
-    rng = random.Random(args.seed)
-    lam = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(t.m * t.n)]
-    print(map_degree(t, lam))
+    print(map_degree(t, [1] * (t.m * t.n)))  # any covector with a nonzero sum gives this degree
     return 0
 
 
@@ -186,7 +183,7 @@ def _cmd_sweep(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
@@ -217,13 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("jet", _cmd_jet, "jet components of one polynomial")
     p.add_argument("--n", type=int, required=True, help="jet order (>= 1)")
 
-    p = add(
+    add(
         "degree",
         _cmd_degree,
         "topological degree of the point map: d - deg gcd of the jet components, "
-        "exact on non-members too",
+        "exact on non-members too and independent of any covector",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the covector draw")
 
     add("rp1-degree", _cmd_rp1_degree, "half-winding label of a real pair (m=2, n=1)")
 
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -9,9 +9,10 @@ tuples (the denominator is the least common denominator of the coefficients,
 and the numerators follow from it), so `==` and `hash` compare integers and
 nothing is ever re-normalized.  Arithmetic runs on the numerators; the
 `Fraction`/`GaussianRational` view of the coefficients exists only at the API
-and JSON boundary and is built on demand.  Division first multiplies the
-divisor by the conjugate of its leading numerator, which makes that
-coefficient a positive integer, and then pseudo-divides over Z or Z[i].
+and JSON boundary and is built on demand.  The one division is exact (Yun's
+quotients): a nonreal divisor b is made real as b*conj(b), and the real and
+imaginary numerators are divided by its primitive part, which by Gauss's
+lemma takes only integer steps.
 
 Gcds and resultants come from one subresultant polynomial remainder sequence
 (Collins 1967; Brown and Traub 1971), run on the numerators over Z or over
@@ -315,48 +316,20 @@ def _poly(re: Sequence[int], im=None, den: int = 1) -> "ExactPolynomial":
     return ExactPolynomial._raw(*_reduce(re, im, den))
 
 
-def _pdivmod(ar, ai, br, bi, lead: int) -> tuple:
-    """Pseudo-division by a divisor whose leading numerator is the positive
-    integer `lead`: (q_re, q_im, r_re, r_im, s) with s*a = q*b + r and
-    deg r < deg b.  A step scales the running remainder (and quotient) only by
-    the part of `lead` its leading coefficient lacks, so s stays small."""
-    db = len(br) - 1
-    nq = len(ar) - db
-    if ai is None and bi is None:
-        r, q, s = list(ar), [0] * nq, 1
-        for k in range(nq - 1, -1, -1):
-            c = r[db + k]
-            if not c:
-                continue
-            m = lead // math.gcd(lead, c)
-            if m > 1:
-                s *= m
-                r, q, c = [m * x for x in r], [m * x for x in q], c * m
-            c //= lead
-            q[k] = c
-            for i, x in enumerate(br, k):
+def _int_quotient(a: Sequence[int], b: Sequence[int]) -> list:
+    """a / b for integer lists with b primitive: by Gauss's lemma the quotient
+    of an exact division has integer coefficients, so each step of the long
+    division divides exactly, and a nonzero leftover means b does not divide a."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[db + k] // b[-1]
+        if c:
+            for i, x in enumerate(b, k):
                 r[i] -= c * x
-        return q, None, r[:db], None, s
-    rr = list(ar)
-    ri = list(ai) if ai is not None else [0] * len(ar)
-    bi = bi if bi is not None else (0,) * len(br)
-    qr, qi, s = [0] * nq, [0] * nq, 1
-    for k in range(nq - 1, -1, -1):
-        cr, ci = rr[db + k], ri[db + k]
-        if not (cr or ci):
-            continue
-        m = lead // math.gcd(lead, cr, ci)
-        if m > 1:
-            s *= m
-            rr, ri = [m * x for x in rr], [m * x for x in ri]
-            qr, qi = [m * x for x in qr], [m * x for x in qi]
-            cr, ci = cr * m, ci * m
-        cr, ci = cr // lead, ci // lead
-        qr[k], qi[k] = cr, ci
-        for i, x, y in zip(range(k, k + db + 1), br, bi):
-            rr[i] -= cr * x - ci * y
-            ri[i] -= cr * y + ci * x
-    return qr, qi, rr[:db], ri[:db], s
+    if any(r):
+        raise ValueError("division was expected to be exact")
+    return q
 
 
 class ExactPolynomial:
@@ -509,36 +482,23 @@ class ExactPolynomial:
     def __pow__(self, k: int):
         return _power(self, k, ExactPolynomial.one(), operator.mul)
 
-    def __divmod__(self, other):
+    def exact_div(self, other) -> "ExactPolynomial":
+        """self / other, raising ValueError unless other divides self."""
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return ExactPolynomial.zero(), self
-        # multiplying the divisor by u = conj(lc), or by the sign of a real
-        # lc, makes its leading numerator a positive integer
-        lr = other._re[-1]
-        li = other._im[-1] if other._im else 0
-        ur, ui = (lr, -li) if li else (1 if lr > 0 else -1, 0)
-        br, bi = _cmul(other._re, other._im, (ur,), (ui,) if ui else None)
-        qr, qi, rr, ri, s = _pdivmod(self._re, self._im, br, bi, br[-1])
-        # s*N = Q*(u*M) + R for self = N/n and other = M/m, hence
-        # self = (Q*u*m/(s*n)) * other + R/(s*n)
-        m, sn = other._den, s * self._den
-        qr, qi = _cmul(qr, qi, (ur * m,), (ui * m,) if ui else None)
-        return _poly(qr, qi, sn), _poly(rr, ri, sn)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "ExactPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division was expected to be exact")
-        return q
+        ar, ai, b = self._re, self._im, other._re
+        if other._im is not None:
+            # self / b = self*conj(b) / (b*conj(b)), whose divisor is real
+            conj = tuple(-c for c in other._im)
+            ar, ai = _cmul(ar, ai, b, conj)
+            b = _cmul(b, other._im, b, conj)[0]
+        # self = N/n and other = c*P/m with P primitive, so self/other = (N/P)*m/(n*c)
+        c, m = math.gcd(*b), other._den
+        p = [x // c for x in b]
+        qr = [m * x for x in _int_quotient(ar, p)]
+        qi = ai and [m * x for x in _int_quotient(ai, p)]
+        return _poly(qr, qi, self._den * c)
 
     def derivative(self, order: int = 1) -> "ExactPolynomial":
         if order < 0:

@@ -645,6 +645,8 @@ def invariant_sweep(case: str, d: int, trials: int, seed: int) -> SweepReport:
     """Seeded invariant suite for one case; failures are counted, never
     raised, and the report's canonical bytes depend only on the arguments."""
     _check_case_d(case, d)
+    if trials < 0:
+        raise ValueError("trial count must be nonnegative")
     if case == "21":
         return _sweep_21(d, trials, seed)
     if case == "12":

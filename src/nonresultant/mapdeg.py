@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactalg import ExactPolynomial, GaussianRational, NonConvergenceError, cauchy_index, gcd_many
-from .nonres import MembershipError, SystemTuple, jet
+from .exactalg import ExactPolynomial, GaussianRational, NonConvergenceError, cauchy_index
+from .nonres import MembershipError, SystemTuple, _jet_gcd, jet
 
 __all__ = [
     "INFINITY",
@@ -144,8 +144,7 @@ def map_degree(t: SystemTuple, lam) -> int:
     # every jet component is monic, so the leading term of the combination is sum(lam)
     if abs(sum(lam)) < 1e-8 * max(max(abs(x) for x in lam), 1e-300):
         raise ValueError("degenerate lambda: leading terms cancel")
-    comps = [c for f in t.polys for c in jet(f, t.n).components]
-    return comps[0].degree - gcd_many(comps).degree
+    return t.polys[0].degree - (len(_jet_gcd(t)) - 1)
 
 
 # ---------------------------------------------------------------------------

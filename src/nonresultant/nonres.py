@@ -186,9 +186,14 @@ def is_member(t: SystemTuple) -> bool:
 def is_member_via_jets(t: SystemTuple) -> bool:
     """Exact membership via the jet route: members are exactly the tuples
     whose m*n jet components have constant gcd."""
+    return len(_jet_gcd(t)) == 1
+
+
+def _jet_gcd(t: SystemTuple) -> list:
+    """Numerators, up to a unit, of the gcd of the m*n jet components."""
     ring = _ring(*t.polys)
     family = (cs for f in t.polys for cs in _jet_numerators(ring, ring.numerators(f), t.n))
-    return len(_gcd_fold(ring, family)) == 1
+    return _gcd_fold(ring, family)
 
 
 def stability_dimension(d: int, m: int, n: int) -> int:

@@ -2,12 +2,12 @@
 
 Each oracle deliberately avoids the code path it checks: gcds come from
 factor multisets instead of remainder sequences, and family gcds from a
-pairwise fold of Euclid steps on `divmod` instead of one subresultant fold
-on integer numerators; windings from brute-force
-dense sampling instead of adaptive refinement; the pi_1 class of a sampled
-loop from a float argument lift of r_tilde at exact path parameters instead
-of an exact count of ray crossings; real-axis degrees from the
-Cauchy index at isolated poles instead of a remainder sequence; map,
+pairwise fold of Euclid steps by long division on the exact coefficients
+instead of one subresultant fold on integer numerators; windings from
+brute-force dense sampling instead of adaptive refinement; the pi_1 class
+of a sampled loop from a float argument lift of r_tilde at exact path
+parameters instead of an exact count of ray crossings; real-axis degrees
+from the Cauchy index at isolated poles instead of a remainder sequence; map,
 real-axis and electric degrees of members also from float argument lifts
 instead of gcds and remainder sequences; resultants from the root-product
 formula or the Sylvester determinant instead of remainder sequences; real
@@ -66,11 +66,23 @@ def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
     return ExactPolynomial.from_roots(common)
 
 
+def _field_remainder(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
+    """f mod g for g != 0, by long division on the exact coefficients."""
+    r, b = list(f.coefficients), g.coefficients
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        for i, x in enumerate(b, len(r) - len(b)):
+            r[i] = r[i] - c * x
+        while r and not r[-1]:
+            r.pop()
+    return ExactPolynomial(r)
+
+
 def gcd_euclid(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
     """Monic gcd of two polynomials, not both zero, by Euclid's algorithm
-    over the field: remainders from `divmod`, no pseudo-remainders."""
+    over the field: remainders from `_field_remainder`, no pseudo-remainders."""
     while not g.is_zero:
-        f, g = g, divmod(f, g)[1]
+        f, g = g, _field_remainder(f, g)
     return f.monic()
 
 

@@ -133,9 +133,12 @@ def test_jet_components(capsys, monkeypatch):
 
 
 def test_degree_prints_common_degree(capsys, monkeypatch):
-    code, out, _ = run(capsys, ["degree", "--seed", "3"], json.dumps(QUARTIC_PAIR), monkeypatch)
+    code, out, _ = run(capsys, ["degree"], json.dumps(QUARTIC_PAIR), monkeypatch)
     assert code == 0
     assert out.strip() == "4"
+    with pytest.raises(SystemExit) as exc:  # the covector seed had no effect and is gone
+        main(["degree", "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_rp1_degree(capsys, monkeypatch):
@@ -295,6 +298,17 @@ def test_sweep_stdout_and_file_agree(capsys, tmp_path):
     payload = loads(out)
     assert payload["failures"] == 0
     assert payload["seed"] == 6
+
+
+@pytest.mark.parametrize("case", ["21", "12", "31"])
+def test_sweep_rejects_a_negative_trial_count(capsys, case):
+    argv = ["sweep", "--case", case, "--d", "3", "--seed", "1", "--trials"]
+    code, out, err = run(capsys, argv + ["-1"])
+    assert (code, out) == (1, "")
+    assert "trial count must be nonnegative" in err
+    code, out, _ = run(capsys, argv + ["0"])
+    assert code == 0
+    assert loads(out)["trials"] == 0
 
 
 def test_module_entry_point():

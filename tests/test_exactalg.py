@@ -157,13 +157,10 @@ def test_equal_polynomials_hash_equal():
     assert hash(ExactPolynomial.zero()) == hash(z - z)
 
 
-def test_divmod_by_gaussian_leading_coefficient():
+def test_exact_div_by_gaussian_leading_coefficient():
     lead = GaussianRational(F(2), F(-3))
     g = z**2 * lead + F(1, 3) * z + i_unit
     f = ExactPolynomial.from_roots([F(1, 2), i_unit, F(-2), GaussianRational(F(1), F(1, 5))])
-    q, r = divmod(f, g)
-    assert f == q * g + r
-    assert r.degree < g.degree
     assert (f * g).exact_div(g) == f
     assert (g * g).exact_div(g) == g
     assert g.monic().leading_coefficient == 1
@@ -214,20 +211,6 @@ def test_ring_identities(polys):
     assert f - f == ExactPolynomial.zero()
     assert (f - g) + g == f
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
-
-
-@settings(max_examples=80, deadline=None)
-@given(polys_over_a_field(5, 4))
-def test_divmod_reconstruction(polys):
-    f, g = polys
-    if g.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divmod(f, g)
-        return
-    q, r = divmod(f, g)
-    assert f == q * g + r
-    assert r.degree < g.degree
-    assert (f * g).exact_div(g) == f
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +293,27 @@ GAUSSIAN_ROOT_POOL = [
     for b in range(-2, 3)
     for c in (1, 3)
 ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    polys_over_a_field(5, 4, 3),
+    st.sampled_from([F(1), F(-3, 5), *LARGE_CONTENT_SCALES]),
+    st.sampled_from([F(1), F(1, 7), *LARGE_CONTENT_SCALES]),
+)
+@example((ExactPolynomial.zero(), z - 1, ExactPolynomial.one()), F(1), F(1))
+def test_exact_div_recovers_quotients_and_refuses_remainders(polys, sf, sg):
+    f, g, r = polys
+    f, g = f * sf, g * sg
+    if g.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            f.exact_div(g)
+        return
+    assert (f * g).exact_div(g) == f
+    r = ExactPolynomial(r.coefficients[: g.degree])  # deg r < deg g
+    if not r.is_zero:
+        with pytest.raises(ValueError, match="division was expected to be exact"):
+            (f * g + r).exact_div(g)
 
 
 def test_prs_on_gaussian_inputs_with_large_content():

@@ -1,8 +1,9 @@
 """Every name a module of the package or of the tests imports is used there
 or exported, every module-level private name of the package or of the tests
-is used, no handler of the package catches every exception, and the package
-holds no ``assert`` statement (``python -O`` strips them, so a check must
-raise).
+is used, every package module's ``__all__`` names exactly what it defines
+for the public, no handler of the package catches every exception, and the
+package holds no ``assert`` statement (``python -O`` strips them, so a check
+must raise).
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -117,6 +118,46 @@ def test_test_private_names_are_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
     assert len(sources) > 1
     assert _unreferenced_private_names(sources) == []
+
+
+def _export_gaps(source: str) -> tuple:
+    """(names in ``__all__`` that the module does not define or import,
+    public functions and classes it defines that ``__all__`` leaves out)."""
+    exported, defined, public = [], set(), set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(t, ast.Name):
+                    defined.add(t.id)
+                    if t.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - defined), sorted(public - set(exported))
+
+
+def test_export_check_sees_missing_and_unlisted_names():
+    source = (
+        "from math import pi\n"
+        "LIMIT = 3\n"
+        "__all__ = ['pi', 'LIMIT', 'gone', 'Shown', 'shown']\n"
+        "def shown():\n    pass\n"
+        "def unlisted():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Shown:\n    def method(self):\n        pass\n"
+        "class Hidden:\n    pass\n"
+    )
+    assert _export_gaps(source) == (["gone"], ["Hidden", "unlisted"])
+
+
+def test_package_all_lists_exactly_the_public_definitions():
+    gaps = {p.name: _export_gaps(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(gaps) > 1
+    assert {name: g for name, g in gaps.items() if g != ([], [])} == {}
 
 
 def _catch_all_handlers(source: str) -> list:
