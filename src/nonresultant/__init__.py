@@ -35,7 +35,6 @@ from .nonres import (
 )
 from .mapdeg import (
     ProjectivePoint,
-    WindingError,
     eval_natural_map,
     map_degree,
     rp1_degree,
@@ -43,10 +42,8 @@ from .mapdeg import (
 from .case21 import ComponentLabel21, component_of_21, legal_labels_21, representative_21
 from .case12 import (
     HalfPlaneConfig,
-    abelian_braid_invariant,
     component_of_12,
     electric_degree,
-    electric_field,
     from_configuration,
     legal_labels_12,
     representative_12,
@@ -81,9 +78,7 @@ from .harness import (
     census,
     certify_path,
     invariant_sweep,
-    is_member_numeric,
     locate_violation,
-    numeric_common_multiplicity,
     path_tuple,
     planted_tuple,
     random_member,

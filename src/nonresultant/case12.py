@@ -11,11 +11,7 @@ The electric field of a configuration is E(w) = 1 + sum 1/(w - a_k), which
 equals (f + f')/f for f with the a_k as roots.  Built from the j upper points
 alone, w -> [f(w) : (f + f')(w)] is a rational self-map of the sphere whose
 topological degree is the number of distinct points, j - deg gcd(f, f'),
-so j for a configuration.  The abelianised braid of a loop of
-configurations is the total winding of the discriminant of the upper points
-alone: real points cannot braid on the line, mixed differences stay in one
-half-plane, and the conjugate mirror exactly cancels the upper contribution,
-so the upper discriminant carries the whole exponent sum.
+so j for a configuration.
 """
 
 from __future__ import annotations
@@ -35,14 +31,11 @@ from .exactalg import (
     real_roots_exact,
     sturm_count,
 )
-from .mapdeg import WindingError, arg_steps, whole_turns
 
 __all__ = [
     "HalfPlaneConfig",
-    "abelian_braid_invariant",
     "component_of_12",
     "electric_degree",
-    "electric_field",
     "from_configuration",
     "legal_labels_12",
     "representative_12",
@@ -184,28 +177,6 @@ def from_configuration(config: HalfPlaneConfig) -> ExactPolynomial:
     return ExactPolynomial(tuple(rounded))
 
 
-def _field_points(config) -> list:
-    """Points whose reciprocal terms enter the field: a HalfPlaneConfig
-    contributes reals, uppers, and the conjugate mirrors; a bare iterable of
-    complex values is used as given."""
-    if isinstance(config, HalfPlaneConfig):
-        return [complex(p) for p in config.all_points()]
-    return [complex(p) for p in config]
-
-
-def electric_field(config, w: complex) -> complex:
-    """E(w) = 1 + sum 1/(w - a_k); equals (f + f')/f at w for f with the
-    configuration's points as roots.  Returns inf at a configuration point
-    (the chart [0 : 1])."""
-    w = complex(w)
-    total = 1.0 + 0.0j
-    for a in _field_points(config):
-        if w == a:
-            return complex(math.inf, 0.0)
-        total += 1.0 / (w - a)
-    return total
-
-
 def electric_degree(config) -> int:
     """Topological degree of the sphere map alpha -> [f(alpha) : (f+f')(alpha)]
     with f the product of z - a over the configuration's points.
@@ -217,37 +188,6 @@ def electric_degree(config) -> int:
     """
     pts = config.upper_points if isinstance(config, HalfPlaneConfig) else config
     return len({complex(a) for a in pts})
-
-
-def abelian_braid_invariant(loop) -> int:
-    """Exponent sum of a closed loop of configurations: the winding of the
-    squared-difference product of the upper points.  The loop is a sampled
-    list whose first and last configurations agree; sampling must be dense
-    enough that each discriminant step turns by less than pi/2."""
-    configs = list(loop)
-    if len(configs) < 2:
-        raise ValueError("a loop needs at least two samples")
-    first, last = configs[0], configs[-1]
-    if first.j != last.j or len(first.real_points) != len(last.real_points):
-        raise ValueError("loop endpoints lie in different configuration spaces")
-    if first.j <= 1:
-        return 0
-    values = []
-    for cfg in configs:
-        if cfg.j != first.j:
-            raise ValueError("the number of upper points must stay constant")
-        val = 1.0 + 0.0j
-        ups = cfg.upper_points
-        for a in range(len(ups)):
-            for b in range(a + 1, len(ups)):
-                val *= (ups[a] - ups[b]) ** 2
-        if val == 0:
-            raise ValueError("coincident upper points along the loop")
-        values.append(val)
-    steps, bad = arg_steps(np.array(values))
-    if bad.any():
-        raise WindingError("discriminant step of pi/2 or more: sample the loop more densely")
-    return whole_turns(float(np.sum(steps)))
 
 
 def stabilize_12(f: ExactPolynomial, T: Fraction) -> ExactPolynomial:

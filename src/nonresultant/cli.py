@@ -258,8 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # exact numbers have no digit limit, read or written; the caller's is restored
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"nonresultant: input error: {exc}", file=sys.stderr)
@@ -267,6 +270,8 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"nonresultant: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

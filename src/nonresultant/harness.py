@@ -57,10 +57,8 @@ __all__ = [
     "census",
     "certify_path",
     "invariant_sweep",
-    "is_member_numeric",
     "locate_violation",
     "numeric_common_multiplicities",
-    "numeric_common_multiplicity",
     "path_tuple",
     "planted_tuple",
     "random_member",
@@ -257,15 +255,6 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple]) -> list:
             best = np.minimum(best, np.where(near, mult[other, None, :], 0).max(axis=2))
         out[idx] = best.max(axis=1)
     return out.tolist()
-
-
-def numeric_common_multiplicity(t: SystemTuple) -> int:
-    return numeric_common_multiplicities([t])[0]
-
-
-def is_member_numeric(t: SystemTuple) -> bool:
-    """Membership judged from numeric root clusters alone (no exact gcd)."""
-    return numeric_common_multiplicity(t) < t.n
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Degrees of the natural maps, and the argument steps of the braid winding.
+"""Degrees of the natural maps.
 
 The point map sends alpha to the projective point whose mn coordinates are
 the jet components of the tuple's entries evaluated at alpha, and sends the
@@ -7,9 +7,6 @@ degree, so the leading terms dominate together).  Its degree is d minus the
 degree of the gcd of the jet components (d for members), computed exactly.
 The real-axis degree of a pair is the Cauchy index of f2/f1 over the real
 line, read from a signed remainder sequence in integer arithmetic.
-
-Argument steps serve the one analytic winding, the abelianised braid of
-`case12.abelian_braid_invariant`, which refuses a step of pi/2 or more.
 """
 
 from __future__ import annotations
@@ -20,28 +17,18 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .exactalg import ExactPolynomial, GaussianRational, NonConvergenceError, cauchy_index
+from .exactalg import ExactPolynomial, GaussianRational, cauchy_index
 from .nonres import MembershipError, SystemTuple, _jet_gcd, jet
 
 __all__ = [
     "INFINITY",
     "ProjectivePoint",
-    "WindingError",
-    "arg_steps",
     "eval_natural_map",
     "map_degree",
     "rp1_degree",
-    "whole_turns",
 ]
 
 INFINITY = math.inf
-
-
-class WindingError(NonConvergenceError):
-    """An argument lift would not settle: its loop is sampled too coarsely
-    or runs too close to zero; `diagnostics` may say where."""
 
 
 @dataclass(frozen=True)
@@ -98,27 +85,6 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
             scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
             values = [v * scale for v in values]
     return ProjectivePoint(tuple(values))
-
-
-# ---------------------------------------------------------------------------
-# argument steps
-# ---------------------------------------------------------------------------
-
-
-def arg_steps(values: np.ndarray) -> tuple:
-    """Argument turns between adjacent nonzero samples, and the mask of the
-    turns of pi/2 or more, which a lift may not take in one step."""
-    steps = np.angle(values[1:] / values[:-1])
-    return steps, np.abs(steps) >= math.pi / 2
-
-
-def whole_turns(angle: float) -> int:
-    """The whole number of turns in an accumulated lift of a closed loop."""
-    turns = angle / (2.0 * math.pi)
-    out = round(turns)
-    if abs(turns - out) > 0.05:
-        raise WindingError("accumulated lift is far from a whole turn count")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from nonresultant.case31 import phi, phi_inverse, r_tilde
 from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
+    NonConvergenceError,
     RealRoot,
     _int_primitive,
     _sign_at,
@@ -50,7 +51,6 @@ from nonresultant.exactalg import (
     squarefree_decomposition,
 )
 from nonresultant.harness import path_tuple
-from nonresultant.mapdeg import WindingError, arg_steps, whole_turns
 from nonresultant.nonres import is_member, jet
 
 
@@ -359,6 +359,27 @@ def winding_dense(loop, samples: int = 200_000) -> int:
 # ---------------------------------------------------------------------------
 
 
+class WindingError(NonConvergenceError):
+    """An argument lift would not settle: its loop is sampled too coarsely
+    or runs too close to zero; `diagnostics` may say where."""
+
+
+def _arg_steps(values: np.ndarray) -> tuple:
+    """Argument turns between adjacent nonzero samples, and the mask of the
+    turns of pi/2 or more, which a lift may not take in one step."""
+    steps = np.angle(values[1:] / values[:-1])
+    return steps, np.abs(steps) >= math.pi / 2
+
+
+def _whole_turns(angle: float) -> int:
+    """The whole number of turns in an accumulated lift of a closed loop."""
+    turns = angle / (2.0 * math.pi)
+    out = round(turns)
+    if abs(turns - out) > 0.05:
+        raise WindingError("accumulated lift is far from a whole turn count")
+    return out
+
+
 # every lift starts from this many samples
 _FIRST_SAMPLES = 65
 # a memory ceiling for loops that turn fast on every segment
@@ -376,7 +397,7 @@ def _adaptive_lift(fn, a: float, b: float):
     params = np.linspace(a, b, _FIRST_SAMPLES)
     values = np.asarray(fn(params), dtype=complex)
     while not (values == 0).any():
-        steps, bad = arg_steps(values)
+        steps, bad = _arg_steps(values)
         if not bad.any():
             return values, np.concatenate(([0.0], np.cumsum(steps)))
         idx = np.flatnonzero(bad)
@@ -405,7 +426,7 @@ def winding_number(fn) -> int:
     closure = abs(values[0] - values[-1]) / max(1e-300, abs(values[0]))
     if closure > 1e-6:
         raise WindingError("loop endpoints disagree: fn(0) != fn(2*pi)")
-    return whole_turns(lifted[-1] - lifted[0])
+    return _whole_turns(lifted[-1] - lifted[0])
 
 
 def pi1_dense_lift(loop, max_step: float = 0.3) -> int:
@@ -432,7 +453,7 @@ def pi1_dense_lift(loop, max_step: float = 0.3) -> int:
             mid = (u0 + u1) / 2
             vm = value(mid)
             stack += [(mid, vm, u1, v1), (u0, v0, mid, vm)]
-    return whole_turns(total)
+    return _whole_turns(total)
 
 
 def cauchy_index_real_line(f1: ExactPolynomial, f2: ExactPolynomial) -> int:
@@ -552,22 +573,6 @@ def electric_degree_winding(points) -> int:
 
 def _sign_of(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-def braid_winding_pairwise(points_path) -> int:
-    """Total winding of prod_{k<l} (a_k - a_l)^2 along a sampled loop of
-    configurations; `points_path` is a list of point tuples, first == last."""
-    total = 0.0
-    prev = None
-    for pts in points_path:
-        val = 1.0 + 0.0j
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                val *= (pts[i] - pts[j]) ** 2
-        if prev is not None:
-            total += cmath.phase(val / prev)
-        prev = val
-    return round(total / (2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------

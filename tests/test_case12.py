@@ -1,5 +1,4 @@
 import cmath
-import math
 import random
 from fractions import Fraction as F
 
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 
 from nonresultant.case12 import (
     HalfPlaneConfig,
-    abelian_braid_invariant,
     component_of_12,
     electric_degree,
-    electric_field,
     from_configuration,
     legal_labels_12,
     representative_12,
@@ -30,11 +27,9 @@ from nonresultant.exactalg import (
     real_roots_exact,
 )
 from nonresultant.harness import census
-from nonresultant.mapdeg import WindingError
 from nonresultant.nonres import FIELD_REAL, SystemTuple, is_member
 
 from oracles import (
-    braid_winding_pairwise,
     electric_degree_winding,
     float_value_fractions,
     real_roots_fractions,
@@ -203,12 +198,6 @@ def test_configuration_json_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def test_electric_field_values():
-    cfg = HalfPlaneConfig((0.0,), ())
-    assert electric_field(cfg, 2.0) == 1.5  # 1 + 1/2
-    assert electric_field(cfg, 0.0) == complex(math.inf, 0.0)
-
-
 def test_electric_degree_frozen_examples():
     assert electric_degree(HalfPlaneConfig((), (1j, -1 + 1j))) == 2
     assert electric_degree(HalfPlaneConfig((), (3j,))) == 1
@@ -245,45 +234,6 @@ def test_electric_degree_on_representatives(d, salt):
     j = salt % (d // 2 + 1)
     cfg = to_configuration(representative_12(d, j))
     assert electric_degree(cfg) == j
-
-
-# ---------------------------------------------------------------------------
-# the abelianised braid label
-# ---------------------------------------------------------------------------
-
-
-def swap_loop(turns: float, steps: int = 200):
-    # two upper points revolving about 2i; half a revolution swaps them
-    configs = []
-    for k in range(steps + 1):
-        t = turns * math.pi * k / steps
-        a = 2j + cmath.exp(1j * t)
-        configs.append(HalfPlaneConfig((), (a, 2j - cmath.exp(1j * t))))
-    return configs
-
-
-def test_braid_generator_and_full_twist():
-    assert abelian_braid_invariant(swap_loop(1.0)) == 1
-    assert abelian_braid_invariant(swap_loop(2.0)) == 2
-    assert abelian_braid_invariant(swap_loop(2.0)) == braid_winding_pairwise(
-        [cfg.upper_points for cfg in swap_loop(2.0)]
-    )
-
-
-def test_braid_trivial_cases():
-    still = [HalfPlaneConfig((0.0,), (1j,))] * 3
-    assert abelian_braid_invariant(still) == 0
-    with pytest.raises(ValueError):
-        abelian_braid_invariant([HalfPlaneConfig((), (1j,))])
-    with pytest.raises(ValueError):
-        abelian_braid_invariant(
-            [HalfPlaneConfig((), (1j, 3j)), HalfPlaneConfig((), (1j,))]
-        )
-
-
-def test_braid_needs_dense_sampling():
-    with pytest.raises(WindingError):
-        abelian_braid_invariant(swap_loop(1.0, steps=2))
 
 
 # ---------------------------------------------------------------------------

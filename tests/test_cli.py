@@ -287,6 +287,34 @@ def test_stabilize_output_feeds_member(capsys, monkeypatch):
     assert out2.strip() == "true"
 
 
+def test_coefficients_have_no_digit_limit(capsys, monkeypatch):
+    # 5000 digits: past CPython's default limit on int <-> str conversion
+    big = "7" + "3" * 4999
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["jet", "--n", "2"], f'["{big}", "0", "1"]', monkeypatch)
+    assert code == 0
+    assert loads(out) == [[big, "0", "1"], [big, "2", "1"]]
+    pair = {"n": 1, "field": "R", "polys": [[big, "1"], ["2", "1"]]}
+    code, out, _ = run(capsys, ["member"], json.dumps(pair), monkeypatch)
+    assert (code, out.strip()) == (0, "true")
+    as_literal = '{"n": 1, "field": "R", "polys": [[%s, "1"], ["2", "1"]]}' % big
+    code, out, _ = run(capsys, ["member"], as_literal, monkeypatch)
+    assert (code, out.strip()) == (0, "true")
+    triple = {"n": 1, "field": "R", "polys": [[big, "1"], ["2", "1"], ["3", "1"]]}
+    code, out, _ = run(capsys, ["stabilize"], json.dumps(triple), monkeypatch)
+    assert code == 0
+    report = loads(out)
+    assert report["member_out"] is True
+    assert max(len(c) for f in report["output"]["polys"] for c in f) >= 5000
+    code, out, _ = run(capsys, ["member"], json.dumps(report["output"]), monkeypatch)
+    assert (code, out.strip()) == (0, "true")
+    code, out, _ = run(capsys, ["stabilize", "--T", f"{big}/3"], json.dumps(LINEAR_TRIPLE), monkeypatch)
+    assert (code, loads(out)["member_out"]) == (0, True)
+    with pytest.raises(SystemExit):  # a usage error restores the limit too
+        main(["jet"])
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_sweep_stdout_and_file_agree(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     argv = ["sweep", "--case", "12", "--d", "4", "--trials", "80", "--seed", "6"]

@@ -800,6 +800,39 @@ def test_real_roots_separate_factors_at_any_distance(bits):
     assert roots == real_roots_fractions(f)
 
 
+@pytest.mark.parametrize(
+    "clusters",
+    [
+        {10**300: (1, 2, 3)},
+        {-(10**300) - 7: (3, 1, 2)},
+        {10**300 + 5: (1, 1), -(10**300): (2, 3)},
+        {10**300 + 1: (3, 2), 10**300 + 2: (3, 2)},
+    ],
+    ids=["above", "below", "equal-multiplicities", "degree-10"],
+)
+def test_real_roots_of_planted_roots_two_to_the_minus_4000_apart(clusters):
+    # each cluster plants the roots base + k / 2**4000 (k = 0, 1, ...) with
+    # the listed multiplicities, so Yun's factors hold roots 2**-4000 apart,
+    # within one factor or across two
+    planted = [
+        base + F(k, 2**4000)
+        for base, mults in clusters.items()
+        for k, mult in enumerate(mults)
+        for _ in range(mult)
+    ]
+    f = ExactPolynomial.from_roots(planted)
+    assert f.degree <= 10
+    counts = Counter(planted)
+    roots = real_roots_exact(f)
+    assert [r.multiplicity for r in roots] == [counts[x] for x in sorted(counts)]
+    for root, x in zip(roots, sorted(counts)):
+        assert root.lo == x == root.hi or root.lo < x < root.hi
+    for a, b in zip(roots, roots[1:]):
+        assert a.hi <= b.lo
+    repeated = list((counts - Counter(counts.keys())).elements())
+    assert gcd_exact(f, f.derivative()) == gcd_from_factor_multisets(planted, repeated)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.fractions(-50, 50, max_denominator=10**6), st.fractions(0, 3, max_denominator=10**6))
 def test_simplest_between_matches_recursive_oracle(lo, width):

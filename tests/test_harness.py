@@ -23,10 +23,8 @@ from nonresultant.harness import (
     _first_violation,
     certify_path,
     invariant_sweep,
-    is_member_numeric,
     locate_violation,
     numeric_common_multiplicities,
-    numeric_common_multiplicity,
     path_tuple,
     planted_tuple,
     random_member,
@@ -101,14 +99,15 @@ def test_numeric_multiplicity_on_planted_tuples():
     for case in ("21", "31", "12", "13", "22"):
         for seed in range(25):
             t, mu = planted_tuple(case, 7, seed=100 + seed)
-            assert numeric_common_multiplicity(t) == mu
-            assert is_member_numeric(t) == is_member(t)
+            (numeric,) = numeric_common_multiplicities([t])
+            assert numeric == mu
+            assert (numeric < t.n) == is_member(t)
 
 
 def test_numeric_multiplicity_complex_field():
     for seed in range(10):
         t, mu = planted_tuple("21", 5, seed=seed, field=FIELD_COMPLEX)
-        assert numeric_common_multiplicity(t) == mu
+        assert numeric_common_multiplicities([t]) == [mu]
 
 
 def _shared_root_tuple(rng, m: int, mu: int, field: str):
@@ -148,7 +147,7 @@ def test_numeric_multiplicities_on_unequal_degrees_and_mixed_m(monkeypatch):
     # one batch mixing m = 1, 2 and 3, each tuple on its own, and merge
     # passes that split the batch mid-tuple
     assert numeric_common_multiplicities(tuples) == planted
-    assert [numeric_common_multiplicity(t) for t in tuples[:12]] == planted[:12]
+    assert [numeric_common_multiplicities([t])[0] for t in tuples[:12]] == planted[:12]
     monkeypatch.setattr("nonresultant.harness._MERGE_ROWS", 7)
     assert numeric_common_multiplicities(tuples) == planted
     assert numeric_common_multiplicities([]) == []
@@ -159,7 +158,7 @@ def test_numeric_multiplicity_close_roots_still_split():
     f = ExactPolynomial.from_roots([F(0), F(1, 4)])
     g = ExactPolynomial.from_roots([F(0), F(3, 4)])
     t = SystemTuple((f, g), 1, FIELD_REAL)
-    assert numeric_common_multiplicity(t) == 1
+    assert numeric_common_multiplicities([t]) == [1]
 
 
 def test_merge_clusters_matches_union_find_oracle():

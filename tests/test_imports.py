@@ -1,9 +1,9 @@
 """Every name a module of the package or of the tests imports is used there
 or exported, every module-level private name of the package or of the tests
 is used, every package module's ``__all__`` names exactly what it defines
-for the public, no handler of the package catches every exception, and the
-package holds no ``assert`` statement (``python -O`` strips them, so a check
-must raise).
+for the public, every public oracle is used by a test, no handler of the
+package catches every exception, and the package holds no ``assert``
+statement (``python -O`` strips them, so a check must raise).
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -67,13 +67,11 @@ def test_test_modules_import_no_unused_names():
     assert _unused_by_module(sorted(TESTS.glob("*.py"))) == {}
 
 
-def _unreferenced_private_names(sources: dict) -> list:
-    """(module, name) for each module-level ``_name`` (a function, class or
-    assignment target; dunders excluded) that no module of `sources` loads,
-    reads as an attribute or imports."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _referenced_names(trees) -> set:
+    """Names that some syntax tree of `trees` loads, reads as an attribute
+    or imports."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
@@ -81,6 +79,15 @@ def _unreferenced_private_names(sources: dict) -> list:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def _unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level ``_name`` (a function, class or
+    assignment target; dunders excluded) that no module of `sources` loads,
+    reads as an attribute or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = _referenced_names(trees.values())
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -118,6 +125,38 @@ def test_test_private_names_are_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
     assert len(sources) > 1
     assert _unreferenced_private_names(sources) == []
+
+
+def _unused_oracles(oracle_source: str, test_sources) -> list:
+    """Public functions and classes defined in `oracle_source` that no
+    source of `test_sources` loads, reads as an attribute or imports."""
+    referenced = _referenced_names(ast.parse(source) for source in test_sources)
+    return sorted(
+        node.name
+        for node in ast.parse(oracle_source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    )
+
+
+def test_oracle_check_sees_imported_read_and_unused_oracles():
+    oracle_source = (
+        "def imported():\n    return helper()\n"
+        "def helper():\n    pass\n"
+        "def _private():\n    pass\n"
+        "class Read:\n    pass\n"
+        "LIMIT = 3\n"
+    )
+    test_sources = ["from oracles import imported\n", "import oracles\nprint(oracles.Read)\n"]
+    assert _unused_oracles(oracle_source, test_sources) == ["helper"]
+
+
+def test_every_oracle_is_used_by_a_test():
+    test_sources = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("test_*.py"))]
+    test_sources.append((TESTS.parent / "perfbench" / "test_perfbench.py").read_text(encoding="utf-8"))
+    assert len(test_sources) > 2
+    assert _unused_oracles((TESTS / "oracles.py").read_text(encoding="utf-8"), test_sources) == []
 
 
 def _export_gaps(source: str) -> tuple:

@@ -11,7 +11,6 @@ from nonresultant.exactalg import ExactPolynomial, GaussianRational, NonConverge
 from nonresultant.mapdeg import (
     INFINITY,
     ProjectivePoint,
-    WindingError,
     eval_natural_map,
     map_degree,
     rp1_degree,
@@ -26,7 +25,14 @@ from nonresultant.nonres import (
 )
 
 import oracles
-from oracles import cauchy_index_real_line, map_degree_winding, rp1_degree_lift, winding_dense, winding_number
+from oracles import (
+    WindingError,
+    cauchy_index_real_line,
+    map_degree_winding,
+    rp1_degree_lift,
+    winding_dense,
+    winding_number,
+)
 
 z = ExactPolynomial.variable()
 
