@@ -859,17 +859,20 @@ def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
 #
 # Isolation starts from (-2**j, 2**j) with 2**j the least power of 2 above
 # the Cauchy bound, taken from one integer quotient, and works through an
-# explicit worklist of dyadic intervals (a/2**k, b/2**k, count): an interval
-# holding one root is output, one holding more is halved, and a midpoint that
-# is itself a root is output as [r, r] with a root-free strip around it cut
-# out of the interval.  Sturm variation counts are cached per point, keyed by
-# the reduced (numerator, k); the chain starts with +-f, so the same
-# evaluations tell whether a point is a root.  f has no root of modulus
-# >= 2**e, for the e of Fujiwara's bound that `_root_bound_exponent` reads
-# from bit lengths and confirms with one exact inequality; by Sturm's theorem
-# the count at a point there is V(-inf) or V(+inf), read once from the
-# chain's leading coefficients, and no chain element is evaluated (other
-# elements may vanish beyond the bound; the count does not depend on them).
+# explicit worklist of dyadic cells (a/2**k, b/2**k), each carrying the
+# chain's sign variations V and f's sign at both ends: a cell holding one
+# root, with neither end a root, is output, and any other nonempty cell is
+# halved.  A midpoint that is itself a root is output as [r, r] and stays an
+# end of both halves.  V skips zeros, so it is right-continuous and drops by
+# one at each root: V(a) - V(b) counts the roots in (a, b], one too many for
+# the open cell when f(b) = 0.  Every point is evaluated once, and the chain
+# starts with +-f, so the same values give f's sign.  f has no root of
+# modulus >= 2**e, for the e of Fujiwara's bound that `_root_bound_exponent`
+# reads from bit lengths and confirms with one exact inequality; by Sturm's
+# theorem V and f's sign at a point there are those at -inf or +inf, read
+# once from the chain's leading coefficients, and no chain element is
+# evaluated (other elements may vanish beyond the bound; the count does not
+# depend on them).
 #
 # `RealRoot.refine` brings lo and hi over one denominator and bisects the
 # numerators; its intervals are part of the output (violation brackets, sweep
@@ -936,10 +939,16 @@ def _variations(values: Iterable[int]) -> int:
     return out
 
 
-def _variations_at_inf(chain: list, positive: bool) -> int:
-    if positive:
-        return _variations(cs[-1] for cs in chain)
-    return _variations(-cs[-1] if (len(cs) - 1) % 2 else cs[-1] for cs in chain)
+def _variations_at_inf(chain: list) -> tuple:
+    """(V(-inf), V(+inf)) of a remainder chain, in one pass over its leading
+    coefficients: two neighbours differ in sign at -inf exactly when they do
+    at +inf with degrees of the same parity."""
+    v_minus = v_plus = 0
+    for a, b in zip(chain, chain[1:]):
+        change = (a[-1] > 0) != (b[-1] > 0)
+        v_plus += change
+        v_minus += change == (len(a) % 2 == len(b) % 2)
+    return v_minus, v_plus
 
 
 def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
@@ -963,8 +972,8 @@ def cauchy_index(f: ExactPolynomial, g: ExactPolynomial) -> tuple:
 
 def _chain_index(chain: list) -> tuple:
     """(V(-inf) - V(+inf), degree of the last element) of a remainder chain."""
-    index = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-    return index, len(chain[-1]) - 1
+    v_minus, v_plus = _variations_at_inf(chain)
+    return v_minus - v_plus, len(chain[-1]) - 1
 
 
 def sturm_count(f: ExactPolynomial) -> tuple:
@@ -1197,7 +1206,8 @@ def _root_bound_exponent(cs: Sequence[int]) -> int:
 def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
     """Isolating intervals/exact points for a squarefree integer polynomial
     with Sturm chain `chain` (unused, and may be None, below degree 2), as
-    sorted (lo, hi, sign of f at lo) triples of Fractions."""
+    sorted (lo, hi, sign of f at lo) triples of Fractions: open dyadic
+    cells whose ends are not roots, and the midpoints that are roots."""
     d = len(cs) - 1
     if d < 1:
         return []
@@ -1208,63 +1218,40 @@ def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
     lead = abs(cs[-1])
     top = lead + max(abs(c) for c in cs[:-1])
     b = 1 << (-(-top // lead) - 1).bit_length()
-    # no root lies at or beyond 2**e, so there V is V(-inf) or V(+inf)
+    # no root lies at or beyond 2**e, so there V and f's sign are those at -+inf
     e = _root_bound_exponent(cs)
-    at_inf = (_variations_at_inf(chain, False), _variations_at_inf(chain, True))
-    var_cache = {}
+    s_inf = _sign(cs[-1])
+    v_minus, v_plus = _variations_at_inf(chain)
+    at_inf = ((v_minus, -s_inf if d % 2 else s_inf), (v_plus, s_inf))
+    flip = s_inf * _sign(chain[0][-1])  # the chain starts with flip * f
 
-    def var(p: int, k: int) -> Optional[int]:
-        # sign variations of the chain at p / 2**k, or None where f vanishes
-        # there (the chain starts with +-f)
+    def var(p: int, k: int) -> tuple:
+        # (sign variations of the chain, f's sign) at p / 2**k
         z = min((p & -p).bit_length() - 1, k) if p else k
-        key = (p >> z, k - z)
-        v = var_cache.get(key, -1)
-        if v == -1:
-            p, k = key
-            if p and p.bit_length() > k + e:  # |p| / 2**k >= 2**e
-                v = at_inf[p > 0]
-            else:
-                q = 1 << k
-                values = [_value_at(c, p, q) for c in chain]
-                v = _variations(values) if values[0] else None
-            var_cache[key] = v
-        return v
+        p, k = p >> z, k - z
+        if p and p.bit_length() > k + e:  # |p| / 2**k >= 2**e
+            return at_inf[p > 0]
+        values = [_value_at(c, p, 1 << k) for c in chain]
+        return _variations(values), _sign(values[0]) * flip
 
     out = []
-    # invariant: f(lo) != 0 != f(hi), count = #roots in (lo/2**k, hi/2**k)
-    work = [(-b, b, 0, var(-b, 0) - var(b, 0))]
+    work = [(-b, b, 0, *var(-b, 0), *var(b, 0))]
     while work:
-        lo, hi, k, count = work.pop()
+        lo, hi, k, v_lo, s_lo, v_hi, s_hi = work.pop()
+        count = v_lo - v_hi - (s_hi == 0)  # roots in (lo/2**k, hi/2**k)
         if count == 0:
             continue
-        if count == 1:
+        if count == 1 and s_lo and s_hi:
             q = 1 << k
-            out.append((Fraction(lo, q), Fraction(hi, q), _sign_at(cs, lo, q)))
+            out.append((Fraction(lo, q), Fraction(hi, q), s_lo))
             continue
-        mid, lo, hi, k = lo + hi, lo << 1, hi << 1, k + 1
-        v = var(mid, k)
-        if v is None:
-            # exact rational hit: record it and excise a root-free strip
-            # (mid - eps, mid + eps) so interval endpoints are never roots;
-            # eps = e / 2**k starts at a quarter of the half-width, so the
-            # strip lies inside (lo, hi)
+        mid, k = lo + hi, k + 1
+        v, s = var(mid, k)
+        if s == 0:
             r = Fraction(mid, 1 << k)
             out.append((r, r, 0))
-            e = hi - lo
-            mid, lo, hi, k = mid << 3, lo << 3, hi << 3, k + 3
-            while True:
-                a, b2 = mid - e, mid + e
-                v_a = var(a, k)
-                v_b = None if v_a is None else var(b2, k)
-                if v_b is not None and v_a - v_b == 1:
-                    break
-                # halve eps: same numerator one level deeper
-                mid, lo, hi, k = mid << 1, lo << 1, hi << 1, k + 1
-            work.append((lo, a, k, var(lo, k) - var(a, k)))
-            work.append((b2, hi, k, var(b2, k) - var(hi, k)))
-        else:
-            work.append((lo, mid, k, var(lo, k) - v))
-            work.append((mid, hi, k, v - var(hi, k)))
+        work.append((lo << 1, mid, k, v_lo, s_lo, v, s))
+        work.append((mid, hi << 1, k, v, s, v_hi, s_hi))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

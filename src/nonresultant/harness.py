@@ -345,10 +345,9 @@ def _first_violation(a: SystemTuple, g: ExactPolynomial):
     for r in real_roots_exact(g):
         if r.hi <= 0 or r.lo >= 1:
             continue  # 0 and 1 are not roots: the root lies outside [0, 1]
+        # isolation and refine halve cells of a dyadic grid anchored at 0;
+        # a cell narrower than 1 holds neither 0 nor 1 inside it
         r = r.refine(_BRACKET_WIDTH)
-        # 0 and 1 are not roots, so refining long enough settles the side
-        while r.lo < 0 < r.hi or r.lo < 1 < r.hi:
-            r = r.refine((r.hi - r.lo) / 2)
         if 0 <= r.lo and r.hi <= 1:
             return ViolationCertificate(kind, r.lo, r.hi, r.multiplicity % 2 == 1)
     return None

@@ -596,7 +596,9 @@ def isolate_squarefree_fractions(cs) -> list:
     """Isolating intervals/exact points of a squarefree integer polynomial,
     as sorted (lo, hi, sign at lo), by recursive Sturm bisection of
     Fraction intervals starting from (-b, b), b the power of 2 at or above
-    the Cauchy bound."""
+    the Cauchy bound.  An interval is output when it holds one root and
+    neither end is a root; a midpoint that is a root is output as [r, r]
+    and stays an end of both halves."""
     d = len(cs) - 1
     if d < 1:
         return []
@@ -610,45 +612,26 @@ def isolate_squarefree_fractions(cs) -> list:
     while b < bound:
         b *= 2
     out = []
-    var_cache = {}
 
     def var(x: Fraction) -> int:
-        if x not in var_cache:
-            var_cache[x] = _variations(_sign_at_fraction(c, x) for c in chain)
-        return var_cache[x]
+        return _variations(_sign_at_fraction(c, x) for c in chain)
 
-    def rec(lo: Fraction, hi: Fraction, count: int):
-        # invariant: f(lo) != 0 != f(hi), count = #roots in (lo, hi)
+    def rec(lo: Fraction, hi: Fraction):
+        # V skips zeros, so V(lo) - V(hi) counts the roots in (lo, hi]
+        count = var(lo) - var(hi) - (_sign_at_fraction(cs, hi) == 0)
         if count == 0:
             return
-        if count == 1:
-            out.append((lo, hi, _sign_at_fraction(cs, lo)))
+        s_lo = _sign_at_fraction(cs, lo)
+        if count == 1 and s_lo != 0 != _sign_at_fraction(cs, hi):
+            out.append((lo, hi, s_lo))
             return
         mid = (lo + hi) / 2
         if _sign_at_fraction(cs, mid) == 0:
-            # exact rational hit: record it and excise a root-free strip so
-            # recursion endpoints are never themselves roots
             out.append((mid, mid, 0))
-            eps = (hi - lo) / 8
-            while True:
-                a, b2 = mid - eps, mid + eps
-                if (
-                    a > lo
-                    and b2 < hi
-                    and _sign_at_fraction(cs, a) != 0
-                    and _sign_at_fraction(cs, b2) != 0
-                    and var(a) - var(b2) == 1
-                ):
-                    break
-                eps /= 2
-            rec(lo, a, var(lo) - var(a))
-            rec(b2, hi, var(b2) - var(hi))
-        else:
-            v = var(mid)
-            rec(lo, mid, var(lo) - v)
-            rec(mid, hi, v - var(hi))
+        rec(lo, mid)
+        rec(mid, hi)
 
-    rec(-b, b, var(-b) - var(b))
+    rec(-b, b)
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
@@ -658,9 +641,10 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
     with Sturm chain `chain` (unused, and may be None, below degree 2), as
     sorted (lo, hi, sign of f at lo) triples of Fractions.
 
-    The reference for `exactalg._isolate_squarefree`: the same worklist, with
-    the whole chain evaluated at every point visited and the Cauchy bound's
-    power of 2 found by doubling."""
+    The reference for `exactalg._isolate_squarefree`: the same dyadic cells
+    on integer numerators, with the whole chain and f evaluated at both ends
+    of every cell visited (no root bound, nothing carried from the parent
+    cell) and the Cauchy bound's power of 2 found by doubling."""
     d = len(cs) - 1
     if d < 1:
         return []
@@ -673,55 +657,31 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
     b = 1
     while b * lead < top:
         b <<= 1
-    var_cache = {}
 
-    def var(p: int, k: int) -> Optional[int]:
-        # sign variations of the chain at p / 2**k, or None where f vanishes
-        # there (the chain starts with +-f)
-        z = min((p & -p).bit_length() - 1, k) if p else k
-        key = (p >> z, k - z)
-        v = var_cache.get(key, -1)
-        if v == -1:
-            q = 1 << key[1]
-            values = [_value_at(c, key[0], q) for c in chain]
-            v = var_cache[key] = _variations(values) if values[0] else None
-        return v
+    def at(p: int, k: int) -> tuple:
+        # (sign variations of the chain, sign of f) at p / 2**k
+        q = 1 << k
+        return _variations(_value_at(c, p, q) for c in chain), _sign_at(cs, p, q)
 
     out = []
-    # invariant: f(lo) != 0 != f(hi), count = #roots in (lo/2**k, hi/2**k)
-    work = [(-b, b, 0, var(-b, 0) - var(b, 0))]
+    work = [(-b, b, 0)]
     while work:
-        lo, hi, k, count = work.pop()
+        lo, hi, k = work.pop()
+        (v_lo, s_lo), (v_hi, s_hi) = at(lo, k), at(hi, k)
+        # V skips zeros, so V(lo) - V(hi) counts the roots in (lo, hi]
+        count = v_lo - v_hi - (s_hi == 0)
         if count == 0:
             continue
-        if count == 1:
+        if count == 1 and s_lo != 0 != s_hi:
             q = 1 << k
-            out.append((Fraction(lo, q), Fraction(hi, q), _sign_at(cs, lo, q)))
+            out.append((Fraction(lo, q), Fraction(hi, q), s_lo))
             continue
-        mid, lo, hi, k = lo + hi, lo << 1, hi << 1, k + 1
-        v = var(mid, k)
-        if v is None:
-            # exact rational hit: record it and excise a root-free strip
-            # (mid - eps, mid + eps) so interval endpoints are never roots;
-            # eps = e / 2**k starts at a quarter of the half-width, so the
-            # strip lies inside (lo, hi)
+        mid, k = lo + hi, k + 1
+        if _sign_at(cs, mid, 1 << k) == 0:
             r = Fraction(mid, 1 << k)
             out.append((r, r, 0))
-            e = hi - lo
-            mid, lo, hi, k = mid << 3, lo << 3, hi << 3, k + 3
-            while True:
-                a, b2 = mid - e, mid + e
-                v_a = var(a, k)
-                v_b = None if v_a is None else var(b2, k)
-                if v_b is not None and v_a - v_b == 1:
-                    break
-                # halve eps: same numerator one level deeper
-                mid, lo, hi, k = mid << 1, lo << 1, hi << 1, k + 1
-            work.append((lo, a, k, var(lo, k) - var(a, k)))
-            work.append((b2, hi, k, var(b2, k) - var(hi, k)))
-        else:
-            work.append((lo, mid, k, var(lo, k) - v))
-            work.append((mid, hi, k, v - var(hi, k)))
+        work.append((lo << 1, mid, k))
+        work.append((mid, hi << 1, k))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

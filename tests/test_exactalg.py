@@ -639,14 +639,14 @@ def test_float_value_at_the_edge_of_the_float_range():
 
 # factors of the isolation family: roots at +-2**k, which a bound one
 # power too small would put beyond it; dyadic roots that bisection hits
-# exactly, so the excision strip runs; huge and tiny roots; generic integer
-# polynomials with coefficients up to 10**300; and z**3 + p z + q with
-# |q| >> p, whose third chain element -(2p/3 z + q) vanishes at -3q/(2p),
-# far beyond the root bound
+# exactly, which stay ends of the cells around them; huge and tiny roots;
+# generic integer polynomials with coefficients up to 10**300; and
+# z**3 + p z + q with |q| >> p, whose third chain element -(2p/3 z + q)
+# vanishes at -3q/(2p), far beyond the root bound
 power_roots = st.builds(lambda s, k: s * F(2) ** k, st.sampled_from([-1, 1]), st.integers(-30, 60))
-strip_roots = st.builds(lambda m, k: F(m, 2**k), st.integers(-2**12, 2**12), st.integers(0, 12))
+hit_roots = st.builds(lambda m, k: F(m, 2**k), st.integers(-2**12, 2**12), st.integers(0, 12))
 isolation_factors = st.one_of(
-    st.one_of(power_roots, strip_roots).map(lambda r: z - r),
+    st.one_of(power_roots, hit_roots).map(lambda r: z - r),
     st.builds(lambda a, b: a * z - b, st.integers(1, 10**300), st.integers(-10**300, 10**300).filter(bool)),
     st.lists(st.integers(-10**300, 10**300), min_size=3, max_size=5)
     .filter(lambda cs: cs[-1] and any(cs[:-1]))
@@ -681,6 +681,74 @@ def test_isolation_matches_the_every_point_oracle(factors):
         ics = tuple(_int_primitive(factor._re))
         chain = factor.sturm_chain if factor.degree > 1 else None
         assert _isolate_squarefree(ics, chain) == isolate_squarefree_every_point(ics, chain)
+
+
+# planted rational roots on and off the dyadic grid: 0, +-2**-j, k/4, k/8
+# and thirds, with multiplicities 1-3, times a leading factor
+grid_roots = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda s, j: s * F(1, 2**j), st.sampled_from([-1, 1]), st.integers(0, 12)),
+    st.builds(F, st.integers(-12, 12), st.just(4)),
+    st.builds(F, st.integers(-24, 24), st.just(8)),
+    st.builds(F, st.integers(-12, 12), st.just(3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(grid_roots, st.integers(1, 3), min_size=1, max_size=6),
+    st.fractions(-7, 7, max_denominator=5).filter(bool),
+)
+@example({F(k, 4): 1 for k in range(-2, 3)}, F(1))
+@example({F(0): 2, F(1, 3): 1, F(1, 2): 3}, F(-2, 3))
+def test_real_roots_of_planted_grid_roots_meet_the_isolation_contract(planted, lead):
+    # the contract of any bisection rule: exact points are roots; an open
+    # interval holds one planted root, and its squarefree factor changes
+    # sign across it and vanishes at neither end (an end may be a root of
+    # another factor); all are sorted and disjoint
+    f = ExactPolynomial.constant(lead)
+    for r, mult in planted.items():
+        f = f * (z - r) ** mult
+    roots = real_roots_exact(f)
+    assert len(roots) == len(planted) == count_distinct_real_roots(f)
+    assert all(a.hi <= b.lo for a, b in zip(roots, roots[1:]))
+    values = []
+    for root in roots:
+        lo, hi = root.lo, root.hi
+        if root.is_exact:
+            assert sign_at(f, lo.numerator, lo.denominator) == 0
+            inside = [lo]
+        else:
+            factor = ExactPolynomial(root._factor)
+            ends = [sign_at(factor, x.numerator, x.denominator) for x in (lo, hi)]
+            assert 0 not in ends and ends[0] != ends[1] and ends[0] == root._sign_lo
+            inside = [r for r in planted if lo < r < hi]
+        assert len(inside) == 1 and root.multiplicity == planted[inside[0]]
+        assert root.float_value() == float_value_fractions(root) == float(inside[0])
+        values += inside
+    assert values == sorted(planted)
+
+
+def test_exact_hits_cost_no_more_evaluations_than_roots_off_the_grid(monkeypatch):
+    # the 13 roots k/4 are all hit exactly and stay ends of the cells around
+    # them; the same roots shifted by 1/3 are never hit, and isolating them
+    # is the baseline the hits must not exceed
+    calls = []
+    value = exactalg._value_at
+
+    def counting_value(cs, p, q):
+        calls.append(p)
+        return value(cs, p, q)
+
+    counts = []
+    monkeypatch.setattr(exactalg, "_value_at", counting_value)
+    for shift in (F(0), F(1, 3)):
+        f = ExactPolynomial.from_roots([F(k, 4) + shift for k in range(-6, 7)])
+        calls.clear()
+        out = _isolate_squarefree(tuple(_int_primitive(f._re)), f.sturm_chain)
+        assert len(out) == 13 and sum(lo == hi for lo, hi, _ in out) == (13 if shift == 0 else 0)
+        counts.append(len(calls))
+    assert counts[0] <= counts[1]
 
 
 def test_root_bound_is_confirmed_and_fixes_the_count_beyond_it():

@@ -447,19 +447,20 @@ def test_even_order_touch_inside_the_path_is_found():
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_bracket_straddling_one_is_halved_until_it_settles(sign):
-    # isolation hits the root 2 exactly and leaves (0, 3/2) around
-    # 1 -+ 2**-53, an interval whose bisection never meets t = 1: the 1e-6
-    # bracket [0.99999976, 1.00000048] straddles 1 until it is halved further
+def test_bracket_near_one_lies_on_one_side_of_it(sign):
+    # isolation hits the root 2 exactly and keeps bisecting the same dyadic
+    # cells, so the 1e-6 bracket around 1 -+ 2**-53 has 1 as an end and never
+    # straddles it; the root below 1 is a violation, the one above is not
     g = (z - 2) * (z - (1 + sign * F(1, 2**53)))
     bracket = real_roots_exact(g)[0].refine(F(1, 10**6))
-    assert bracket.lo < 1 < bracket.hi
+    assert bracket.hi <= 1 if sign < 0 else bracket.lo >= 1
     cert = _first_violation(SystemTuple((z**2 + 1,), 2, FIELD_REAL), g)
     if sign > 0:
         assert cert is None
     else:
         assert cert.kind == "discriminant_root" and cert.sign_change
         assert cert.lo < 1 - F(1, 2**53) < cert.hi <= 1
+        assert 0 <= cert.lo and (cert.lo, cert.hi) == (bracket.lo, bracket.hi)
 
 
 def _oracle_paths():
