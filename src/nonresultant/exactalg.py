@@ -9,10 +9,13 @@ tuples (the denominator is the least common denominator of the coefficients,
 and the numerators follow from it), so `==` and `hash` compare integers and
 nothing is ever re-normalized.  Arithmetic runs on the numerators; the
 `Fraction`/`GaussianRational` view of the coefficients exists only at the API
-and JSON boundary and is built on demand.  The one division is exact (Yun's
-quotients): a nonreal divisor b is made real as b*conj(b), and the real and
-imaginary numerators are divided by its primitive part, which by Gauss's
-lemma takes only integer steps.
+and JSON boundary and is built on demand.  A product of linear factors
+(`from_roots`) is built by Kronecker substitution: the real and the imaginary
+numerators are each one integer, the polynomial's value at a power of 2 past
+their bound, so each root costs a shift and a few integer products.  The one
+division is exact (Yun's quotients): a nonreal divisor b is made real as
+b*conj(b), and the real and imaginary numerators are divided by its primitive
+part, which by Gauss's lemma takes only integer steps.
 
 Gcds and resultants come from one subresultant polynomial remainder sequence
 (Collins 1967; Brown and Traub 1971), run on the numerators over Z or over
@@ -219,18 +222,22 @@ Scalar = Union[Fraction, GaussianRational]
 
 def _scalar_parts(x) -> tuple:
     """Integers (re, im, den) with x = (re + im*i)/den and den > 0."""
-    if isinstance(x, Fraction):
+    # the exact types are tested first: isinstance(x, Fraction) is an ABC check
+    if type(x) is Fraction:
         return x.numerator, 0, x.denominator
-    if isinstance(x, int):
-        return x, 0, 1
-    if isinstance(x, GaussianRational):
-        dr, di = x.re.denominator, x.im.denominator
-        den = math.lcm(dr, di)
-        return x.re.numerator * (den // dr), x.im.numerator * (den // di), den
-    raise TypeError(
-        f"exact coefficient required, got {type(x).__name__}; "
-        "wrap floats explicitly via Fraction(x) if that is intended"
-    )
+    if type(x) is not GaussianRational:
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
+        if isinstance(x, int):
+            return x, 0, 1
+        if not isinstance(x, GaussianRational):
+            raise TypeError(
+                f"exact coefficient required, got {type(x).__name__}; "
+                "wrap floats explicitly via Fraction(x) if that is intended"
+            )
+    dr, di = x.re.denominator, x.im.denominator
+    den = math.lcm(dr, di)
+    return x.re.numerator * (den // dr), x.im.numerator * (den // di), den
 
 
 def _scalar(re: int, im: int, den: int) -> Scalar:
@@ -312,6 +319,21 @@ def _from_parts(parts: Sequence[tuple]) -> tuple:
     return _reduce(re, im, den)
 
 
+def _signed_digits(v: int, n: int, b: int) -> list:
+    """The n digits c_k, ascending, with v = sum(c_k * 2**(b*k)) and
+    |c_k| < 2**(b-1)."""
+    base, mask = 1 << b, (1 << b) - 1
+    half = base >> 1
+    out = []
+    for _ in range(n):
+        c = v & mask
+        if c >= half:
+            c -= base
+        out.append(c)
+        v = (v - c) >> b
+    return out
+
+
 def _poly(re: Sequence[int], im=None, den: int = 1) -> "ExactPolynomial":
     return ExactPolynomial._raw(*_reduce(re, im, den))
 
@@ -377,21 +399,29 @@ class ExactPolynomial:
 
     @staticmethod
     def from_roots(roots: Iterable) -> "ExactPolynomial":
-        # each root (p + q*i)/d contributes the integer factor d*z - p - q*i
-        re, im, den = [1], None, 1
-        for r in roots:
-            p, q, d = _scalar_parts(r)
+        """The product of (z - r) over the roots r, by Kronecker substitution.
+
+        A root r = (p + q*i)/d contributes the integer factor d*z - p - q*i,
+        and the product is divided by the product of the d.  Every real and
+        imaginary numerator of every partial product has absolute value at
+        most M = prod(d + |p| + |q|), since each factor's term is >= 1.  With
+        2**(b-1) > M, the real and the imaginary numerators are each packed
+        into one integer, the polynomial's value at 2**b, so folding in a
+        root is a shift and a few integer products:
+        re' = (d*re << b) - p*re + q*im and im' = (d*im << b) - p*im - q*re.
+        The numerators are read back once, as signed base-2**b digits.
+        """
+        parts = [_scalar_parts(r) for r in roots]
+        b = math.prod(d + abs(p) + abs(q) for p, q, d in parts).bit_length() + 1
+        re, im, den = 1, 0, 1
+        for p, q, d in parts:
             den *= d
-            if im is None and not q:
-                re = [d * a - p * b for a, b in zip([0] + re, re + [0])]
-                continue
-            if im is None:
-                im = [0] * len(re)
-            re, im = (
-                [d * a - p * b + q * c for a, b, c in zip([0] + re, re + [0], im + [0])],
-                [d * a - p * b - q * c for a, b, c in zip([0] + im, im + [0], re + [0])],
-            )
-        return _poly(re, im, den)
+            if q or im:
+                re, im = (d * re << b) - p * re + q * im, (d * im << b) - p * im - q * re
+            else:
+                re = (d * re << b) - p * re
+        n = len(parts) + 1
+        return _poly(_signed_digits(re, n, b), _signed_digits(im, n, b) if im else None, den)
 
     # -- structure ----------------------------------------------------------
     @property

@@ -19,12 +19,13 @@ polynomial refined instead of the roots outside [0, 1] skipped;
 interpolation by Lagrange basis products instead of forward differences;
 path samples by the exact gcd route at every sample instead of the sign of the
 path's boundary polynomial; JSON coefficients by one `Fraction` per value
-instead of integer parts; single-linkage groups by union-find instead of
-growth by the least linked index; the Z[i] pseudo-remainder and subresultant
-PRS by one tuple-building Gaussian product per term and one exact division per
-coefficient instead of the written-out kernel that divides once per step; jet
-components by `Fraction` coefficient arithmetic instead of the numerator
-kernels.
+instead of integer parts; products of linear factors by one pass over the
+numerator lists per root instead of Kronecker substitution; single-linkage
+groups by union-find instead of growth by the least linked index; the Z[i]
+pseudo-remainder and subresultant PRS by one tuple-building Gaussian product
+per term and one exact division per coefficient instead of the written-out
+kernel that divides once per step; jet components by `Fraction` coefficient
+arithmetic instead of the numerator kernels.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from nonresultant.exactalg import (
     NonConvergenceError,
     RealRoot,
     _int_primitive,
+    _poly,
+    _scalar_parts,
     _sign_at,
     _sturm_chain,
     _value_at,
@@ -52,6 +55,26 @@ from nonresultant.exactalg import (
 )
 from nonresultant.harness import path_tuple
 from nonresultant.nonres import is_member, jet
+
+
+def from_roots_list_pass(roots) -> ExactPolynomial:
+    """The product of (z - r) over the roots r, multiplying in each integer
+    factor d*z - p - q*i of a root (p + q*i)/d by one pass over the
+    numerator lists."""
+    re, im, den = [1], None, 1
+    for r in roots:
+        p, q, d = _scalar_parts(r)
+        den *= d
+        if im is None and not q:
+            re = [d * a - p * b for a, b in zip([0] + re, re + [0])]
+            continue
+        if im is None:
+            im = [0] * len(re)
+        re, im = (
+            [d * a - p * b + q * c for a, b, c in zip([0] + re, re + [0], im + [0])],
+            [d * a - p * b - q * c for a, b, c in zip([0] + im, im + [0], re + [0])],
+        )
+    return _poly(re, im, den)
 
 
 def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
@@ -433,7 +456,8 @@ def pi1_dense_lift(loop, max_step: float = 0.3) -> int:
     """Class of a closed sampled loop of models as the winding of r_tilde,
     evaluated along each straight segment (`path_tuple`) at exact Fraction
     parameters: eight equal steps, each bisected until r_tilde turns by less
-    than max_step radians across it."""
+    than max_step radians across each of its halves.  A step's own turn
+    cannot settle it: a turn of nearly a full circle reads as a small one."""
     total = 0.0
     for a, b in zip(loop, loop[1:]):
         ta, tb = phi_inverse(a), phi_inverse(b)
@@ -446,12 +470,12 @@ def pi1_dense_lift(loop, max_step: float = 0.3) -> int:
         stack = list(zip(nodes, values, nodes[1:], values[1:]))[::-1]
         while stack:
             u0, v0, u1, v1 = stack.pop()
-            step = cmath.phase(v1 / v0)
-            if abs(step) < max_step:
-                total += step
-                continue
             mid = (u0 + u1) / 2
             vm = value(mid)
+            left, right = cmath.phase(vm / v0), cmath.phase(v1 / vm)
+            if abs(left) < max_step and abs(right) < max_step:
+                total += left + right
+                continue
             stack += [(mid, vm, u1, v1), (u0, v0, mid, vm)]
     return _whole_turns(total)
 

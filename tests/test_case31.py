@@ -396,6 +396,7 @@ def test_random_loop_kinds_have_their_features(kind):
 @example("triple", 4)
 @example("vanishing", 5)
 @example("steady", 6)
+@example("triple", 431)  # a step of the lift turns by 2*pi - 0.265
 def test_crossing_count_matches_a_dense_lift(time_limit, kind, seed):
     loop = random_loop(kind, seed)
     with time_limit(10):

@@ -43,6 +43,7 @@ from nonresultant.exactalg import (
     _isolate_squarefree,
     _link_rows,
     _root_bound_exponent,
+    _scalar_parts,
     _simplest_between,
 )
 from oracles import (
@@ -52,6 +53,7 @@ from oracles import (
     circle_starts,
     cluster_roots_scan,
     float_value_fractions,
+    from_roots_list_pass,
     g_prem_by_products,
     g_prs_by_products,
     gcd_euclid,
@@ -126,6 +128,101 @@ def test_construction_canonical():
         z * 0.5
     with pytest.raises(TypeError):
         ExactPolynomial.from_roots([0.5])
+
+
+TINY = F(1, 2**4000)
+BIG = 10**300
+# small and huge numerators and denominators, and a gap of 2^-4000
+construction_rationals = st.one_of(
+    small_fractions,
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.sampled_from([TINY, -TINY, 1 + TINY, BIG - TINY]),
+)
+construction_roots = st.one_of(
+    st.integers(-BIG, BIG),
+    construction_rationals,
+    st.builds(GaussianRational, construction_rationals, construction_rationals),
+    st.builds(GaussianRational, st.just(0), construction_rationals),  # purely imaginary
+    st.sampled_from([0, F(0), GaussianRational(F(0), F(0))]),
+)
+
+
+@st.composite
+def root_lists(draw):
+    """Roots of degree <= 40, with repeats drawn from the list itself, and
+    every nonreal root followed by its conjugate when `paired` is set."""
+    roots = draw(st.lists(construction_roots, max_size=14))
+    if roots:
+        roots += draw(st.lists(st.sampled_from(roots), max_size=6))
+    paired = draw(st.booleans())
+    if paired:
+        roots += [r.conjugate() for r in roots if isinstance(r, GaussianRational)]
+    return draw(st.permutations(roots)), paired
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_lists())
+@example(([], False))
+@example(([GaussianRational(F(k, 3), F(BIG, 7)) for k in range(20)] * 2, False))
+@example(([0, 0, GaussianRational(F(0), TINY), GaussianRational(F(0), -TINY), 1 + TINY], True))
+def test_from_roots_matches_the_list_pass_and_the_product_of_factors(drawn):
+    roots, paired = drawn
+    f = ExactPolynomial.from_roots(roots)
+    oracle = from_roots_list_pass(roots)
+    assert (f._re, f._im, f._den) == (oracle._re, oracle._im, oracle._den)
+    product = ExactPolynomial.one()
+    for r in roots:
+        product = product * ExactPolynomial((-r, 1))
+    assert f == product
+    assert f.degree == len(roots) and f.is_monic
+    if not roots:
+        assert (f._re, f._im, f._den) == ((1,), None, 1)
+    if paired:
+        assert f._im is None
+
+
+class _FractionSubclass(F):
+    pass
+
+
+@pytest.mark.parametrize(
+    "x, parts",
+    [
+        (_FractionSubclass(6, -8), (-3, 0, 4)),
+        (True, (1, 0, 1)),
+        (False, (0, 0, 1)),
+        (-7, (-7, 0, 1)),
+        (BIG, (BIG, 0, 1)),
+        (F(3, 4), (3, 0, 4)),
+        (GaussianRational(F(1, 2), F(-1, 3)), (3, -2, 6)),
+    ],
+)
+def test_scalar_parts_of_each_accepted_type(x, parts):
+    assert _scalar_parts(x) == parts
+    as_fraction = F(parts[0], parts[2]) if not parts[1] else x
+    assert ExactPolynomial.from_roots([x, x]) == ExactPolynomial.from_roots([as_fraction] * 2)
+    assert ExactPolynomial((x, 1)) == ExactPolynomial((as_fraction, 1))
+    assert (z**2 + 3)(x) == (z**2 + 3)(as_fraction)
+
+
+@pytest.mark.parametrize("x", [0.5, "1"])
+def test_inexact_scalars_are_refused_with_the_same_message(x):
+    message = (
+        f"exact coefficient required, got {type(x).__name__}; "
+        "wrap floats explicitly via Fraction(x) if that is intended"
+    )
+    with pytest.raises(TypeError) as err:
+        ExactPolynomial.from_roots([F(1), x])
+    assert str(err.value) == message
+    with pytest.raises(TypeError) as err:
+        ExactPolynomial((1, x))
+    assert str(err.value) == message
+    # evaluation has a numeric path for floats; anything else is refused
+    if isinstance(x, float):
+        assert (z**2 + 3)(x) == 3.25
+    else:
+        with pytest.raises(TypeError, match=r"^cannot evaluate at str$"):
+            (z**2 + 3)(x)
 
 
 @settings(max_examples=60, deadline=None)
