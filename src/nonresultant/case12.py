@@ -123,6 +123,8 @@ class HalfPlaneConfig:
         for entry in obj:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValueError(f"configuration point {entry!r} is not an [re, im] pair")
+            if any(isinstance(x, bool) for x in entry):
+                raise ValueError("booleans are not coordinates")
             re, im = float(entry[0]), float(entry[1])
             if im == 0:
                 reals.append(re)

@@ -39,7 +39,7 @@ def _read_json(args):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read --input {path}: {exc}") from exc
     try:
         return json.loads(text)

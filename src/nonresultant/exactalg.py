@@ -41,22 +41,18 @@ isolating intervals whose endpoints are dyadic rationals.  An exact rational
 hit during bisection is returned as a degenerate interval [r, r].  Rounding
 a root to its float uses quadratic interval refinement instead of halving.
 
-Complex roots are approximated by the Aberth-Ehrlich simultaneous iteration
-(vectorised, with a batch entry point so many same-degree polynomials share
-one iteration loop), then grouped into clusters whose multiplicity is the
-cluster size.  The iteration starts from the eigenvalues of the companion
-matrices, one `eigvals` call per degree group for its real rows and one for
-the others; these backward-stable approximations (Edelman and Murakami 1995)
-usually pass the first residual check unchanged.  Cluster centers are
-validated against a backward-error bound; a monic row whose roots all passed
-the residual check and whose clusters are single roots needs no validation,
-since its centers are those roots.  A polynomial that fails is retried from
-rotated circles of starting points, and failure of every attempt raises
-`NonConvergenceError` carrying the diagnostics to reproduce it.  Clustering
-and validation are array passes over a degree group that repeat CPython's
-complex arithmetic on split real and imaginary floats, so they give the scalar
-code's results bit for bit (numpy's complex product, modulus and power differ
-in the last bit).
+Complex roots are the eigenvalues of the companion matrices, one `eigvals`
+call per degree group for its real rows and one for the others; these are
+backward-stable approximations (Edelman and Murakami 1995).  They are
+grouped into clusters whose multiplicity is the cluster size, and every
+cluster center is validated against a backward-error bound.  There is no
+iteration and no retry: a polynomial that fails the check, or that the
+eigensolver fails on, raises `NonConvergenceError` carrying the diagnostics
+to reproduce it, and a coefficient beyond the float range raises ValueError.
+Clustering and validation are array passes over a degree group that repeat
+CPython's complex arithmetic on split real and imaginary floats, so they give
+the scalar code's results bit for bit (numpy's complex product, modulus and
+power differ in the last bit).
 """
 
 from __future__ import annotations
@@ -1384,7 +1380,7 @@ def cauchy_root_bound(polys: Sequence[ExactPolynomial]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# numeric roots (Aberth-Ehrlich) and clustering
+# numeric roots (companion eigenvalues) and clustering
 # ---------------------------------------------------------------------------
 
 
@@ -1397,28 +1393,13 @@ class RootCluster:
     multiplicity: int
 
 
-# circle restarts: rotation offsets, tried in order after the eigenvalue start
-_ABERTH_RESTARTS = (0.41, 1.13, 1.97)
-
-
-def _circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
-    """d points evenly spaced on the circle of radius 1 + max |c_k|, which
-    holds every root of a monic row, rotated by `offset`.  (B, d)."""
-    d = coeffs.shape[1] - 1
-    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
-    angles = 2.0 * np.pi * np.arange(d) / d + offset
-    return radius[:, None] * np.exp(1j * angles)[None, :]
-
-
-def _eigenvalue_starts(coeffs: np.ndarray) -> np.ndarray:
+def _eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of the rows' companion matrices, (B, d): one `eigvals`
     call on the stack of real rows, which uses the real eigensolver, and one
     on the stack of the others.  Each row's solver depends on that row
-    alone, so its starts do not depend on the batch it came in.
-
-    These are backward-stable root approximations (Edelman and Murakami,
-    Math. Comp. 64, 1995), so Aberth usually certifies them on its first
-    residual check.  Raises `np.linalg.LinAlgError` when a matrix holds a
+    alone, so its roots do not depend on the batch it came in.  These are
+    backward-stable root approximations (Edelman and Murakami, Math. Comp.
+    64, 1995).  Raises `np.linalg.LinAlgError` when a matrix holds a
     non-finite entry or the eigensolver does not converge."""
     batch, dp1 = coeffs.shape
     d = dp1 - 1
@@ -1433,78 +1414,8 @@ def _eigenvalue_starts(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth_batch(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> tuple:
-    """Run Aberth-Ehrlich on a batch of monic polynomials of equal degree.
-
-    coeffs: (B, d+1) complex, ascending, last column all ones; z0: (B, d)
-    start points.  Returns (z, settled): the (B, d) iterates, and the (B,)
-    mask of rows whose every root passed the residual test
-    |p(z)| <= 1e-14 * sum |c_k| max(1, |z|)**k at its final value, with a
-    finite right-hand side.
-    A root stops moving once its residual is at rounding level, so a row
-    whose roots have all stopped is final; such rows leave the working set,
-    and the rows still moving give bit-for-bit the same iterates.  p' is
-    built only once a root is still moving.  The (B, d, d) pairwise terms,
-    the one large intermediate, live in buffers made once per call rather
-    than in fresh arrays on every iteration.
-    """
-    batch, dp1 = coeffs.shape
-    d = dp1 - 1
-    z = np.array(z0, dtype=complex)
-    out, settled = z, np.zeros(batch, dtype=bool)
-    rows = np.arange(batch)
-    dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
-    abs_coeffs = np.abs(coeffs)
-    active = np.ones((batch, d), dtype=bool)
-    s = np.zeros(z.shape)
-    pair_buf = np.empty((batch, d, d), dtype=complex)
-    mag_buf = np.empty((batch, d, d))
-    tiny_buf = np.empty((batch, d, d), dtype=bool)
-    for _ in range(max_iter):
-        p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 1, -1, -1):
-            p = p * z + coeffs[:, k][:, None]
-        az = np.maximum(1.0, np.abs(z))
-        # backward-error scale: sum |c_k| * max(1,|z|)^k via Horner in |z|
-        s = np.broadcast_to(abs_coeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 1, -1, -1):
-            s = s * az + abs_coeffs[:, k][:, None]
-        active &= ~(np.abs(p) <= 1e-14 * s)
-        if not active.any():
-            break
-        dp = np.broadcast_to(dcoeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 2, -1, -1):
-            dp = dp * z + dcoeffs[:, k][:, None]
-        dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
-        newton = p / dp
-        n = len(z)
-        diff, mag, tiny = pair_buf[:n], mag_buf[:n], tiny_buf[:n]
-        np.subtract(z[:, :, None], z[:, None, :], out=diff)
-        np.einsum("bii->bi", diff)[:] = np.inf
-        np.less(np.abs(diff, out=mag), 1e-290, out=tiny)
-        np.copyto(diff, 1e-290, where=tiny)
-        ssum = np.divide(1.0, diff, out=diff).sum(axis=2)
-        denom = 1.0 - newton * ssum
-        denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
-        w = np.where(active, newton / denom, 0.0)
-        z = z - w
-        if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
-            break
-        moving = active.any(axis=1)
-        if not moving.all():
-            out[rows[~moving]] = z[~moving]
-            settled[rows[~moving]] = np.logical_and.reduce(np.isfinite(s[~moving]), axis=1)
-            rows, z, active, s = rows[moving], z[moving], active[moving], s[moving]
-            coeffs, dcoeffs, abs_coeffs = coeffs[moving], dcoeffs[moving], abs_coeffs[moving]
-    out[rows] = z
-    # a stopped root has not moved since its last test, so that test's scale
-    # is at its final value; an infinite scale passes the test vacuously
-    settled[rows] = ~np.logical_or.reduce(active, axis=1)
-    settled[rows] &= np.logical_and.reduce(np.isfinite(s), axis=1)
-    return out, settled
-
-
-# rows per array pass: bounds the (B, d, d) temporaries of Aberth and linking
+# rows per array pass: bounds the (B, d, d) temporaries of the companion
+# matrices and of linking
 _CHUNK = 4096
 
 
@@ -1614,16 +1525,13 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
     """Root clusters as padded arrays (re, im, radius, multiplicity), each
     (P, D) for P polynomials of degree at most D: row p holds the clusters
     of polys[p] sorted by center (real part, then imaginary), then empty
-    slots of multiplicity 0 and center 0.  Aberth starts from the
-    eigenvalues of each degree group of up to _CHUNK rows
-    (`_eigenvalue_starts`); a monic row whose roots all settled and whose
-    clusters are single roots is certified as it stands, and any other row
-    whose clusters fail the backward-error check is retried from circle
-    starts (`_ABERTH_RESTARTS`,
-    with 120, 240 and 360 iterations), and the whole group if the
-    eigensolver fails.  A row that fails every attempt raises
-    `NonConvergenceError` with diagnostics: the polynomial's coefficient
-    JSON, the start kinds tried, and its last backward-error ratio."""
+    slots of multiplicity 0 and center 0.  Each degree group of up to _CHUNK
+    rows takes one pass: the companion eigenvalues (`_eigenvalues`),
+    clustered by `_cluster_rows` and validated row by row by
+    `_backward_error_ratios`.  A row that fails the check, or a group the
+    eigensolver fails on, raises `NonConvergenceError` with the
+    polynomial's coefficient JSON (and the row's backward-error ratio); a
+    coefficient beyond the float range raises ValueError."""
     by_degree: dict = {}
     for idx, f in enumerate(polys):
         if f.is_zero:
@@ -1635,47 +1543,32 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
     for d, indices in by_degree.items():
         for lo in range(0, len(indices), _CHUNK):
             chunk = np.array(indices[lo : lo + _CHUNK])
-            coef = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
+            try:
+                coef = np.array([polys[idx].complex_coefficients for idx in chunk], dtype=complex)
+            except OverflowError:
+                raise ValueError("a coefficient lies beyond the float range") from None
             mat = coef / coef[:, -1:]
-            monic = coef[:, -1] == 1.0
-            pending, ratios, eigen_ran = np.arange(len(chunk)), np.zeros(len(chunk)), False
-            for attempt, offset in enumerate((None, *_ABERTH_RESTARTS)):
-                rows = mat[pending]
-                if offset is None:
-                    try:
-                        z0, max_iter, eigen_ran = _eigenvalue_starts(rows), 120, True
-                    except np.linalg.LinAlgError:
-                        continue
-                else:
-                    z0, max_iter = _circle_starts(rows, offset), 120 * attempt
-                roots, settled = _aberth_batch(rows, z0, max_iter)
-                # double roots blur to ~1e-7 in binary64: "coincident" means 1e-6
-                tol = 1e-6 * np.maximum(1.0, np.maximum.reduce(np.hypot(roots.real, roots.imag), axis=1))
-                clusters = _cluster_rows(roots.real, roots.imag, tol)
-                # a monic row whose roots all passed Aberth's residual test and
-                # stayed unlinked is certified: its centers are those roots,
-                # whose residuals of <= 1e-14 (plus d rounding errors) lie far
-                # under the allowance of at least 1e-9
-                done = settled & monic[pending] & np.logical_and.reduce(clusters[3] == 1, axis=1)
-                check = np.flatnonzero(~done)
-                if len(check):
-                    ratios[pending[check]] = ratio = _backward_error_ratios(
-                        coef[pending[check]], *(c[check] for c in clusters)
-                    )
-                    done[check] = ratio == 0.0
-                out[:, chunk[pending[done]], :d] = np.stack(clusters)[:, done]
-                pending = pending[~done]
-                if not len(pending):
-                    break
-            if len(pending):
-                bad = polys[chunk[pending[0]]]
+            try:
+                roots = _eigenvalues(mat)
+            except np.linalg.LinAlgError:
+                # name the first row the solver cannot take, else the first
+                bad = polys[chunk[np.argmin(np.logical_and.reduce(np.isfinite(mat), axis=1))]]
+                raise NonConvergenceError(
+                    f"the eigensolver failed on {bad!r}", coefficients=poly_to_json(bad)
+                ) from None
+            # double roots blur to ~1e-7 in binary64: "coincident" means 1e-6
+            tol = 1e-6 * np.maximum(1.0, np.maximum.reduce(np.hypot(roots.real, roots.imag), axis=1))
+            clusters = _cluster_rows(roots.real, roots.imag, tol)
+            ratios = _backward_error_ratios(coef, *clusters)
+            failed = np.flatnonzero(ratios)
+            if len(failed):
+                bad = polys[chunk[failed[0]]]
                 raise NonConvergenceError(
                     f"root finding failed to certify clusters for {bad!r}",
                     coefficients=poly_to_json(bad),
-                    starts=("eigenvalues",) * eigen_ran
-                    + tuple(f"circle offset {offset}" for offset in _ABERTH_RESTARTS),
-                    backward_error_ratio=float(ratios[pending[0]]),
+                    backward_error_ratio=float(ratios[failed[0]]),
                 )
+            out[:, chunk, :d] = np.stack(clusters)
     return (*out[:3], out[3].astype(int))
 
 

@@ -15,9 +15,9 @@ The entries at the nodes are built on integer numerators over one
 denominator, and a path whose polynomial has no root in [0, 1] is clear
 without a sign per sample.
 
-Sweeps draw every trial from a per-index seed, so serial and parallel runs
-agree, and reports serialize to canonical JSON bytes for reproducibility
-comparisons.
+Sweeps draw every trial from a per-index seed, so the trials agree in any
+execution order, and reports serialize to canonical JSON bytes for
+reproducibility comparisons.
 """
 
 from __future__ import annotations

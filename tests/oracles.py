@@ -234,57 +234,6 @@ def resultant_sylvester(f: ExactPolynomial, g: ExactPolynomial):
     return det.canonical()
 
 
-def circle_starts(coeffs: np.ndarray, offset: float) -> np.ndarray:
-    """Aberth's classical start: d points on the circle of radius
-    1 + max |c_k| (a bound on the roots of a monic row), rotated by offset."""
-    d = coeffs.shape[1] - 1
-    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1)
-    return radius[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + offset))[None, :]
-
-
-def aberth_every_row(coeffs: np.ndarray, z0: np.ndarray, max_iter: int) -> tuple:
-    """Batched Aberth-Ehrlich iterates from the start points z0, with every
-    row updated on every iteration in fresh arrays (a row whose roots have
-    all stopped gets a zero step); the kernel must reproduce these bits.
-    Also returns the rows whose every root stopped at a residual test with a
-    finite scale: each root's verdict is recorded when it stops."""
-    batch, dp1 = coeffs.shape
-    d = dp1 - 1
-    z = np.array(z0, dtype=complex)
-    dcoeffs = coeffs[:, 1:] * np.arange(1, dp1)[None, :]
-    abs_coeffs = np.abs(coeffs)
-    active = np.ones((batch, d), dtype=bool)
-    passed = np.zeros((batch, d), dtype=bool)
-    for _ in range(max_iter):
-        p = np.broadcast_to(coeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 1, -1, -1):
-            p = p * z + coeffs[:, k][:, None]
-        dp = np.broadcast_to(dcoeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 2, -1, -1):
-            dp = dp * z + dcoeffs[:, k][:, None]
-        az = np.maximum(1.0, np.abs(z))
-        s = np.broadcast_to(abs_coeffs[:, -1][:, None], z.shape).copy()
-        for k in range(d - 1, -1, -1):
-            s = s * az + abs_coeffs[:, k][:, None]
-        stops = active & (np.abs(p) <= 1e-14 * s)
-        passed |= stops & np.isfinite(s)
-        active &= ~stops
-        if not active.any():
-            break
-        dp = np.where(np.abs(dp) < 1e-290, 1e-290, dp)
-        newton = p / dp
-        diff = z[:, :, None] - z[:, None, :]
-        np.einsum("bii->bi", diff)[:] = np.inf
-        diff = np.where(np.abs(diff) < 1e-290, 1e-290, diff)
-        denom = 1.0 - newton * (1.0 / diff).sum(axis=2)
-        denom = np.where(np.abs(denom) < 1e-12, 1.0, denom)
-        w = np.where(active, newton / denom, 0.0)
-        z = z - w
-        if np.max(np.abs(w) / (1.0 + np.abs(z))) < 1e-15:
-            break
-    return z, passed.all(axis=1)
-
-
 def cluster_roots_scan(roots, tol: float) -> list:
     """(center, radius, multiplicity) of single-linkage clusters at radius
     tol, by rescanning all cluster pairs after every merge, with no shortcut

@@ -120,6 +120,12 @@ def test_to_configuration_of_a_real_point_beyond_the_float_range_raises():
         to_configuration((z - 10**400) * (z - 1))
 
 
+def test_to_configuration_of_a_coefficient_beyond_the_float_range_raises():
+    # no real root: the float range is met by the numeric root finder
+    with pytest.raises(ValueError, match="beyond the float range"):
+        to_configuration(z * z + 10**400)
+
+
 def test_to_configuration_of_real_roots_closer_than_one_float_raises():
     # squarefree, monic and real (label 1 and 0), but 1 and 1 + 2**-60 round
     # to the same float
@@ -191,6 +197,9 @@ def test_configuration_json_round_trip():
         HalfPlaneConfig.from_json([[1.0]])
     with pytest.raises(ValueError):
         HalfPlaneConfig.from_json({"re": 1})
+    for doc in ([[True, 0], [0, 1]], [[0, 1], [2, False]]):
+        with pytest.raises(ValueError, match="booleans are not coordinates"):
+            HalfPlaneConfig.from_json(doc)
 
 
 # ---------------------------------------------------------------------------

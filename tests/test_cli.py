@@ -121,6 +121,15 @@ def test_missing_input_file(capsys):
     assert "cannot read" in err
 
 
+def test_input_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_bytes(b'{"n": 1, "polys": [["\xff"]]}')
+    code, out, err = run(capsys, ["member", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "cannot read --input" in err and "utf-8" in err
+
+
 # ---------------------------------------------------------------------------
 # outputs
 # ---------------------------------------------------------------------------
@@ -229,6 +238,13 @@ def test_electric_degree_from_pairs(capsys, monkeypatch):
     code, out, _ = run(capsys, ["electric-degree"], doc, monkeypatch)
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_electric_degree_rejects_boolean_coordinates(capsys, monkeypatch):
+    code, out, err = run(capsys, ["electric-degree"], "[[true, 0], [0, 1]]", monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "booleans are not coordinates" in err
 
 
 @pytest.mark.parametrize(

@@ -34,11 +34,9 @@ from nonresultant.exactalg import (
 )
 
 from nonresultant.exactalg import (
-    _aberth_batch,
     _backward_error_ratios,
-    _circle_starts,
     _cluster_rows,
-    _eigenvalue_starts,
+    _eigenvalues,
     _int_primitive,
     _isolate_squarefree,
     _link_rows,
@@ -47,10 +45,8 @@ from nonresultant.exactalg import (
     _simplest_between,
 )
 from oracles import (
-    aberth_every_row,
     backward_error_ratio_scalar,
     cauchy_index_real_line,
-    circle_starts,
     cluster_roots_scan,
     float_value_fractions,
     from_roots_list_pass,
@@ -1187,45 +1183,9 @@ def test_complex_roots_planted_products():
     assert hits >= 990
 
 
-def test_aberth_batch_matches_every_row_iteration_bitwise():
-    # rows retire once all their roots stop; the rest must see the same bits
-    rng = np.random.default_rng(51)
-    for _ in range(60):
-        d = int(rng.integers(1, 10))
-        rows = int(rng.integers(1, 40))
-        roots = rng.integers(-3, 4, size=(rows, d)) + 1j * rng.integers(-2, 3, size=(rows, d))
-        roots[: rows // 2, : d // 2] = roots[: rows // 2, :1]  # planted multiple roots
-        coeffs = np.array([np.poly(r)[::-1] for r in roots], dtype=complex)
-        coeffs = coeffs / coeffs[:, -1:]
-        for offset in (0.41, 1.13):
-            want = circle_starts(coeffs, offset)
-            assert _circle_starts(coeffs, offset).tobytes() == want.tobytes()
-        eig = _eigenvalue_starts(coeffs)
-        starts = (
-            (circle_starts(coeffs, 0.41), 120),
-            (circle_starts(coeffs, 1.13), 9),
-            (eig, 120),
-            (eig + 1e-3 * rng.standard_normal(eig.shape), 120),  # a few sweeps each
-        )
-        for z0, max_iter in starts:
-            got, settled = _aberth_batch(coeffs.copy(), z0.copy(), max_iter)
-            want, want_settled = aberth_every_row(coeffs.copy(), z0.copy(), max_iter)
-            assert got.tobytes() == want.tobytes()
-            assert settled.tolist() == want_settled.tolist()
-    # rows whose roots stop at an infinite scale (a root near 1e200) do not
-    # settle, also when they leave the working set while another row moves
-    coeffs = np.array([[0, -1e200, 1], [1, -1e200, 1], [-2, 0, 1], [2, -3, 1]], dtype=complex)
-    z0 = _eigenvalue_starts(coeffs) + np.array([[0, 0], [0, 0], [0.1, -0.1], [0, 0]])
-    with np.errstate(over="ignore"):
-        got, settled = _aberth_batch(coeffs.copy(), z0.copy(), 120)
-        want, want_settled = aberth_every_row(coeffs.copy(), z0.copy(), 120)
-    assert got.tobytes() == want.tobytes()
-    assert settled.tolist() == want_settled.tolist() == [False, False, True, True]
-
-
-def test_aberth_certifies_only_settled_unlinked_monic_rows(monkeypatch):
-    # a row skips the backward-error pass only when it is monic, every root
-    # passed the residual test against a finite scale, and no clusters link
+def test_every_row_goes_through_the_backward_error_check(monkeypatch):
+    # monic rows whose roots are simple are checked like linked, scaled and
+    # overflowing ones: no row is certified without the check
     checked = []
     real_ratios = exactalg._backward_error_ratios
 
@@ -1234,41 +1194,17 @@ def test_aberth_certifies_only_settled_unlinked_monic_rows(monkeypatch):
         return real_ratios(coef, *clusters)
 
     simple = [z**3 - 2, (z - 1) * (z + 2) * (z**2 + 1), z - F(1, 3), z**2 + z * i_unit + 1]
-    linked = (z - 1) ** 2 * (z + 2)  # settles, but its double root links
+    linked = (z - 1) ** 2 * (z + 2)  # its double root links
     scaled = 3 * z**2 - 1  # not monic
     overflow = z**2 - 10**200 * z  # the scale at the root 1e200 is infinite
-    baseline = [complex_roots_numeric(f) for f in simple]
+    polys = [*simple, linked, scaled, overflow]
     monkeypatch.setattr("nonresultant.exactalg._backward_error_ratios", spy)
     with np.errstate(over="ignore"):
-        got = complex_roots_many([*simple, linked, scaled, overflow])
-    assert checked == [f.complex_coefficients for f in (linked, scaled, overflow)]
+        got = complex_roots_many(polys)
+    assert Counter(checked) == Counter(f.complex_coefficients for f in polys)
     assert [c.multiplicity for c in got[len(simple)]] == [1, 2]
-    # the certified rows pass the check they skipped
-    for f, clusters in zip(simple, got):
-        assert backward_error_ratio_scalar(f, [(c.center, c.radius, c.multiplicity) for c in clusters]) == 0
-
-    # a root still moving when the iteration stops is checked, and its row
-    # retried from the circles, though none of its clusters link
-    real_aberth = exactalg._aberth_batch
-    calls = []
-
-    def one_step_from_off(coeffs, z0, max_iter):
-        calls.append(max_iter)
-        if len(calls) == 1:
-            return real_aberth(coeffs, z0 + 0.25, 1)
-        return real_aberth(coeffs, z0, max_iter)
-
-    monkeypatch.setattr("nonresultant.exactalg._aberth_batch", one_step_from_off)
-    for f, want in zip(simple, baseline):
-        if f.degree == 1:
-            continue  # one Newton step is exact there
-        calls.clear()
-        checked.clear()
-        got = complex_roots_numeric(f)
-        assert checked == [f.complex_coefficients] and len(calls) == 2
-        assert [c.multiplicity for c in got] == [1] * f.degree
-        for a in got:
-            assert min(abs(a.center - b.center) for b in want) <= 1e-9
+    for f, clusters in zip(polys, got):
+        assert sum(c.multiplicity for c in clusters) == f.degree
 
 
 def _re_im(c):
@@ -1287,7 +1223,7 @@ def test_eigenvalue_starts_are_the_roots():
                 roots[:, pairs : d - pairs] = roots[:, pairs : d - pairs].real
             coeffs = np.array([np.poly(r)[::-1] for r in roots], dtype=complex)
             assert gaussian or not coeffs.imag.any()
-            starts = _eigenvalue_starts(coeffs)
+            starts = _eigenvalues(coeffs)
             assert starts.shape == (5, d) and starts.dtype == complex
             for got, want in zip(starts, roots):
                 got, want = sorted(got, key=_re_im), sorted(want, key=_re_im)
@@ -1295,73 +1231,83 @@ def test_eigenvalue_starts_are_the_roots():
                 assert np.allclose(got, want, rtol=0, atol=1e-3)
 
 
-def _garbage_starts(coeffs):
-    return np.full((len(coeffs), coeffs.shape[1] - 1), complex(math.nan, math.nan))
-
-
 def _eigensolver_fails(coeffs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-@pytest.mark.parametrize(
-    "eigenvalue_starts",
-    [_garbage_starts, _eigensolver_fails],
-    ids=["nan-starts", "eigensolver-raises"],
-)
-def test_circle_restarts_certify_when_eigenvalue_starts_fail(monkeypatch, eigenvalue_starts):
-    # NaN starts fail the clusters' validation row by row; an eigensolver
-    # error sends the whole degree group to the circles at once
-    polys = _planted_products()[0]
-    baseline = complex_roots_many(polys)
-    circles = []
-
-    def counted_circles(coeffs, offset):
-        circles.append((len(coeffs), offset))
-        return _circle_starts(coeffs, offset)
-
-    monkeypatch.setattr("nonresultant.exactalg._eigenvalue_starts", eigenvalue_starts)
-    monkeypatch.setattr("nonresultant.exactalg._circle_starts", counted_circles)
-    with np.errstate(invalid="ignore"):  # the NaN iterates
-        fallback = complex_roots_many(polys)
-    # every row went to the first circle
-    assert sum(n for n, offset in circles if offset == 0.41) == len(polys)
-    for got, want in zip(fallback, baseline):
-        # clusters sort by (real, imag), so centers with equal real parts may
-        # swap places: match each one to its nearest counterpart
-        assert len(got) == len(want)
-        for a in got:
-            b = min(want, key=lambda c: abs(c.center - a.center))
-            assert abs(a.center - b.center) <= 1e-9 and a.multiplicity == b.multiplicity
-
-
 def test_nonconvergence_error_carries_diagnostics(monkeypatch):
-    # an iteration that never leaves 7 cannot certify the roots 1 and 2
-    monkeypatch.setattr(
-        "nonresultant.exactalg._aberth_batch",
-        lambda coeffs, z0, max_iter: (np.full_like(z0, 7.0), np.zeros(len(z0), dtype=bool)),
-    )
+    # eigenvalues stuck at 7 cannot certify the roots 1 and 2
+    monkeypatch.setattr("nonresultant.exactalg._eigenvalues", lambda coeffs: np.full((len(coeffs), 2), 7.0 + 0j))
     with pytest.raises(NonConvergenceError) as info:
         complex_roots_numeric((z - 1) * (z - 2))
     diag = info.value.diagnostics
     assert diag["coefficients"] == ["2", "-3", "1"]
-    assert diag["starts"] == (
-        "eigenvalues",
-        "circle offset 0.41",
-        "circle offset 1.13",
-        "circle offset 1.97",
-    )
     # one 2-fold cluster at 7: f(7) = 30 against the scale 49 + 21 + 2, and
     # the least allowance, 1e-9
     assert diag["backward_error_ratio"] == (30 / 72) / 1e-9
-    # when the eigensolver raises, only the circles were tried
-    monkeypatch.setattr("nonresultant.exactalg._eigenvalue_starts", _eigensolver_fails)
+    # an eigensolver error is not retried: it names the group's first row
+    monkeypatch.setattr("nonresultant.exactalg._eigenvalues", _eigensolver_fails)
     with pytest.raises(NonConvergenceError) as info:
-        complex_roots_numeric((z - 1) * (z - 2))
-    assert info.value.diagnostics["starts"] == (
-        "circle offset 0.41",
-        "circle offset 1.13",
-        "circle offset 1.97",
-    )
+        complex_roots_many([(z - 1) * (z - 2), z**2 + 1])
+    assert info.value.diagnostics == {"coefficients": ["2", "-3", "1"]}
+
+
+def test_an_eigensolver_failure_names_the_first_nonfinite_row():
+    # a leading coefficient that rounds to 0.0 makes the monic row non-finite
+    tiny = ExactPolynomial((F(1), F(2), F(1, 10**400)))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonConvergenceError) as info:
+        complex_roots_many([z**2 - 2, tiny, z**2 + 3])
+    assert info.value.diagnostics == {"coefficients": poly_to_json(tiny)}
+
+
+def _chebyshev(n):
+    a, b = ExactPolynomial.one(), z
+    for _ in range(n - 1):
+        a, b = b, 2 * z * b - a
+    return b
+
+
+def _mignotte():
+    # z^10 - 2 (10 z - 1)^2: two real roots 1.4e-6 apart near 1/10
+    mpmath = pytest.importorskip("mpmath")
+    f = z**10 - 2 * (10 * z - 1) ** 2
+    roots = mpmath.polyroots([int(c) for c in reversed(f.coefficients)], maxsteps=200, extraprec=200)
+    return f, [complex(r) for r in roots], 1e-12
+
+
+_HARD = {
+    # binary64 coefficients (up to 1.4e19) move the middle roots by a few %
+    "wilkinson20": lambda: (ExactPolynomial.from_roots(range(1, 21)), [complex(k) for k in range(1, 21)], 0.05),
+    "chebyshev15": lambda: (
+        _chebyshev(15),
+        [complex(math.cos((2 * k - 1) * math.pi / 30)) for k in range(1, 16)],
+        1e-12,
+    ),
+    "unity30": lambda: (z**30 - 1, [complex(math.cos(t), math.sin(t)) for t in (2 * math.pi * k / 30 for k in range(30))], 1e-12),
+    # the cluster radius scales with the largest root, so 1e-8..1e2 are one cluster
+    "decades": lambda: (ExactPolynomial.from_roots([F(10) ** k for k in range(-8, 9)]), [10.0**k for k in range(-8, 9)], 1e-12),
+    "mignotte": _mignotte,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HARD))
+def test_hard_polynomials_give_their_planted_roots(name):
+    # the planted roots fill the clusters' multiplicities, closest pairs
+    # first, and each lies within its cluster's radius plus
+    # rel_tol max(1, |root|) of the center
+    f, planted, rel_tol = _HARD[name]()
+    assert len(planted) == f.degree
+    clusters = complex_roots_numeric(f)
+    slots = [c for c in clusters for _ in range(c.multiplicity)]
+    assert len(slots) == f.degree
+    pairs = sorted((abs(c.center - w), i, j) for i, w in enumerate(planted) for j, c in enumerate(slots))
+    free_roots, free_slots = set(range(len(planted))), set(range(len(slots)))
+    for dist, i, j in pairs:
+        if i in free_roots and j in free_slots:
+            free_roots.remove(i)
+            free_slots.remove(j)
+            assert dist <= slots[j].radius + rel_tol * max(1.0, abs(planted[i]))
+    assert not free_roots
 
 
 def _row_clusters(roots, tol):
@@ -1463,6 +1409,12 @@ def test_batch_clusters_equal_single_row_clusters(monkeypatch):
     # rows split across chunks give the same clusters
     monkeypatch.setattr("nonresultant.exactalg._CHUNK", 3)
     assert [repr(c) for c in complex_roots_many(polys)] == alone
+
+
+def test_complex_roots_of_a_coefficient_beyond_the_float_range_raise():
+    for f in (z**2 + 10**400, z**2 + F(1, 10**400) * z + 1 + F(10**400, 3) * i_unit):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            complex_roots_numeric(f)
 
 
 def test_complex_roots_multiplicity_sums():

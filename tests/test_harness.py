@@ -153,6 +153,13 @@ def test_numeric_multiplicities_on_unequal_degrees_and_mixed_m(monkeypatch):
     assert numeric_common_multiplicities([]) == []
 
 
+def test_numeric_multiplicity_of_a_coefficient_beyond_the_float_range_raises():
+    z = ExactPolynomial.variable()
+    t = SystemTuple((z * z + 10**400, z * z + 1), 1, FIELD_REAL)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        numeric_common_multiplicities([t])
+
+
 def test_numeric_multiplicity_close_roots_still_split():
     # distinct roots at distance 1/4 must not merge
     f = ExactPolynomial.from_roots([F(0), F(1, 4)])
