@@ -31,6 +31,7 @@ from .exactalg import (
     real_roots_exact,
     sturm_count,
 )
+from .nonres import MembershipError
 
 __all__ = [
     "HalfPlaneConfig",
@@ -58,7 +59,7 @@ def _check_squarefree(f: ExactPolynomial) -> int:
         raise ValueError("expected a monic real polynomial of positive degree")
     real_count, repeated = sturm_count(f)
     if repeated:
-        raise ValueError("the polynomial has a repeated root")
+        raise MembershipError("the polynomial has a repeated root")
     return real_count
 
 
@@ -170,10 +171,13 @@ def to_configuration(f: ExactPolynomial) -> HalfPlaneConfig:
 
 def from_configuration(config: HalfPlaneConfig) -> ExactPolynomial:
     """The monic real polynomial with the configuration's roots, with float
-    coefficients snapped to exact rationals (the imaginary parts cancel)."""
+    coefficients snapped to exact rationals (the imaginary parts cancel).  A
+    coefficient with no finite float value raises ValueError."""
     coeffs = np.array([1.0 + 0.0j], dtype=complex)
     for a in config.all_points():
         coeffs = np.convolve(coeffs, np.array([1.0, -a], dtype=complex))
+    if not np.isfinite(coeffs).all():
+        raise ValueError("a coefficient lies beyond the float range")
     rounded = [Fraction(float(c.real)) for c in coeffs[::-1]]
     rounded[-1] = Fraction(1)
     return ExactPolynomial(tuple(rounded))

@@ -170,8 +170,11 @@ def _cmd_sweep(args) -> int:
     report = invariant_sweep(args.case, args.d, args.trials, args.seed)
     payload = report.to_bytes()
     if args.out is not None:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload.decode("ascii") + "\n")
     return 0

@@ -1531,7 +1531,14 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
     `_backward_error_ratios`.  A row that fails the check, or a group the
     eigensolver fails on, raises `NonConvergenceError` with the
     polynomial's coefficient JSON (and the row's backward-error ratio); a
-    coefficient beyond the float range raises ValueError."""
+    coefficient beyond the float range raises ValueError.
+
+    The 1e-6 linking radius merges only double roots: a root of
+    multiplicity k >= 3 blurs to about eps**(1/k), past the radius, and
+    comes out as k simple clusters.  For (z - r)**k (z - 2)(z + 1) with r in
+    {1/3, 5/4, -7/2, 1/2 + 3i/2} a row holds one 2-fold cluster at k = 2 and
+    only simple clusters for k = 3..6; `harness.numeric_common_multiplicities`
+    merges again at a wider radius and reads k for each of them."""
     by_degree: dict = {}
     for idx, f in enumerate(polys):
         if f.is_zero:
@@ -1578,7 +1585,9 @@ def complex_roots_numeric(f: ExactPolynomial) -> list:
 
 
 def complex_roots_many(polys: Sequence[ExactPolynomial]) -> list:
-    """Batch variant of `complex_roots_numeric`, over `_root_cluster_arrays`."""
+    """Batch variant of `complex_roots_numeric`, over `_root_cluster_arrays`:
+    a double root is one 2-fold cluster, but a root of multiplicity 3 or more
+    comes out as simple clusters (see there)."""
     return [
         [RootCluster(complex(x, y), r, m) for x, y, r, m in zip(*row) if m]
         for row in zip(*(a.tolist() for a in _root_cluster_arrays(polys)))

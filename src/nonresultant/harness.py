@@ -15,7 +15,9 @@ The entries at the nodes are built on integer numerators over one
 denominator, and a path whose polynomial has no root in [0, 1] is clear
 without a sign per sample.
 
-Sweeps draw every trial from a per-index seed, so the trials agree in any
+Random members, censuses and sweeps share one rejection loop: a draw that
+raises MembershipError is drawn again, at most _MAX_ATTEMPTS times.  Sweeps
+draw every trial from a per-index seed, so the trials agree in any
 execution order, and reports serialize to canonical JSON bytes for
 reproducibility comparisons.
 """
@@ -72,7 +74,7 @@ CASE_SHAPES = {"21": (2, 1), "31": (3, 1), "12": (1, 2), "13": (1, 3), "22": (2,
 _REAL_LATTICE = [Fraction(p, 4) for p in range(-14, 15)]
 _COMPLEX_LATTICE = [(a, b) for a in range(-5, 6) for b in range(1, 6)]
 
-_MAX_ATTEMPTS = 1000  # rejection draws before random_member gives up
+_MAX_ATTEMPTS = 1000  # rejection draws before a sampler gives up
 _MIN_DEPTH = 6  # certify_path's first samples: t = k / 2**6
 _DEPTH_CAP = 10  # its finest refinement: t = k / 2**10
 _BRACKET_WIDTH = Fraction(1, 10**6)  # the width bound of every violation bracket
@@ -91,6 +93,26 @@ def _check_case_d(case: str, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _half(a: int, b: int) -> GaussianRational:
+    """The half-lattice point (a + b i) / 2."""
+    return GaussianRational(Fraction(a, 2), Fraction(b, 2))
+
+
+def _rejection_sample(draw: Callable[[random.Random], object], rng: random.Random, case: str, d: int):
+    """The first draw(rng) that does not raise MembershipError, the one
+    rejection test of every sampler; after _MAX_ATTEMPTS rejections it
+    raises RuntimeError."""
+    for _ in range(_MAX_ATTEMPTS):
+        try:
+            return draw(rng)
+        except MembershipError:
+            pass
+    raise RuntimeError(
+        f"no member found in {_MAX_ATTEMPTS} attempts for case {case}, d={d} "
+        f"(rejection rate 100%)"
+    )
+
+
 def _poly_from_real_roots(
     rng: random.Random, d: int, pairs: Optional[int] = None
 ) -> ExactPolynomial:
@@ -106,7 +128,7 @@ def _poly_from_real_roots(
         a, b = rng.randrange(-10, 11), rng.randrange(1, 11)
         taken.add((a, b))
     for a, b in sorted(taken):
-        g = GaussianRational(Fraction(a, 2), Fraction(b, 2))
+        g = _half(a, b)
         roots += [g, g.conjugate()]
     return ExactPolynomial.from_roots(roots)
 
@@ -115,24 +137,21 @@ def _poly_from_complex_roots(rng: random.Random, d: int) -> ExactPolynomial:
     taken = set()
     while len(taken) < d:
         taken.add((rng.randrange(-10, 11), rng.randrange(-10, 11)))
-    return ExactPolynomial.from_roots(
-        [GaussianRational(Fraction(a, 2), Fraction(b, 2)) for a, b in sorted(taken)]
-    )
+    return ExactPolynomial.from_roots([_half(a, b) for a, b in sorted(taken)])
 
 
 def random_member(case: str, d: int, seed: int, field: str = FIELD_REAL) -> SystemTuple:
     """Rejection-sampled member tuple, reproducible under the seed."""
     m, n = _check_case_d(case, d)
-    rng = random.Random(seed)
-    draw = _poly_from_real_roots if field == FIELD_REAL else _poly_from_complex_roots
-    for _ in range(_MAX_ATTEMPTS):
-        t = SystemTuple(tuple(draw(rng, d) for _ in range(m)), n, field)
-        if is_member(t):
-            return t
-    raise RuntimeError(
-        f"no member found in {_MAX_ATTEMPTS} attempts for case {case}, d={d} "
-        f"(rejection rate 100%)"
-    )
+    poly = _poly_from_real_roots if field == FIELD_REAL else _poly_from_complex_roots
+
+    def draw(rng):
+        t = SystemTuple(tuple(poly(rng, d) for _ in range(m)), n, field)
+        if not is_member(t):
+            raise MembershipError("the draw has a common root of multiplicity >= n")
+        return t
+
+    return _rejection_sample(draw, random.Random(seed), case, d)
 
 
 def census(case: str, d: int, samples: int, seed: int) -> dict:
@@ -146,21 +165,16 @@ def census(case: str, d: int, samples: int, seed: int) -> dict:
     m, n = _check_case_d(case, d)
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
-    rng = random.Random(seed)
-    counts: dict = {}
+
+    def draw(rng):
+        rows = [[Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(d)] for _ in range(m)]
+        polys = tuple(ExactPolynomial((*row, Fraction(1))) for row in rows)
+        t = SystemTuple(polys, n, FIELD_REAL)
+        return component_of_21(t).j if case == "21" else component_of_12(polys[0])
+
+    rng, counts = random.Random(seed), {}
     for _ in range(samples):
-        label = None
-        while label is None:
-            rows = [
-                [Fraction(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(d)]
-                for _ in range(m)
-            ]
-            polys = tuple(ExactPolynomial((*row, Fraction(1))) for row in rows)
-            try:
-                t = SystemTuple(polys, n, FIELD_REAL)
-                label = component_of_21(t).j if case == "21" else component_of_12(polys[0])
-            except ValueError:
-                pass
+        label = _rejection_sample(draw, rng, case, d)
         counts[label] = counts.get(label, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -187,14 +201,12 @@ def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tupl
     shared: list = []
     if mu:
         if real_field and mu * 2 <= d and rng.random() < 0.4:
-            a, b = complex_pool.pop()
-            g = GaussianRational(Fraction(a, 2), Fraction(b, 2))
+            g = _half(*complex_pool.pop())
             shared = [g, g.conjugate()] * mu
         elif real_field:
             shared = [pool.pop()] * mu
         else:
-            a, b = complex_pool.pop()
-            shared = [GaussianRational(Fraction(a, 2), Fraction(b, 2))] * mu
+            shared = [_half(*complex_pool.pop())] * mu
 
     polys = []
     for _ in range(m):
@@ -204,17 +216,13 @@ def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tupl
             take = []
             while len(take) < free:
                 if free - len(take) >= 2 and rng.random() < 0.3:
-                    a, b = complex_pool.pop()
-                    g = GaussianRational(Fraction(a, 2), Fraction(b, 2))
+                    g = _half(*complex_pool.pop())
                     take += [g, g.conjugate()]
                 else:
                     take.append(pool.pop())
             roots += take
         else:
-            roots += [
-                GaussianRational(Fraction(a, 2), Fraction(b, 2))
-                for a, b in (complex_pool.pop() for _ in range(free))
-            ]
+            roots += [_half(*complex_pool.pop()) for _ in range(free)]
         polys.append(ExactPolynomial.from_roots(roots))
     return SystemTuple(tuple(polys), n, field), mu
 
@@ -267,17 +275,17 @@ def _same_shape(a: SystemTuple, b: SystemTuple):
         raise ValueError("path endpoints must share (m, n, field, degrees)")
 
 
-def _interp(f: ExactPolynomial, g: ExactPolynomial, t: Fraction) -> ExactPolynomial:
-    return f + (g - f) * t
+def _on_line(f: ExactPolynomial, g: ExactPolynomial, p: int, q: int) -> ExactPolynomial:
+    """The straight line from f to g at t = p/q, q > 0: ((q - p) f + p g) / q
+    on integer numerators."""
+    return f._combine(q - p, g, p, q)
 
 
 def path_tuple(a: SystemTuple, b: SystemTuple, t) -> SystemTuple:
     """The straight-line interpolant at rational t (exact; monic throughout)."""
     _same_shape(a, b)
-    t = Fraction(t)
-    return SystemTuple(
-        tuple(_interp(fa, fb, t) for fa, fb in zip(a.polys, b.polys)), a.n, a.field
-    )
+    p, q = Fraction(t).as_integer_ratio()
+    return SystemTuple(tuple(_on_line(fa, fb, p, q) for fa, fb in zip(a.polys, b.polys)), a.n, a.field)
 
 
 def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
@@ -307,8 +315,7 @@ def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
     count = d1 + max(c.degree for c in ca[1:])
 
     def nodes(fa: ExactPolynomial, fb: ExactPolynomial) -> list:
-        # f(i/N) = ((N - i) fa + i fb) / N, on integer numerators
-        return [fa._combine(count - i, fb, i, count) for i in range(count + 1)]
+        return [_on_line(fa, fb, i, count) for i in range(count + 1)]
 
     firsts = nodes(ca[0], cb[0])
     g = ExactPolynomial.zero()
@@ -520,105 +527,56 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def _sweep_21(d: int, trials: int, seed: int) -> SweepReport:
-    legal = set(legal_labels_21(d))
-    failures = 0
-    support = set()
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        j = None
-        while j is None:
-            cand = SystemTuple(
-                (_poly_from_real_roots(rng, d), _poly_from_real_roots(rng, d)),
-                1,
-                FIELD_REAL,
-            )
-            try:
-                j = component_of_21(cand).j
-            except MembershipError:
-                pass
-        support.add(j)
-        if j not in legal:
-            failures += 1
-    reps_ok = 0
-    for j in sorted(legal):
-        if component_of_21(representative_21(d, j)).j == j:
-            reps_ok += 1
-        else:
-            failures += 1
-    return SweepReport(
-        case_tag="21",
-        d=d,
-        trials=trials,
-        seed=seed,
-        failures=failures,
-        support=tuple(sorted(support)),
-        checks={"labels_legal": trials, "representatives_realized": reps_ok},
-    )
+def _representatives(labels, label_of_representative: Callable[[int], int]) -> int:
+    """How many of the labels their representative realizes."""
+    return sum(label_of_representative(j) == j for j in labels)
 
 
-def _sweep_12(d: int, trials: int, seed: int) -> SweepReport:
-    failures = 0
-    support = set()
+def _sweep_21(d: int, trials: int, seed: int) -> tuple:
+    legal = legal_labels_21(d)
+
+    def label(rng):
+        pair = (_poly_from_real_roots(rng, d), _poly_from_real_roots(rng, d))
+        return component_of_21(SystemTuple(pair, 1, FIELD_REAL)).j
+
+    support = [_rejection_sample(label, _trial_rng(seed, i), "21", d) for i in range(trials)]
+    reps_ok = _representatives(legal, lambda j: component_of_21(representative_21(d, j)).j)
+    failures = sum(j not in legal for j in support) + len(legal) - reps_ok
+    return failures, support, {"labels_legal": trials, "representatives_realized": reps_ok}
+
+
+def _sweep_12(d: int, trials: int, seed: int) -> tuple:
     labels = legal_labels_12(d)
+    failures, support = 0, []
     for i in range(trials):
         rng = _trial_rng(seed, i)
         j = labels[rng.randrange(len(labels))]
-        got = component_of_12(_poly_from_real_roots(rng, d, j))
-        support.add(got)
-        if got != j:
-            failures += 1
-    reps_ok = 0
-    for j in labels:
-        if component_of_12(representative_12(d, j)) == j:
-            reps_ok += 1
-        else:
-            failures += 1
-    return SweepReport(
-        case_tag="12",
-        d=d,
-        trials=trials,
-        seed=seed,
-        failures=failures,
-        support=tuple(sorted(support)),
-        checks={"planted_labels_recovered": trials, "representatives_realized": reps_ok},
-    )
+        support.append(component_of_12(_poly_from_real_roots(rng, d, j)))
+        failures += support[-1] != j
+    reps_ok = _representatives(labels, lambda j: component_of_12(representative_12(d, j)))
+    checks = {"planted_labels_recovered": trials, "representatives_realized": reps_ok}
+    return failures + len(labels) - reps_ok, support, checks
 
 
-def _sweep_31(d: int, trials: int, seed: int) -> SweepReport:
+def _sweep_31(d: int, trials: int, seed: int) -> tuple:
     if d % 2 == 0:
         raise ValueError("the triple-case sweep needs odd d")
-    failures = 0
+
+    def model(rng):
+        return Model31(_poly_from_real_roots(rng, d), _random_low_degree(rng, d), _random_low_degree(rng, d))
+
     nonzero = 0
     for i in range(trials):
-        rng = _trial_rng(seed, i)
-        model = None
-        while model is None:
-            f1 = _poly_from_real_roots(rng, d)
-            f2 = _random_low_degree(rng, d)
-            f3 = _random_low_degree(rng, d)
-            try:
-                model = Model31(f1, f2, f3)
-            except ValueError:
-                model = None
+        triple = _rejection_sample(model, _trial_rng(seed, i), "31", d)
         try:
-            r_tilde(model)
+            r_tilde(triple)
             nonzero += 1
         except ValueError:  # beyond the float range
-            failures += 1
+            pass
     loop = [i_d_loop(d, 2 * math.pi * k / 8) for k in range(8)]
     winding = pi1_winding(loop + loop[:1])
-    if winding != 1:
-        failures += 1
-    return SweepReport(
-        case_tag="31",
-        d=d,
-        trials=trials,
-        seed=seed,
-        failures=failures,
-        support=(winding,),
-        checks={"r_tilde_nonzero": nonzero, "generator_winding": winding},
-    )
+    checks = {"r_tilde_nonzero": nonzero, "generator_winding": winding}
+    return trials - nonzero + (winding != 1), [winding], checks
 
 
 def _random_low_degree(rng: random.Random, d: int) -> ExactPolynomial:
@@ -629,16 +587,16 @@ def _random_low_degree(rng: random.Random, d: int) -> ExactPolynomial:
     return ExactPolynomial(tuple(coeffs))
 
 
+_SWEEPS = {"21": _sweep_21, "12": _sweep_12, "31": _sweep_31}
+
+
 def invariant_sweep(case: str, d: int, trials: int, seed: int) -> SweepReport:
     """Seeded invariant suite for one case; failures are counted, never
     raised, and the report's canonical bytes depend only on the arguments."""
     _check_case_d(case, d)
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
-    if case == "21":
-        return _sweep_21(d, trials, seed)
-    if case == "12":
-        return _sweep_12(d, trials, seed)
-    if case == "31":
-        return _sweep_31(d, trials, seed)
-    raise ValueError(f"no sweep suite for case {case!r}")
+    if case not in _SWEEPS:
+        raise ValueError(f"no sweep suite for case {case!r}")
+    failures, support, checks = _SWEEPS[case](d, trials, seed)
+    return SweepReport(case, d, trials, seed, failures, tuple(sorted(set(support))), checks)

@@ -615,9 +615,10 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
     sorted (lo, hi, sign of f at lo) triples of Fractions.
 
     The reference for `exactalg._isolate_squarefree`: the same dyadic cells
-    on integer numerators, with the whole chain and f evaluated at both ends
-    of every cell visited (no root bound, nothing carried from the parent
-    cell) and the Cauchy bound's power of 2 found by doubling."""
+    on integer numerators, with the whole chain and f read at both ends of
+    every cell visited (no root bound, nothing carried from the parent cell)
+    and the Cauchy bound's power of 2 found by doubling.  Each point is
+    evaluated once per call, at p/2**k in lowest terms, and cached."""
     d = len(cs) - 1
     if d < 1:
         return []
@@ -631,10 +632,16 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
     while b * lead < top:
         b <<= 1
 
+    seen: dict = {}
+
     def at(p: int, k: int) -> tuple:
         # (sign variations of the chain, sign of f) at p / 2**k
-        q = 1 << k
-        return _variations(_value_at(c, p, q) for c in chain), _sign_at(cs, p, q)
+        while k and not p & 1:
+            p, k = p >> 1, k - 1
+        if (p, k) not in seen:
+            q = 1 << k
+            seen[p, k] = _variations(_value_at(c, p, q) for c in chain), _sign_at(cs, p, q)
+        return seen[p, k]
 
     out = []
     work = [(-b, b, 0)]
@@ -650,7 +657,7 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
             out.append((Fraction(lo, q), Fraction(hi, q), s_lo))
             continue
         mid, k = lo + hi, k + 1
-        if _sign_at(cs, mid, 1 << k) == 0:
+        if at(mid, k)[1] == 0:
             r = Fraction(mid, 1 << k)
             out.append((r, r, 0))
         work.append((lo << 1, mid, k))

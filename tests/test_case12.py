@@ -126,6 +126,19 @@ def test_to_configuration_of_a_coefficient_beyond_the_float_range_raises():
         to_configuration(z * z + 10**400)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        HalfPlaneConfig((1e200, 2e200), ()),  # the product overflows to inf
+        HalfPlaneConfig((), (1e300j,)),
+        HalfPlaneConfig((-1e300, 1e300), (1e-300 + 1e300j,)),  # inf - inf: a NaN coefficient
+    ],
+)
+def test_from_configuration_of_a_coefficient_beyond_the_float_range_raises(cfg):
+    with pytest.raises(ValueError, match="a coefficient lies beyond the float range"):
+        from_configuration(cfg)
+
+
 def test_to_configuration_of_real_roots_closer_than_one_float_raises():
     # squarefree, monic and real (label 1 and 0), but 1 and 1 + 2**-60 round
     # to the same float

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -344,6 +345,23 @@ def test_sweep_stdout_and_file_agree(capsys, tmp_path):
     assert payload["seed"] == 6
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_sweep_out_to_an_unwritable_path_is_usage_error(capsys, tmp_path, where):
+    path = tmp_path / "no-such-dir" / "x.json" if where == "missing" else tmp_path
+    argv = ["sweep", "--case", "12", "--d", "3", "--trials", "2", "--seed", "1", "--out", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"nonresultant: input error: cannot write --out {path}: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_31_at_degree_one_is_domain_error(capsys):
+    # every draw fails the model's degree check; no draw is retried
+    code, out, err = run(capsys, ["sweep", "--case", "31", "--d", "1", "--trials", "3", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert "degree >= 2" in err
+
+
 @pytest.mark.parametrize("case", ["21", "12", "31"])
 def test_sweep_rejects_a_negative_trial_count(capsys, case):
     argv = ["sweep", "--case", case, "--d", "3", "--seed", "1", "--trials"]
@@ -388,3 +406,55 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def _loop_json(d, samples):
+    loop = [model_to_json(i_d_loop(d, 2 * math.pi * k / samples)) for k in range(samples)]
+    return json.dumps(loop + loop[:1])
+
+
+# sha256 of stdout and the exit code of each call; stdout is a contract, so a
+# change to any of these bytes must be deliberate
+PINNED_CALLS = [
+    (["member"], json.dumps(LINEAR_TRIPLE)),
+    (["member"], json.dumps(ALL_EQUAL_TRIPLE)),
+    (["jet", "--n", "3"], '["1/2", "-3", "0", "2/7", "1"]'),
+    (["degree"], json.dumps(QUARTIC_PAIR)),
+    (["rp1-degree"], '{"n": 1, "field": "R", "polys": [["6", "-5", "1"], ["-1", "0", "1"]]}'),
+    (["r-d"], json.dumps(model_to_json(i_d_loop(5, 0.3)))),
+    (["electric-degree"], "[[0.5, 2.0], [-1.0, 0.25], [3.0, 0.0], [-2.0, 0.0]]"),
+    (["stability-dim", "--d", "9", "--m", "2", "--n", "2"], None),
+    (["pi1"], _loop_json(5, 24)),
+    (["census", "--case", "12", "--d", "5", "--trials", "100", "--seed", "1"], None),
+    (["census", "--case", "21", "--d", "4", "--trials", "60", "--seed", "4", "--format", "json"], None),
+    (["stabilize"], json.dumps(LINEAR_TRIPLE)),
+    (["stabilize", "--T", "25/2"], '{"n": 2, "field": "R", "polys": [["2", "-3", "1"], ["-1", "0", "0", "1"]]}'),
+    (["sweep", "--case", "21", "--d", "4", "--trials", "40", "--seed", "2"], None),
+    (["sweep", "--case", "12", "--d", "5", "--trials", "40", "--seed", "3"], None),
+    (["sweep", "--case", "31", "--d", "3", "--trials", "12", "--seed", "5"], None),
+]
+PINS = [
+    (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),  # member
+    (0, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),  # member
+    (0, "771fa7f740074bfa2aaf59c3681f78194bc4903d51aeccaaf72272632d859157"),  # jet
+    (0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),  # degree
+    (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),  # rp1-degree
+    (0, "f7f9f5900c70aa7ff0278456d7321da36a77ff0e2e64eb6ff2a411633c69fa4c"),  # r-d
+    (0, "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),  # electric-degree
+    (0, "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a"),  # stability-dim
+    (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),  # pi1
+    (0, "116153947c3fb24549afea8f8aca14122e675e708e69eba71361b4eb3041ec73"),  # census
+    (0, "64396f3670a1cffb3f74c38a329d8d9a7f0834e857ebf79dffe28ae5efc34333"),  # census
+    (0, "8db780023606696950f5427ad992ddcb7258d166b5585f3ef28a5f1295fd48d7"),  # stabilize
+    (0, "8cd4772ab8f0778d851d404257e07793421b6fc567d425f8a467da9253072b93"),  # stabilize
+    (0, "9c80c90ea01ddfbdc889ca6e028b03d55364684b677710dcc6e46e451aefb8bc"),  # sweep
+    (0, "b76086388edc366fd63da7df93f68b37fa66cd21ab6010605a51aa2466591648"),  # sweep
+    (0, "5f212e438e68002d3bf42676a94f9e097c384654f71f485674c7589ef81ef086"),  # sweep
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_CALLS)))
+def test_cli_stdout_is_pinned(capsys, monkeypatch, index):
+    argv, stdin_text = PINNED_CALLS[index]
+    code, out, _ = run(capsys, argv, stdin_text, monkeypatch)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[index]

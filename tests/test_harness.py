@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from nonresultant import harness
 from nonresultant.case21 import component_of_21, representative_21
 from nonresultant.exactalg import (
     ExactPolynomial,
@@ -21,6 +22,7 @@ from nonresultant.harness import (
     CASE_SHAPES,
     _boundary_polynomial,
     _first_violation,
+    census,
     certify_path,
     invariant_sweep,
     locate_violation,
@@ -32,6 +34,7 @@ from nonresultant.harness import (
 from nonresultant.nonres import (
     FIELD_COMPLEX,
     FIELD_REAL,
+    MembershipError,
     SystemTuple,
     is_member,
     jet,
@@ -73,6 +76,40 @@ def test_random_member_complex_field():
     t = random_member("21", 3, seed=5, field=FIELD_COMPLEX)
     assert t.field == FIELD_COMPLEX
     assert is_member(t)
+
+
+def test_random_member_gives_up_after_the_attempt_cap(monkeypatch):
+    draws = []
+    monkeypatch.setattr(harness, "_MAX_ATTEMPTS", 7)
+    monkeypatch.setattr(harness, "is_member", lambda t: draws.append(t) and False)
+    with pytest.raises(RuntimeError) as exc:
+        random_member("21", 3, seed=1)
+    assert str(exc.value) == "no member found in 7 attempts for case 21, d=3 (rejection rate 100%)"
+    assert len(draws) == 7
+
+
+@pytest.mark.parametrize(
+    "rejecter, run",
+    [
+        ("component_of_21", lambda: census("21", 3, 5, seed=1)),
+        ("component_of_12", lambda: census("12", 3, 5, seed=1)),
+        ("component_of_21", lambda: invariant_sweep("21", 3, 5, seed=1)),
+        ("Model31", lambda: invariant_sweep("31", 3, 5, seed=1)),
+    ],
+    ids=["census-21", "census-12", "sweep-21", "sweep-31"],
+)
+def test_census_and_sweeps_give_up_after_the_attempt_cap(monkeypatch, rejecter, run):
+    draws = []
+
+    def reject(*args):
+        draws.append(args)
+        raise MembershipError("every draw is rejected")
+
+    monkeypatch.setattr(harness, "_MAX_ATTEMPTS", 7)
+    monkeypatch.setattr(harness, rejecter, reject)
+    with pytest.raises(RuntimeError, match="no member found in 7 attempts"):
+        run()
+    assert len(draws) == 7
 
 
 def test_planted_tuple_hits_requested_multiplicity():
