@@ -877,11 +877,11 @@ def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
 # sign); no Fraction is built inside a refinement loop.  The Sturm chain of a
 # real polynomial is built once and cached on it (`ExactPolynomial.sturm_chain`):
 # `sturm_count`, `count_distinct_real_roots`, `has_real_root_between` and the
-# isolation of a squarefree input all read that one chain.  A chain that ends
-# in a constant proves f squarefree, and `real_roots_exact` then isolates f's
-# positive-leading primitive part with it directly, which is the factor Yun's
-# monic output would give; otherwise Yun starts from the chain's last element,
-# gcd(f, f'), instead of a second remainder sequence.
+# isolation all read that one chain.  `real_roots_exact` runs one isolation
+# loop over squarefree factors: f alone when its chain ends in a constant,
+# else Yun's factors, Yun starting from the chain's last element, gcd(f, f').
+# Each factor is isolated as its positive-leading primitive numerators with
+# its own chain, which for f alone is the cached one.
 #
 # Isolation starts from (-2**j, 2**j) with 2**j the least power of 2 above
 # the Cauchy bound, taken from one integer quotient, and works through an
@@ -1024,20 +1024,22 @@ class RealRoot:
     roots, or an exact rational root when lo == hi.  `_sign_lo` is the sign
     of the factor at lo (0 for an exact root).
 
-    `real_roots_exact` makes the factor and the sign from the same
-    positive-leading primitive polynomial whether or not it ran Yun, so a
+    `real_roots_exact` makes the factor the positive-leading primitive
+    numerators of f or of a Yun factor, the same polynomial either way, so a
     root's value does not depend on the leading coefficient of its input.
+    `rational_value` reads the root exactly by the rational root theorem.
 
-    `refine` returns a new value whose interval is at most `max_width` wide.
-    It puts lo and hi over one common denominator q and bisects the integer
-    numerators: each step doubles them and q and takes their sum as the
-    midpoint, so the interval's numerator width stays fixed and the width
-    test is one integer comparison.  The signs come from `_sign_at`; a
-    midpoint where the factor vanishes becomes an exact root.  The endpoints
-    are built as Fractions once, at the end.  Its intervals are the dyadic
-    halvings of the isolating one, and callers report them, so `refine`
-    stays bisection; `float_value` uses a faster refinement because only its
-    float, not its interval, is seen."""
+    `refine` returns a new value whose interval is at most `max_width` wide,
+    and raises ValueError unless max_width > 0.  It puts lo and hi over one
+    common denominator q and bisects the integer numerators: each step
+    doubles them and q and takes their sum as the midpoint, so the
+    interval's numerator width stays fixed and the width test is one integer
+    comparison.  The signs come from `_sign_at`; a midpoint where the factor
+    vanishes becomes an exact root.  The endpoints are built as Fractions
+    once, at the end.  Its intervals are the dyadic halvings of the
+    isolating one, and callers report them, so `refine` stays bisection;
+    `float_value` uses a faster refinement because only its float, not its
+    interval, is seen."""
 
     lo: Fraction
     hi: Fraction
@@ -1050,13 +1052,15 @@ class RealRoot:
         return self.lo == self.hi
 
     def refine(self, max_width: Fraction) -> "RealRoot":
+        w = Fraction(max_width)
+        if w <= 0:
+            raise ValueError("the refinement width must be positive")
         if self.is_exact:
             return self
         lo, hi = self.lo, self.hi
         q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
         a = lo.numerator * (q // lo.denominator)
         b = hi.numerator * (q // hi.denominator)
-        w = Fraction(max_width)
         # (b - a) / q > w, cross-multiplied; b - a never changes
         width, bound = (b - a) * w.denominator, w.numerator * q
         cs, s_lo = self._factor, self._sign_lo
@@ -1153,27 +1157,19 @@ class RealRoot:
     def rational_value(self) -> Optional[Fraction]:
         """The root as an exact rational, or None when it is irrational.
 
-        A rational root p/q of the primitive integer factor has q dividing
-        the leading coefficient, and two rationals with denominator <= lc
-        differ by more than 1/lc^2; so once the interval is below that, the
-        simplest rational in it is the only candidate.  When that width lies
-        more than 64 bits down, the simplest rational is also tried at widths
-        2**-64, 2**-128, ... on the way, so a root whose denominator is far
-        smaller than lc is found long before it.
-        """
+        By the rational root theorem a rational root p/q of the primitive
+        integer factor has q dividing its leading coefficient lc, so it is
+        n/lc for an integer n.  Once the interval is at most 1/lc wide, the
+        least point n/lc above lo is the only such point it can hold, and
+        one sign test there decides."""
         lc = abs(self._factor[-1])
-        r, bits = self, 64
-        while True:
-            last = bits > 2 * lc.bit_length()
-            r = r.refine(Fraction(1, 2 * lc * lc) if last else Fraction(1, 1 << bits))
-            if r.is_exact:
-                return r.lo
-            candidate = _simplest_between(r.lo, r.hi)
-            if _sign_at(self._factor, candidate.numerator, candidate.denominator) == 0:
-                return candidate
-            if last:
-                return None
-            bits <<= 1
+        r = self.refine(Fraction(1, lc))
+        if r.is_exact:
+            return r.lo
+        n = math.floor(r.lo * lc) + 1
+        if Fraction(n, lc) < r.hi and _sign_at(self._factor, n, lc) == 0:
+            return Fraction(n, lc)
+        return None
 
     def sign_of(self, q: "ExactPolynomial") -> int:
         """Sign of the real polynomial q at the root: 0 when gcd(q, factor)
@@ -1185,29 +1181,6 @@ class RealRoot:
         while not r.is_exact and has_real_root_between(q, r.lo, r.hi):
             r = r.refine((r.hi - r.lo) / 2)
         return sign_at(q, r.hi.numerator, r.hi.denominator)
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Minimal-denominator rational in [lo, hi], by the continued fraction
-    the two endpoints share: while no integer lies in [lo, hi], the common
-    integer part n becomes the next term and the search goes on in
-    [1/(hi - n), 1/(lo - n)]; p/q and p0/q0 are the convergents so far, and
-    the answer is the Moebius image (p*t + p0) / (q*t + q0) of the last term t.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    p, q, p0, q0 = 1, 0, 0, 1
-    while lo != hi:
-        cl, fl = math.ceil(lo), math.floor(hi)
-        if cl <= fl:
-            t = 0 if cl <= 0 <= fl else (cl if cl > 0 else fl)
-            break
-        n = math.floor(lo)
-        p, q, p0, q0 = n * p + p0, n * q + q0, p, q
-        lo, hi = 1 / (hi - n), 1 / (lo - n)
-    else:
-        t = lo
-    return Fraction(p * t + p0) / (q * t + q0)
 
 
 def _root_bound_exponent(cs: Sequence[int]) -> int:
@@ -1289,7 +1262,9 @@ def _disjoint(a: RealRoot, b: RealRoot) -> bool:
 def real_roots_exact(f: ExactPolynomial) -> list:
     """All real roots of a nonzero rational polynomial, sorted ascending,
     as RealRoot values carrying multiplicities; intervals are pairwise
-    disjoint so the ordering is the ordering of the roots themselves."""
+    disjoint so the ordering is the ordering of the roots themselves.  One
+    loop isolates each squarefree factor: f itself when it is squarefree,
+    else its Yun factors."""
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     if not f.is_real:
@@ -1297,20 +1272,14 @@ def real_roots_exact(f: ExactPolynomial) -> list:
     if f.degree == 0:
         return []
     chain = f.sturm_chain
-    if len(chain[-1]) == 1:
-        # squarefree: f's own chain, and the positive-leading primitive part
-        # of f, which is what Yun's monic factor would give
-        lead = chain[0][-1]
-        parts = [(tuple(c if lead > 0 else -c for c in chain[0]), 1, chain)]
-    else:
-        # Yun's first gcd is the chain's last element, made monic
-        parts = [
-            (tuple(_int_primitive(p._re)), mult, p.sturm_chain if p.degree > 1 else None)
-            for p, mult in _yun(f.monic(), _Z.polynomial(chain[-1]).monic())
-        ]
+    # a chain that ends in a constant proves f squarefree; otherwise Yun's
+    # first gcd is the chain's last element, made monic
+    factors = [(f, 1)] if len(chain[-1]) == 1 else _yun(f.monic(), _Z.polynomial(chain[-1]).monic())
     roots = []
-    for ics, mult, factor_chain in parts:
-        for lo, hi, s_lo in _isolate_squarefree(ics, factor_chain):
+    for p, mult in factors:
+        chain = p.sturm_chain  # chain[0] is p's primitive numerators
+        ics = tuple(c if chain[0][-1] > 0 else -c for c in chain[0])
+        for lo, hi, s_lo in _isolate_squarefree(ics, chain):
             roots.append(RealRoot(lo, hi, mult, ics, s_lo))
     # roots of coprime factors are distinct, so refining whichever of two
     # overlapping intervals is wider separates them after finitely many passes

@@ -41,6 +41,7 @@ from .exactalg import (
     GaussianRational,
     _link_rows,
     _merge_rows,
+    _poly,
     _root_cluster_arrays,
     gcd_exact,
     has_real_root_between,
@@ -113,14 +114,25 @@ def _rejection_sample(draw: Callable[[random.Random], object], rng: random.Rando
     )
 
 
+def _lattice_exhausted(d: int, kind: str, size: int) -> ValueError:
+    return ValueError(
+        f"d={d} needs more distinct {kind} points than the {size} of its sampling lattice"
+    )
+
+
 def _poly_from_real_roots(
     rng: random.Random, d: int, pairs: Optional[int] = None
 ) -> ExactPolynomial:
     """Monic real polynomial: a random mix of lattice reals and conjugate
     pairs (`pairs` of them, drawn when not given), distinct within the
-    polynomial."""
+    polynomial; ValueError when the draw needs more distinct points than a
+    lattice has."""
     if pairs is None:
         pairs = rng.randrange(0, d // 2 + 1) if rng.random() < 0.5 else 0
+    if d - 2 * pairs > len(_REAL_LATTICE):
+        raise _lattice_exhausted(d, "real", len(_REAL_LATTICE))
+    if pairs > 21 * 10:  # (a + b i) / 2 for -10 <= a <= 10 and 1 <= b <= 10
+        raise _lattice_exhausted(d, "conjugate-pair", 21 * 10)
     reals = rng.sample(_REAL_LATTICE, d - 2 * pairs)
     roots = [Fraction(r) for r in reals]
     taken = set()
@@ -134,6 +146,8 @@ def _poly_from_real_roots(
 
 
 def _poly_from_complex_roots(rng: random.Random, d: int) -> ExactPolynomial:
+    if d > 21 * 21:  # (a + b i) / 2 for -10 <= a, b <= 10
+        raise _lattice_exhausted(d, "complex", 21 * 21)
     taken = set()
     while len(taken) < d:
         taken.add((rng.randrange(-10, 11), rng.randrange(-10, 11)))
@@ -198,15 +212,23 @@ def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tupl
     complex_pool = list(_COMPLEX_LATTICE)
     rng.shuffle(complex_pool)
 
+    def point(lattice: list):
+        # the next unused point of a shuffled lattice
+        if not lattice:
+            real = lattice is pool
+            size = len(_REAL_LATTICE if real else _COMPLEX_LATTICE)
+            raise _lattice_exhausted(d, "real" if real else "complex", size)
+        return lattice.pop()
+
     shared: list = []
     if mu:
         if real_field and mu * 2 <= d and rng.random() < 0.4:
-            g = _half(*complex_pool.pop())
+            g = _half(*point(complex_pool))
             shared = [g, g.conjugate()] * mu
         elif real_field:
-            shared = [pool.pop()] * mu
+            shared = [point(pool)] * mu
         else:
-            shared = [_half(*complex_pool.pop())] * mu
+            shared = [_half(*point(complex_pool))] * mu
 
     polys = []
     for _ in range(m):
@@ -216,13 +238,13 @@ def planted_tuple(case: str, d: int, seed: int, field: str = FIELD_REAL) -> tupl
             take = []
             while len(take) < free:
                 if free - len(take) >= 2 and rng.random() < 0.3:
-                    g = _half(*complex_pool.pop())
+                    g = _half(*point(complex_pool))
                     take += [g, g.conjugate()]
                 else:
-                    take.append(pool.pop())
+                    take.append(point(pool))
             roots += take
         else:
-            roots += [_half(*complex_pool.pop()) for _ in range(free)]
+            roots += [_half(*point(complex_pool)) for _ in range(free)]
         polys.append(ExactPolynomial.from_roots(roots))
     return SystemTuple(tuple(polys), n, field), mu
 
@@ -332,10 +354,7 @@ def _boundary_polynomial(a: SystemTuple, b: SystemTuple) -> ExactPolynomial:
         if not r.is_real:
             # a real t is a root of r exactly when it is a root of r's real
             # and imaginary parts
-            half = Fraction(1, 2)
-            re_part = (r + r.conjugate()) * half
-            im_part = (r - r.conjugate()) * GaussianRational(0, -half)
-            r = gcd_exact(re_part, im_part)
+            r = gcd_exact(_poly(r._re, None, r._den), _poly(r._im, None, r._den))
         g = r if g.is_zero else gcd_exact(g, r)
         if lam < last and not g.is_zero and not has_real_root_between(g, 0, 1):
             break

@@ -636,8 +636,8 @@ def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> 
 
     def at(p: int, k: int) -> tuple:
         # (sign variations of the chain, sign of f) at p / 2**k
-        while k and not p & 1:
-            p, k = p >> 1, k - 1
+        z = math.gcd(p, 1 << k).bit_length() - 1
+        p, k = p >> z, k - z
         if (p, k) not in seen:
             q = 1 << k
             seen[p, k] = _variations(_value_at(c, p, q) for c in chain), _sign_at(cs, p, q)
@@ -698,7 +698,7 @@ def float_value_fractions(root: RealRoot) -> float:
     return float(root.lo)
 
 
-def simplest_between_recursive(lo: Fraction, hi: Fraction) -> Fraction:
+def _simplest_between_recursive(lo: Fraction, hi: Fraction) -> Fraction:
     """Minimal-denominator rational in [lo, hi] (mediant recursion)."""
     if lo > hi:
         raise ValueError("empty interval")
@@ -710,7 +710,7 @@ def simplest_between_recursive(lo: Fraction, hi: Fraction) -> Fraction:
             return Fraction(0)
         return Fraction(cl if cl > 0 else fl)
     n = math.floor(lo)
-    return n + 1 / simplest_between_recursive(1 / (hi - n), 1 / (lo - n))
+    return n + 1 / _simplest_between_recursive(1 / (hi - n), 1 / (lo - n))
 
 
 def rational_value_fractions(root: RealRoot):
@@ -721,7 +721,7 @@ def rational_value_fractions(root: RealRoot):
     r = refine_fractions(root, Fraction(1, 2 * lc * lc))
     if r.is_exact:
         return r.lo
-    candidate = simplest_between_recursive(r.lo, r.hi)
+    candidate = _simplest_between_recursive(r.lo, r.hi)
     return candidate if _sign_at_fraction(root._factor, candidate) == 0 else None
 
 

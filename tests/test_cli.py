@@ -362,6 +362,12 @@ def test_sweep_31_at_degree_one_is_domain_error(capsys):
     assert "degree >= 2" in err
 
 
+def test_sweep_beyond_the_sampling_lattice_names_it(capsys):
+    code, out, err = run(capsys, ["sweep", "--case", "21", "--d", "30", "--trials", "2", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err == "nonresultant: d=30 needs more distinct real points than the 29 of its sampling lattice\n"
+
+
 @pytest.mark.parametrize("case", ["21", "12", "31"])
 def test_sweep_rejects_a_negative_trial_count(capsys, case):
     argv = ["sweep", "--case", case, "--d", "3", "--seed", "1", "--trials"]

@@ -42,7 +42,6 @@ from nonresultant.exactalg import (
     _link_rows,
     _root_bound_exponent,
     _scalar_parts,
-    _simplest_between,
 )
 from oracles import (
     backward_error_ratio_scalar,
@@ -64,7 +63,6 @@ from oracles import (
     resultant_from_roots,
     resultant_sylvester,
     scalar_from_json_fractions,
-    simplest_between_recursive,
 )
 
 z = ExactPolynomial.variable()
@@ -994,10 +992,43 @@ def test_real_roots_of_planted_roots_two_to_the_minus_4000_apart(clusters):
     assert gcd_exact(f, f.derivative()) == gcd_from_factor_multisets(planted, repeated)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.fractions(-50, 50, max_denominator=10**6), st.fractions(0, 3, max_denominator=10**6))
-def test_simplest_between_matches_recursive_oracle(lo, width):
-    assert _simplest_between(lo, lo + width) == simplest_between_recursive(lo, lo + width)
+# the rational root theorem's grid (1/lc)Z: a rational root with a small,
+# non-dyadic denominator under a leading coefficient up to 10**300, and
+# irrational roots p/q +- sqrt(c)/2**k, k >= 200, beside the rational p/q
+small_rationals = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 5, 7, 9, 11, 15, 21]))
+big_lc_factors = st.builds(
+    lambda r, e, c, scalar: (scalar * (z - r) * (10**e * z**2 + c), [r]),
+    small_rationals,
+    st.integers(0, 300),
+    st.integers(1, 10**6),
+    st.sampled_from([F(1), F(-1), F(-3, 7), F(12)]),
+)
+near_rational_factors = st.builds(
+    lambda r, c, k, keep: ((z - r) ** keep * ((z - r) ** 2 - F(c, 4**k)), [r] * keep),
+    small_rationals,
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11]),
+    st.integers(200, 230),
+    st.integers(0, 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(big_lc_factors, near_rational_factors))
+def test_rational_value_matches_the_fraction_oracle_on_large_and_near_rational_roots(planted):
+    f, rationals = planted
+    roots = real_roots_exact(f)
+    values = [r.rational_value() for r in roots]
+    assert values == [rational_value_fractions(r) for r in roots]
+    assert [v for v in values if v is not None] == rationals
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_refine_to_a_width_that_is_not_positive_raises(width):
+    root = real_roots_exact(z**2 - 2)[1]
+    with pytest.raises(ValueError, match="positive"):
+        root.refine(width)
+    with pytest.raises(ValueError, match="positive"):
+        real_roots_exact(z - F(1, 3))[0].refine(width)
 
 
 def test_rational_root_with_a_long_continued_fraction():

@@ -112,6 +112,31 @@ def test_census_and_sweeps_give_up_after_the_attempt_cap(monkeypatch, rejecter, 
     assert len(draws) == 7
 
 
+# at these degrees some seeds draw more distinct points than the 29-point
+# real lattice holds (others succeed, so no degree is refused up front)
+@pytest.mark.parametrize(
+    "sample, case, d, seeds",
+    [
+        (random_member, "21", 30, (0, 1)),
+        (random_member, "12", 30, (0, 2)),
+        (random_member, "31", 31, (0,)),
+        (planted_tuple, "22", 25, (1, 6)),
+        (planted_tuple, "31", 30, (0, 1)),
+    ],
+)
+def test_samplers_that_run_out_of_lattice_points_say_so(sample, case, d, seeds):
+    for seed in seeds:
+        with pytest.raises(ValueError, match=f"^d={d} needs more distinct real points than the 29 "):
+            sample(case, d, seed)
+
+
+def test_samplers_beyond_the_complex_lattices_raise_instead_of_looping():
+    with pytest.raises(ValueError, match="complex points than the 441 "):
+        random_member("21", 442, seed=1, field=FIELD_COMPLEX)
+    with pytest.raises(ValueError, match="conjugate-pair points than the 210 "):
+        harness._poly_from_real_roots(random.Random(1), 422, pairs=211)
+
+
 def test_planted_tuple_hits_requested_multiplicity():
     for case in ("21", "31", "12", "13", "22"):
         for seed in range(12):
