@@ -126,6 +126,8 @@ class HalfPlaneConfig:
                 raise ValueError(f"configuration point {entry!r} is not an [re, im] pair")
             if any(isinstance(x, bool) for x in entry):
                 raise ValueError("booleans are not coordinates")
+            if not all(isinstance(x, (int, float)) for x in entry):
+                raise ValueError(f"configuration point {entry!r} has a coordinate that is not a number")
             re, im = float(entry[0]), float(entry[1])
             if im == 0:
                 reals.append(re)

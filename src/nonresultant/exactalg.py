@@ -49,10 +49,10 @@ cluster center is validated against a backward-error bound.  There is no
 iteration and no retry: a polynomial that fails the check, or that the
 eigensolver fails on, raises `NonConvergenceError` carrying the diagnostics
 to reproduce it, and a coefficient beyond the float range raises ValueError.
-Clustering and validation are array passes over a degree group that repeat
-CPython's complex arithmetic on split real and imaginary floats, so they give
-the scalar code's results bit for bit (numpy's complex product, modulus and
-power differ in the last bit).
+Clustering and validation are array passes over a degree group: the
+clusters are the connected components of the roots' link mask, closed by
+repeated squaring, and the centers are checked by Horner's rule on complex
+arrays.
 """
 
 from __future__ import annotations
@@ -1314,8 +1314,11 @@ def sign_at(f: ExactPolynomial, p: int, q: int) -> int:
 
 def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
     """Whether the real polynomial f != 0 vanishes somewhere in the closed
-    interval [lo, hi] (rational ends): at an end, or, by Sturm's theorem,
+    interval [lo, hi] of rationals lo <= hi: at an end, or, by Sturm's theorem,
     where the sign variations of the chain of f and f' drop between them."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("the interval's ends are reversed: lo > hi")
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     if not f.is_real:
@@ -1323,7 +1326,7 @@ def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
     cs = f._re
     if len(cs) < 2:
         return False
-    ends = [(x.numerator, x.denominator) for x in (Fraction(lo), Fraction(hi))]
+    ends = [(x.numerator, x.denominator) for x in (lo, hi)]
     if any(_sign_at(cs, p, q) == 0 for p, q in ends):
         return True
     v_lo, v_hi = (_variations(_value_at(c, p, q) for c in f.sturm_chain) for p, q in ends)
@@ -1388,62 +1391,49 @@ def _eigenvalues(coeffs: np.ndarray) -> np.ndarray:
 _CHUNK = 4096
 
 
-def _link_rows(re, im, radii, tol: np.ndarray, valid: np.ndarray) -> tuple:
+def _components(re, im, radii, tol: np.ndarray, valid: np.ndarray) -> tuple:
     """Single-linkage groups of the discs in each row of (B, k) arrays:
-    valid discs i and j link when |c_i - c_j| <= tol + 5 (r_i + r_j).  A
-    group starts at the least ungrouped index, then takes one at a time the
-    least index linked to a member: the order in which a scan merging one
-    disc at a time into the first cluster it links would add them, so sums
-    in it round as the scan's do.  Returns (order, start): each row's indices
-    in that order, and the mask of group starts."""
+    valid discs i and j link when |c_i - c_j| <= tol + 5 (r_i + r_j).
+    Returns (rows, reach): the indices of the rows with a link, and for each
+    of them the (k, k) mask of discs in one group, the transitive closure of
+    the links by ceil(log2 k) squarings.  Both are empty when no row links."""
     batch, k = re.shape
     diag = np.arange(k)
-    order, start = np.repeat(diag[None, :], batch, axis=0), np.ones((batch, k), dtype=bool)
     near = np.hypot(re[:, :, None] - re[:, None, :], im[:, :, None] - im[:, None, :])
     near = near <= tol[:, None, None] + 5.0 * (radii[:, :, None] + radii[:, None, :])
     near &= valid[:, :, None] & valid[:, None, :]
     near[:, diag, diag] = False
     if not np.count_nonzero(near):
-        return order, start
-    hit = np.flatnonzero(np.logical_or.reduce(near.reshape(batch, -1), axis=1))
-    links, at = near[hit], np.arange(len(hit))
-    grouped, reach = np.zeros((2, len(hit), k), dtype=bool)
-    for pos in range(k):
-        fresh = ~np.logical_or.reduce(reach, axis=1)
-        j = np.where(fresh[:, None], ~grouped, reach).argmax(axis=1)
-        order[hit, pos], start[hit, pos] = j, fresh
-        grouped[at, j] = True
-        reach = (reach | links[at, j]) & ~grouped
-    return order, start
+        return np.zeros(0, dtype=int), near[:0]
+    rows = np.flatnonzero(np.logical_or.reduce(near, axis=(1, 2)))
+    reach = near[rows]
+    reach[:, diag, diag] = True
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    return rows, reach
 
 
-def _merge_rows(re, im, radii, weight, order: np.ndarray, start: np.ndarray) -> tuple:
-    """Merge each row's discs (B, k) in the groups `_link_rows` gave as
-    (order, start); weight 0 marks an empty slot.  Returns (re, im, radius,
-    weight) of the groups in the order of their first members, then empty
-    slots: the center sum(w c) / sum(w), summed in the visit order, and the
-    radius max |c - center| + r, each float step the one CPython takes for a
-    complex c and an int w (for w = 1 the products are exact)."""
-    at = np.arange(len(re))[:, None]
-    re, im, radii, weight = re[at, order], im[at, order], radii[at, order], weight[at, order]
-    # c * w multiplies by the complex (w, 0); sum() starts from the int 0
-    steps = (re * weight - im * 0.0, re * 0.0 + im * weight, weight)
-    runs = (0.0 + steps[0], 0.0 + steps[1], weight.copy())
-    for pos in range(1, re.shape[1]):  # running sums, restarted at each group
-        go = ~start[:, pos]
-        for run, step in zip(runs, steps):
-            run[go, pos] = run[go, pos - 1] + step[go, pos]
-    # a group's sums stand at its last member; move them to the group's slot
-    group = np.cumsum(start, axis=1) - 1
-    rows, pos = np.nonzero(np.roll(start, -1, axis=1))  # start[:, 0] is set
-    sum_re, sum_im, total = (np.zeros_like(run) for run in runs)
-    for moved, run in zip((sum_re, sum_im, total), runs):
-        moved[rows, group[rows, pos]] = run[rows, pos]
-    # s / n divides by the complex (n, 0)
-    c_re, c_im = np.stack((sum_re + sum_im * 0.0, sum_im - sum_re * 0.0)) / np.maximum(total, 1)
-    radius = np.zeros(re.shape)
-    np.maximum.at(radius, (at, group), np.hypot(re - c_re[at, group], im - c_im[at, group]) + radii)
-    return c_re, c_im, radius, total
+def _merge_rows(re, im, radii, weight, groups: tuple) -> tuple:
+    """Merge each row's discs (B, k) in the groups (rows, reach) that
+    `_components` gave; weight 0 marks an empty slot.  Each group goes to the
+    slot of its least index, with the center sum(w c) / sum(w), the radius
+    max |c - center| + r and the weight sum(w); its other slots get zeros.
+    Rows without a link come back unchanged.  Returns (re, im, radius,
+    weight)."""
+    rows, reach = groups
+    out = [a.copy() for a in (re, im, radii, weight)]
+    if not len(rows):
+        return tuple(out)
+    re, im, radii, weight = (a[rows, None, :] for a in (re, im, radii, weight))
+    w = reach * weight
+    total = np.add.reduce(w, axis=2)
+    c_re, c_im = (np.add.reduce(w * part, axis=2) / np.maximum(total, 1) for part in (re, im))
+    spread = np.hypot(re - c_re[:, :, None], im - c_im[:, :, None]) + radii
+    radius = np.maximum.reduce(np.where(reach, spread, 0.0), axis=2)
+    least = reach.argmax(axis=2) == np.arange(reach.shape[1])
+    for a, merged in zip(out, (c_re, c_im, radius, total)):
+        a[rows] = np.where(least, merged, 0)
+    return tuple(out)
 
 
 def _cluster_rows(re: np.ndarray, im: np.ndarray, tol: np.ndarray) -> tuple:
@@ -1453,13 +1443,15 @@ def _cluster_rows(re: np.ndarray, im: np.ndarray, tol: np.ndarray) -> tuple:
     multiplicity), (B, k) each, sorted by center, then empty slots."""
     at = np.arange(len(re))[:, None]
     by_root = np.lexsort((im, re), axis=1)
-    re, im, radii, ones = re[at, by_root], im[at, by_root], np.zeros(re.shape), np.ones(re.shape, dtype=int)
-    order, start = _link_rows(re, im, radii, tol, ones > 0)
+    # no center carries a -0.0 part: 0.0 + x turns one into 0.0
+    re, im, zeros = 0.0 + re[at, by_root], 0.0 + im[at, by_root], np.zeros(re.shape)
+    ones = np.ones(re.shape, dtype=int)
+    groups = _components(re, im, zeros, tol, ones > 0)
     floor = tol[:, None] / 10
-    if np.logical_and.reduce(start, axis=None):
-        # no link: every root a cluster of one, centered at 0 + root
-        return 0.0 + re, 0.0 + im, floor + radii, ones
-    cre, cim, rad, mult = _merge_rows(re, im, radii, ones, order, start)
+    if not len(groups[0]):
+        # no link: every root a cluster of one
+        return re, im, floor + zeros, ones
+    cre, cim, rad, mult = _merge_rows(re, im, zeros, ones, groups)
     by_center = np.lexsort((cim, cre, mult == 0), axis=1)
     return cre[at, by_center], cim[at, by_center], np.maximum(rad, floor)[at, by_center], mult[at, by_center]
 
@@ -1468,21 +1460,17 @@ def _backward_error_ratios(coef: np.ndarray, cre, cim, rad, mult) -> np.ndarray:
     """Per row of (B, k) clusters of the polynomials with coefficients coef
     (B, d+1), the worst ratio of a center's relative backward error to its
     allowance: 0 when every center passes, inf when one is degenerate."""
-    az = np.fmax(1.0, np.hypot(cre, cim))
-    # (|c_j|, re c_j, im c_j) from the leading coefficient down, spread to (B, k)
-    table = np.stack((np.hypot(coef.real, coef.imag), coef.real, coef.imag)).transpose(2, 0, 1)[::-1]
-    scale, v_re, v_im = np.zeros((3, *cre.shape))
-    # f(z) by Horner, exactly as ExactPolynomial.__call__ evaluates it
-    for mag, c_re, c_im in np.repeat(table[..., None], cre.shape[1], axis=3):
-        scale = scale * az + mag
-        v_re, v_im = v_re * cre - v_im * cim + c_re, v_re * cim + v_im * cre + c_im
-    err = np.hypot(v_re, v_im) / scale
+    z = cre + 1j * cim
+    az = np.fmax(1.0, np.abs(z))
+    scale, value = np.zeros(z.shape), np.zeros(z.shape, dtype=complex)
+    # f(z) by Horner, from the leading coefficient down
+    for c in coef.T[::-1, :, None]:
+        scale = scale * az + np.abs(c)
+        value = value * z + c
+    err = np.abs(value) / scale
     # an m-fold cluster center is accurate to about the cluster radius, so
-    # its residual scales like radius**m (CPython's float power)
-    power = 4.0 * np.maximum(rad, 1e-15)
-    if np.count_nonzero(mult > 1):
-        power[mult > 1] = [b**m for b, m in zip(power[mult > 1].tolist(), mult[mult > 1].tolist())]
-    allowed = np.fmax(1e-9, power)
+    # its residual scales like radius**m
+    allowed = np.fmax(1e-9, (4.0 * np.maximum(rad, 1e-15)) ** mult)
     failed = (mult > 0) & ~(err <= allowed)
     worst = np.fmax.reduce(np.divide(err, allowed, out=np.zeros(err.shape), where=failed), axis=1)
     # a NaN residual (a non-finite center) is degenerate, not small
@@ -1496,8 +1484,9 @@ def _root_cluster_arrays(polys: Sequence[ExactPolynomial]) -> tuple:
     of polys[p] sorted by center (real part, then imaginary), then empty
     slots of multiplicity 0 and center 0.  Each degree group of up to _CHUNK
     rows takes one pass: the companion eigenvalues (`_eigenvalues`),
-    clustered by `_cluster_rows` and validated row by row by
-    `_backward_error_ratios`.  A row that fails the check, or a group the
+    clustered by `_cluster_rows` into the connected components of the roots
+    within 1e-6 max(1, max |root|) of each other, and validated row by row
+    by `_backward_error_ratios`.  A row that fails the check, or a group the
     eigensolver fails on, raises `NonConvergenceError` with the
     polynomial's coefficient JSON (and the row's backward-error ratio); a
     coefficient beyond the float range raises ValueError.
@@ -1555,8 +1544,9 @@ def complex_roots_numeric(f: ExactPolynomial) -> list:
 
 def complex_roots_many(polys: Sequence[ExactPolynomial]) -> list:
     """Batch variant of `complex_roots_numeric`, over `_root_cluster_arrays`:
-    a double root is one 2-fold cluster, but a root of multiplicity 3 or more
-    comes out as simple clusters (see there)."""
+    each cluster is one connected component of nearby roots, so a double root
+    is one 2-fold cluster, but a root of multiplicity 3 or more comes out as
+    simple clusters (see there)."""
     return [
         [RootCluster(complex(x, y), r, m) for x, y, r, m in zip(*row) if m]
         for row in zip(*(a.tolist() for a in _root_cluster_arrays(polys)))

@@ -39,7 +39,7 @@ from .case31 import Model31, i_d_loop, pi1_winding, r_tilde
 from .exactalg import (
     ExactPolynomial,
     GaussianRational,
-    _link_rows,
+    _components,
     _merge_rows,
     _poly,
     _root_cluster_arrays,
@@ -270,7 +270,7 @@ def numeric_common_multiplicities(tuples: Sequence[SystemTuple]) -> list:
     for lo in range(0, len(clusters[0]) or 1, _MERGE_ROWS):
         re, im, radius, mult = (a[lo : lo + _MERGE_ROWS] for a in clusters)
         tol = _MERGE_REL * np.maximum(1.0, np.hypot(re, im).max(axis=1, initial=0.0))
-        merged.append(_merge_rows(re, im, radius, mult, *_link_rows(re, im, radius, tol, mult > 0)))
+        merged.append(_merge_rows(re, im, radius, mult, _components(re, im, radius, tol, mult > 0)))
     re, im, radius, mult = (np.concatenate(parts) for parts in zip(*merged))
     out, ms = np.zeros(len(tuples), dtype=int), np.array([t.m for t in tuples], dtype=int)
     for m in set(ms.tolist()):

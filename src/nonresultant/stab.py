@@ -140,14 +140,15 @@ def loop_T(loop) -> Fraction:
 
 def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) -> StabilizationReport:
     """Route to the construction named by `case` ('31', '12', or 'mult';
-    inferred from (m, n) when omitted) and record what happened.
+    inferred from (m, n) when omitted, with '12' only for field R) and
+    record what happened.  The output keeps the input's field.
 
     `member_in` and `member_out` are True whenever a report is returned: the
     constructions (for case '12', `component_of_12`) raise outside the space."""
     if case is None:
         if t.m == 3 and t.n == 1:
             case = "31"
-        elif t.m == 1 and t.n == 2:
+        elif t.m == 1 and t.n == 2 and t.field == FIELD_REAL:
             case = "12"
         elif t.n >= 2:
             case = "mult"
@@ -162,7 +163,7 @@ def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) ->
             raise ValueError("case '12' needs a single polynomial with multiplicity bound 2")
         label_in = component_of_12(t.polys[0])
         g = stabilize_12(t.polys[0], T)
-        out = SystemTuple((g,), 2, FIELD_REAL)
+        out = SystemTuple((g,), 2, t.field)
         label_out = component_of_12(g)
     elif case == "mult":
         out = stabilize_multiplicity(t, T)

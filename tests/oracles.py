@@ -21,7 +21,7 @@ path samples by the exact gcd route at every sample instead of the sign of the
 path's boundary polynomial; JSON coefficients by one `Fraction` per value
 instead of integer parts; products of linear factors by one pass over the
 numerator lists per root instead of Kronecker substitution; single-linkage
-groups by union-find instead of growth by the least linked index; the Z[i]
+groups by union-find instead of the transitive closure of the link mask; the Z[i]
 pseudo-remainder and subresultant PRS by one tuple-building Gaussian product
 per term and one exact division per coefficient instead of the written-out
 kernel that divides once per step; jet components by `Fraction` coefficient

@@ -248,6 +248,14 @@ def test_electric_degree_rejects_boolean_coordinates(capsys, monkeypatch):
     assert "booleans are not coordinates" in err
 
 
+@pytest.mark.parametrize("doc", ['[["1", "2"]]', "[[0, 1], [null, 0]]", "[[0, [1]]]", '[[0, {"re": 1}]]'])
+def test_electric_degree_rejects_coordinates_that_are_not_numbers(capsys, monkeypatch, doc):
+    code, out, err = run(capsys, ["electric-degree"], doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "not a number" in err
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -38,8 +38,8 @@ from nonresultant.exactalg import (
     _cluster_rows,
     _eigenvalues,
     _int_primitive,
+    _components,
     _isolate_squarefree,
-    _link_rows,
     _root_bound_exponent,
     _scalar_parts,
 )
@@ -63,6 +63,7 @@ from oracles import (
     resultant_from_roots,
     resultant_sylvester,
     scalar_from_json_fractions,
+    union_find_groups,
 )
 
 z = ExactPolynomial.variable()
@@ -1347,7 +1348,15 @@ def _row_clusters(roots, tol):
     return [(complex(x, y), r, m) for x, y, r, m in zip(*(a[0].tolist() for a in _cluster_rows(*row))) if m]
 
 
-def test_cluster_roots_matches_full_scan_bitwise():
+def _assert_clusters_close(got, want):
+    """Equal multiplicities in order; centers and radii within 1e-12 (1 + |c|)."""
+    assert [m for _, _, m in got] == [m for _, _, m in want]
+    for (c, r, _), (wc, wr, _) in zip(got, want):
+        assert abs(c - wc) <= 1e-12 * (1 + abs(wc))
+        assert abs(r - wr) <= 1e-12 * (1 + abs(wc))
+
+
+def test_cluster_roots_match_the_full_scan():
     rng = random.Random(52)
     for _ in range(400):
         k = rng.randint(1, 9)
@@ -1356,17 +1365,15 @@ def test_cluster_roots_matches_full_scan_bitwise():
         roots = [b + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-9, -1)
                  for b in base]
         tol = 10.0 ** rng.randint(-8, 0)
-        assert repr(_row_clusters(roots, tol)) == repr(cluster_roots_scan(roots, tol))
-    # sum() starts from the int 0, which turns a center's -0.0 into 0.0
+        _assert_clusters_close(_row_clusters(roots, tol), cluster_roots_scan(roots, tol))
+    # signed zeros, in a row with no link and in a merged pair
     for roots in ([complex(-0.0, 1.0), complex(2.0, -0.0)], [complex(-0.0, -0.0)] * 2):
-        assert repr(_row_clusters(roots, 1e-3)) == repr(cluster_roots_scan(roots, 1e-3))
+        _assert_clusters_close(_row_clusters(roots, 1e-3), cluster_roots_scan(roots, 1e-3))
 
 
 def test_backward_error_ratios_match_scalar_validation():
     # random centers, mostly with radii of 0.01-0.1 and multiplicities 1-4,
-    # so that the allowance (4 r)**m runs above its 1e-9 floor and through
-    # CPython's float power, which numpy's vectorised power does not match
-    # bit for bit
+    # so that the allowance (4 r)**m runs above its 1e-9 floor
     rng = random.Random(57)
     for _ in range(300):
         d, k = rng.randint(1, 8), rng.randint(1, 3)
@@ -1383,33 +1390,62 @@ def test_backward_error_ratios_match_scalar_validation():
         rad, mult = np.array([[r for _, r, _ in clusters]]), np.array([[m for _, _, m in clusters]])
         coef = np.array([f.complex_coefficients], dtype=complex)
         (got,) = _backward_error_ratios(coef, cre, cim, rad, mult).tolist()
-        assert got == backward_error_ratio_scalar(f, clusters)
+        want = backward_error_ratio_scalar(f, clusters)
+        assert (got == 0) == (want == 0)
+        assert got == want or abs(got - want) <= 1e-12 * want
 
 
-def _link_groups(centers, radii, tol):
-    """The groups `_link_rows` finds in one row, as lists of indices."""
-    order, start = _link_rows(
-        np.array([[c.real for c in centers]]),
-        np.array([[c.imag for c in centers]]),
-        np.array([radii], dtype=float).reshape(1, -1),
+def _component_groups(centers, radii, tol, valid=None):
+    """The groups `_components` finds in one row, as ascending lists of
+    indices ordered by their least index."""
+    k = len(centers)
+    rows, reach = _components(
+        np.array([[c.real for c in centers]]).reshape(1, k),
+        np.array([[c.imag for c in centers]]).reshape(1, k),
+        np.array([radii], dtype=float).reshape(1, k),
         np.array([tol]),
-        np.ones((1, len(centers)), dtype=bool),
+        np.ones((1, k), dtype=bool) if valid is None else np.array([valid]),
     )
-    groups = []
-    for j, first in zip(order[0].tolist(), start[0].tolist()):
-        if first:
-            groups.append([])
-        groups[-1].append(j)
-    return groups
+    if not len(rows):
+        return [[j] for j in range(k)]
+    return [list(g) for g in sorted({tuple(np.flatnonzero(r).tolist()) for r in reach[0]})]
 
 
-def test_link_groups_grow_by_least_linked_index():
-    # 0-2 and 2-1 link, 0-1 does not: the group takes 2 before 1
-    assert _link_groups([0j, 2 + 0j, 1 + 0j, 10 + 0j], [0.0] * 4, 1.0) == [[0, 2, 1], [3]]
-    assert _link_groups([0j, 3 + 0j, 9 + 0j], [0.0] * 3, 1.0) == [[0], [1], [2]]
-    # radii widen the link by 5 * (r_i + r_j)
-    assert _link_groups([0j, 3 + 0j], [0.25, 0.25], 1.0) == [[0, 1]]
-    assert _link_groups([], [], 1.0) == []
+def test_components_match_union_find_groups():
+    cases = [
+        # 0-2 and 2-1 link, 0-1 does not
+        ([0j, 2 + 0j, 1 + 0j, 10 + 0j], [0.0] * 4, [[0, 1, 2], [3]]),
+        ([0j, 3 + 0j, 9 + 0j], [0.0] * 3, [[0], [1], [2]]),
+        # radii widen the link by 5 * (r_i + r_j)
+        ([0j, 3 + 0j], [0.25, 0.25], [[0, 1]]),
+        ([0j, 3 + 0j, 1.5 + 0j, 6 + 0j], [0.0, 0.0, 0.1, 0.1], [[0, 1, 2], [3]]),
+        ([], [], []),
+    ]
+    for centers, radii, groups in cases:
+        assert _component_groups(centers, radii, 1.0) == groups == union_find_groups(centers, radii, 1.0)
+    # invalid discs link to nothing
+    assert _component_groups([0j, 0j, 0.5 + 0j], [0.0] * 3, 1.0, [True, False, True]) == [[0, 2], [1]]
+    assert _component_groups([0j] * 3, [0.0] * 3, 1.0, [False] * 3) == [[0], [1], [2]]
+    # an empty batch, and a batch whose only linked row is the valid one
+    rows, reach = _components(*np.zeros((3, 0, 4)), np.zeros(0), np.zeros((0, 4), dtype=bool))
+    assert rows.shape == (0,) and reach.shape == (0, 4, 4)
+    valid = np.array([[True] * 3, [False] * 3])
+    rows, reach = _components(*np.zeros((3, 2, 3)), np.ones(2), valid)
+    assert rows.tolist() == [0] and reach.tolist() == [[[True] * 3] * 3]
+
+
+def test_clusters_of_unlinked_rows_skip_the_merge(monkeypatch):
+    # the one-row calls of `case12.to_configuration` mostly have no link
+    calls = []
+    real_merge = exactalg._merge_rows
+    monkeypatch.setattr(exactalg, "_merge_rows", lambda *a: calls.append(a) or real_merge(*a))
+    spread = [complex(x, y) for x, y in ((0, 1), (0, -1), (2, 0), (-3, 0.5))]
+    for tol in (1e-6, 1e-2):
+        assert len(_row_clusters(spread, tol)) == 4
+    assert [c.multiplicity for c in complex_roots_numeric((z - 1) * (z - 2) * (z**2 + 1))] == [1] * 4
+    assert not calls
+    assert [m for _, _, m in _row_clusters([0j, 1e-9 + 0j, 3 + 0j], 1e-6)] == [2, 1]
+    assert len(calls) == 1
 
 
 def test_batch_clusters_equal_single_row_clusters(monkeypatch):
@@ -1535,6 +1571,14 @@ def test_has_real_root_between_counts_the_closed_interval():
     assert not has_real_root_between(z**2 + 1, F(-10), F(10))
     assert not has_real_root_between(ExactPolynomial.constant(3), F(0), F(1))
     assert [sign_at(f, p, 3) for p in (-7, -6, 1, 2)] == [-1, 0, 0, 1]
+
+
+def test_has_real_root_between_refuses_reversed_ends():
+    assert has_real_root_between(z, -1, 1) and has_real_root_between(z, 0, 0)
+    with pytest.raises(ValueError, match="reversed"):
+        has_real_root_between(z, 1, -1)
+    with pytest.raises(ValueError, match="reversed"):
+        has_real_root_between(z**2 + 1, F(1, 2), F(1, 3))
 
 
 def test_resultant_constant_inputs_are_canonical():

@@ -13,7 +13,7 @@ from nonresultant.exactalg import (
     ExactPolynomial,
     GaussianRational,
     RootCluster,
-    _link_rows,
+    _components,
     _merge_rows,
     real_roots_exact,
     resultant_exact,
@@ -232,7 +232,6 @@ def test_numeric_multiplicity_close_roots_still_split():
 
 def test_merge_clusters_matches_union_find_oracle():
     rng = random.Random(81)
-    out_of_order = 0
     for _ in range(400):
         k = rng.randint(1, 8)
         tol = 10.0 ** rng.randint(-3, 0)
@@ -246,19 +245,17 @@ def test_merge_clusters_matches_union_find_oracle():
         clusters = [RootCluster(c, r, rng.randint(1, 4)) for c, r in zip(centers, radii)]
         re, im = np.array([[c.real for c in centers]]), np.array([[c.imag for c in centers]])
         rad, mult, row_tol = np.array([radii]), np.array([[c.multiplicity for c in clusters]]), np.array([tol])
-        order, start = _link_rows(re, im, rad, row_tol, mult > 0)
-        groups = np.split(order[0], np.flatnonzero(start[0])[1:])
-        assert [sorted(g.tolist()) for g in groups] == union_find_groups(centers, radii, tol)
-        out_of_order += any(g.tolist() != sorted(g.tolist()) for g in groups)
-        merged = [a[0].tolist() for a in _merge_rows(re, im, rad, mult, order, start)]
+        groups = _components(re, im, rad, row_tol, mult > 0)
+        reach = groups[1][0] if len(groups[0]) else np.eye(k, dtype=bool)
+        found = sorted({tuple(np.flatnonzero(r).tolist()) for r in reach})
+        assert [list(g) for g in found] == union_find_groups(centers, radii, tol)
+        merged = [a[0].tolist() for a in _merge_rows(re, im, rad, mult, groups)]
         got = [(complex(x, y), r, m) for x, y, r, m in zip(*merged) if m]
         want = merge_clusters_union_find(clusters, tol)
         assert [m for _, _, m in got] == [m for _, _, m in want]
         for (c, r, _), (wc, wr, _) in zip(got, want):
             assert abs(c - wc) <= 1e-12 * (1 + abs(wc))
             assert abs(r - wr) <= 1e-12 * (1 + abs(wc))
-    # chains like 0-2-1, where the two orders differ, were exercised
-    assert out_of_order > 10
 
 
 # ---------------------------------------------------------------------------

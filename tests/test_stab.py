@@ -11,6 +11,7 @@ from nonresultant.case31 import Model31, i_d_loop, phi_inverse, pi1_winding
 from nonresultant.exactalg import ExactPolynomial, poly_from_json, real_roots_exact
 from nonresultant import stab
 from nonresultant.nonres import (
+    FIELD_COMPLEX,
     FIELD_REAL,
     MembershipError,
     SystemTuple,
@@ -247,6 +248,19 @@ def test_report_single_polynomial_tracks_label():
     assert report.input_label == 1
     assert report.output_label == 2
     assert component_of_12(report.output.polys[0]) == 2
+
+
+def test_report_on_a_complex_single_polynomial_keeps_its_field():
+    # (1,2) over C takes the multiplicity map, not the real case '12'
+    t = SystemTuple.from_json({"n": 2, "field": "C", "polys": [[{"re": "1", "im": "1"}, 0, 1]]})
+    report = stabilize_with_report(t)
+    assert report.case == "mult"
+    assert report.output.field == FIELD_COMPLEX and is_member(report.output)
+    # a C-tagged tuple with real coefficients stays C-tagged on either route
+    t = SystemTuple(((z - 1) * (z * z + 1),), 2, FIELD_COMPLEX)
+    assert stabilize_with_report(t).case == "mult"
+    for case in (None, "12"):
+        assert stabilize_with_report(t, case=case).output.field == FIELD_COMPLEX
 
 
 def test_report_multiplicity_fallback():
