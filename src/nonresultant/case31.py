@@ -44,7 +44,7 @@ from .exactalg import (
     sign_at,
     squarefree_decomposition,
 )
-from .nonres import FIELD_REAL, MembershipError, SystemTuple
+from .nonres import FIELD_REAL, InputError, MembershipError, SystemTuple
 
 __all__ = [
     "Model31",
@@ -173,16 +173,16 @@ def r_tilde(m: Model31) -> complex:
 
 
 def r_tilde_exact(m: Model31):
-    """Exact value in Q(i) when every odd-multiplicity real root of f1 is
-    rational; None otherwise."""
-    result = GaussianRational(Fraction(1), Fraction(0))
+    """Exact value in Q(i), a Fraction when real, when every
+    odd-multiplicity real root of f1 is rational; None otherwise."""
+    result = ExactPolynomial.one()
     for root, sign in m._contributions:
         x = root.rational_value()
         if x is None:
             return None
-        v = GaussianRational(m.f2(x), m.f3(x))
-        result = result * v if sign > 0 else result / v
-    return result
+        v = ExactPolynomial.constant(GaussianRational(m.f2(x), m.f3(x)))
+        result = result * v if sign > 0 else result.exact_div(v)
+    return result.coefficient(0)
 
 
 def r_d(m: Model31) -> complex:
@@ -193,8 +193,9 @@ def r_d(m: Model31) -> complex:
 
 def pi1_winding(loop) -> int:
     """Class of a closed sampled loop of odd-degree models (first == last),
-    joined by the straight paths between their triples.  A segment that
-    leaves the space (`harness.locate_violation`) raises MembershipError
+    joined by the straight paths between their triples.  A list that is not
+    a closed loop of >= 3 models of one degree raises InputError; a segment
+    that leaves the space (`harness.locate_violation`) raises MembershipError
     naming it and the bracket where it does.  The class is the signed count
     of crossings (`_ray_crossings`) with the first ray t = 0, 1, 2, ... that
     meets no segment degenerately; finitely many rays do."""
@@ -203,9 +204,11 @@ def pi1_winding(loop) -> int:
 
     tuples = [phi_inverse(m) for m in loop]
     if len(tuples) < 3:
-        raise ValueError("a sampled loop needs at least three entries")
+        raise InputError("a sampled loop needs at least three entries")
     if tuples[0] != tuples[-1]:
-        raise ValueError("a sampled loop must close up: first != last")
+        raise InputError("a sampled loop must close up: first != last")
+    if len({m.degree for m in loop}) != 1:
+        raise InputError("the models of a sampled loop must share one degree")
     if loop[0].degree % 2 == 0:
         raise ValueError("the alternating evaluation needs odd degree")
     for i, (a, b) in enumerate(zip(tuples, tuples[1:])):

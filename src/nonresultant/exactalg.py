@@ -9,7 +9,9 @@ tuples (the denominator is the least common denominator of the coefficients,
 and the numerators follow from it), so `==` and `hash` compare integers and
 nothing is ever re-normalized.  Arithmetic runs on the numerators; the
 `Fraction`/`GaussianRational` view of the coefficients exists only at the API
-and JSON boundary and is built on demand.  A product of linear factors
+and JSON boundary and is built on demand.  `GaussianRational` is an exact
+value with no arithmetic of its own: Q(i) arithmetic, on constants too, goes
+through `ExactPolynomial`.  A product of linear factors
 (`from_roots`) is built by Kronecker substitution: the real and the imaginary
 numerators are each one integer, the polynomial's value at a power of 2 past
 their bound, so each root costs a shift and a few integer products.  The one
@@ -115,7 +117,12 @@ def _to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """An element of Q(i), kept as an exact pair of Fractions."""
+    """An element of Q(i), kept as an exact pair of Fractions.
+
+    It is a value: it compares (equal to a Fraction when real), hashes,
+    converts to complex and prints.  Arithmetic on it goes through
+    `ExactPolynomial`, e.g. `ExactPolynomial.constant(x)`, whose kernel works
+    on integer numerators."""
 
     re: Fraction
     im: Fraction
@@ -124,73 +131,8 @@ class GaussianRational:
         object.__setattr__(self, "re", _to_fraction(self.re))
         object.__setattr__(self, "im", _to_fraction(self.im))
 
-    # -- coercion ---------------------------------------------------------
-    @staticmethod
-    def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_to_fraction(x), Fraction(0))
-
-    def canonical(self) -> Union[Fraction, "GaussianRational"]:
-        """Collapse to a plain Fraction when the imaginary part vanishes."""
-        return self.re if self.im == 0 else self
-
-    # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
-    def __pow__(self, k: int):
-        return _power(self, k, GaussianRational(Fraction(1), Fraction(0)), operator.mul)
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """|x|^2, exactly."""
-        return self.re * self.re + self.im * self.im
-
-    # -- predicates / conversions ------------------------------------------
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import ExactPolynomial, GaussianRational, cauchy_index
+from .exactalg import ExactPolynomial, GaussianRational, _scalar_parts, cauchy_index
 from .nonres import MembershipError, SystemTuple, _jet_gcd, jet
 
 __all__ = [
@@ -80,10 +80,11 @@ def eval_natural_map(t: SystemTuple, alpha) -> ProjectivePoint:
         return ProjectivePoint((1.0 + 0.0j,) * (t.m * t.n))
     values = [comp(alpha) for f in t.polys for comp in jet(f, t.n).components]
     if isinstance(alpha, (int, Fraction, GaussianRational)):
-        big = max(abs(q) for v in map(GaussianRational.of, values) for q in (v.re, v.im))
+        parts = [(Fraction(re, den), Fraction(im, den)) for re, im, den in map(_scalar_parts, values)]
+        big = max(abs(q) for pair in parts for q in pair)
         if 0 < big < sys.float_info.min or big > sys.float_info.max:
             scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
-            values = [v * scale for v in values]
+            values = [complex(re * scale, im * scale) for re, im in parts]
     return ProjectivePoint(tuple(values))
 
 

@@ -25,7 +25,9 @@ groups by union-find instead of the transitive closure of the link mask; the Z[i
 pseudo-remainder and subresultant PRS by one tuple-building Gaussian product
 per term and one exact division per coefficient instead of the written-out
 kernel that divides once per step; jet components by `Fraction` coefficient
-arithmetic instead of the numerator kernels.
+arithmetic instead of the numerator kernels; Q(i) scalars (Sylvester
+determinants, Euclid remainders, r_tilde at refined roots, and products that
+build test inputs) by pairs of `Fraction`s instead of `ExactPolynomial`.
 """
 
 from __future__ import annotations
@@ -90,15 +92,16 @@ def gcd_from_factor_multisets(factors_f, factors_g) -> ExactPolynomial:
 
 
 def _field_remainder(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
-    """f mod g for g != 0, by long division on the exact coefficients."""
-    r, b = list(f.coefficients), g.coefficients
+    """f mod g for g != 0, by long division on the exact coefficients as
+    (re, im) pairs of Fractions."""
+    r, b = [_pair(c) for c in f.coefficients], [_pair(c) for c in g.coefficients]
     while len(r) >= len(b):
-        c = r[-1] / b[-1]
+        c = _q_div(r[-1], b[-1])
         for i, x in enumerate(b, len(r) - len(b)):
-            r[i] = r[i] - c * x
-        while r and not r[-1]:
+            r[i] = _q_sub(r[i], _g_mul(c, x))
+        while r and r[-1] == (0, 0):
             r.pop()
-    return ExactPolynomial(r)
+    return ExactPolynomial([_value(p) for p in r])
 
 
 def gcd_euclid(f: ExactPolynomial, g: ExactPolynomial) -> ExactPolynomial:
@@ -141,6 +144,39 @@ def _g_pow(a, k: int):
     for _ in range(k):
         out = _g_mul(out, a)
     return out
+
+
+# Q(i) as (re, im) pairs of Fractions, apart from the package's kernel on
+# integer numerators; `_g_mul` multiplies these pairs too
+
+
+def _pair(x) -> tuple:
+    """(re, im) Fractions of an int, Fraction or GaussianRational."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _value(p: tuple):
+    """The exact value of an (re, im) pair: a Fraction when real."""
+    return p[0] if p[1] == 0 else GaussianRational(*p)
+
+
+def _q_sub(a: tuple, b: tuple) -> tuple:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _q_div(a: tuple, b: tuple) -> tuple:
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def q_i_product(*factors):
+    """The exact product of Q(i) scalars, by pairs: a Fraction when real."""
+    out = (Fraction(1), Fraction(0))
+    for x in factors:
+        out = _g_mul(out, _pair(x))
+    return _value(out)
 
 
 def g_prem_by_products(a: list, b: list) -> list:
@@ -190,7 +226,7 @@ def jet_by_sums(f: ExactPolynomial, n: int) -> tuple:
     cs = f.coefficients
     out = [f]
     for i in range(1, n):
-        out.append(f + ExactPolynomial([math.perm(j, i) * c for j, c in enumerate(cs) if j >= i]))
+        out.append(f + ExactPolynomial([q_i_product(math.perm(j, i), c) for j, c in enumerate(cs) if j >= i]))
     return tuple(out)
 
 
@@ -207,31 +243,32 @@ def resultant_from_roots(f: ExactPolynomial, g: ExactPolynomial) -> complex:
 
 def resultant_sylvester(f: ExactPolynomial, g: ExactPolynomial):
     """res(f, g) as the determinant of the Sylvester matrix, by exact
-    Gaussian elimination over Q or Q(i) on the coefficient view; canonical
-    (a Fraction when real)."""
+    Gaussian elimination over Q or Q(i) on the coefficient view as (re, im)
+    pairs; a Fraction when real."""
     if f.is_zero or g.is_zero:
         return Fraction(0)
     m, n = f.degree, g.degree
     size = m + n
-    fc = list(reversed(f.coefficients))
-    gc = list(reversed(g.coefficients))
-    rows = [[0] * k + fc + [0] * (n - 1 - k) for k in range(n)]
-    rows += [[0] * k + gc + [0] * (m - 1 - k) for k in range(m)]
-    det = GaussianRational(Fraction(1), Fraction(0))
+    zero = (Fraction(0), Fraction(0))
+    fc = [_pair(c) for c in reversed(f.coefficients)]
+    gc = [_pair(c) for c in reversed(g.coefficients)]
+    rows = [[zero] * k + fc + [zero] * (n - 1 - k) for k in range(n)]
+    rows += [[zero] * k + gc + [zero] * (m - 1 - k) for k in range(m)]
+    det = (Fraction(1), Fraction(0))
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if rows[r][col]), None)
+        pivot_row = next((r for r in range(col, size) if rows[r][col] != zero), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
+            det = _q_sub(zero, det)
         pivot = rows[col][col]
-        det = det * pivot
+        det = _g_mul(det, pivot)
         for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = GaussianRational.of(rows[r][col]) / pivot
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det.canonical()
+            if rows[r][col] != zero:
+                factor = _q_div(rows[r][col], pivot)
+                rows[r] = [_q_sub(x, _g_mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return _value(det)
 
 
 def cluster_roots_scan(roots, tol: float) -> list:
@@ -757,16 +794,16 @@ def alternating_value_refined(m, width: Fraction) -> complex:
     each odd-multiplicity real root of f1 is refined to `width` and f2, f3
     are evaluated exactly at the interval's midpoint; exponents alternate
     with the root's position counted with multiplicity."""
-    total = GaussianRational(Fraction(1), Fraction(0))
+    total = (Fraction(1), Fraction(0))
     position = 1
     for root in real_roots_fractions(m.f1):
         if root.multiplicity % 2:
             r = refine_fractions(root, width)
             x = (r.lo + r.hi) / 2
-            v = GaussianRational(m.f2(x), m.f3(x))
-            total = total * v if position % 2 else total / v
+            v = (m.f2(x), m.f3(x))
+            total = _g_mul(total, v) if position % 2 else _q_div(total, v)
         position += root.multiplicity
-    return complex(total)
+    return complex(float(total[0]), float(total[1]))
 
 
 def lagrange(nodes, values) -> ExactPolynomial:
@@ -783,7 +820,7 @@ def lagrange(nodes, values) -> ExactPolynomial:
                 continue
             basis = basis * (z - ExactPolynomial.constant(xj))
             denom *= xi - xj
-        total = total + basis * (yi / denom)
+        total = total + basis * yi * (1 / denom)
     return total
 
 
@@ -850,5 +887,5 @@ def scalar_from_json_fractions(v):
         im = scalar_from_json_fractions(v.get("im", "0"))
         if isinstance(re, GaussianRational) or isinstance(im, GaussianRational):
             raise ValueError("nested complex parts")
-        return GaussianRational(re, im).canonical()
+        return _value((re, im))
     raise ValueError(f"cannot parse coefficient {v!r}")

@@ -19,6 +19,7 @@ from nonresultant.case12 import (
 from nonresultant import exactalg
 from nonresultant.exactalg import (
     ExactPolynomial,
+    GaussianRational,
     NonConvergenceError,
     RootCluster,
     cauchy_root_bound,
@@ -61,6 +62,16 @@ def test_component_requires_squarefree():
         component_of_12(z * z)
     with pytest.raises(ValueError):
         component_of_12((z - 1) ** 2 * (z + 2))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [2 * z * z + 1, z * z + GaussianRational(F(0), F(1)), ExactPolynomial.one()],
+    ids=["non-monic", "nonreal", "constant"],
+)
+def test_component_requires_a_monic_real_polynomial_of_positive_degree(f):
+    with pytest.raises(ValueError, match="^expected a monic real polynomial of positive degree$"):
+        component_of_12(f)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])

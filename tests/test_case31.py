@@ -23,7 +23,7 @@ from nonresultant.case31 import (
     s1_act_exact,
 )
 from nonresultant.exactalg import ExactPolynomial, GaussianRational, RealRoot, poly_from_json
-from nonresultant.nonres import FIELD_REAL, MembershipError, SystemTuple, is_member
+from nonresultant.nonres import FIELD_REAL, InputError, MembershipError, SystemTuple, is_member
 
 from oracles import alternating_value_refined, pi1_dense_lift
 
@@ -63,6 +63,8 @@ def test_model_validation():
         Model31(z * z + 1, z * z, z)  # sheared degree too big
     with pytest.raises(MembershipError):
         Model31(z * z - 1, z - 1, 2 * z - 2)  # shared root at 1
+    with pytest.raises(ValueError, match="^model entries must be real$"):
+        Model31(z * z + 1, z + GaussianRational(F(0), F(1)), z)
 
 
 def test_model_json_round_trip():
@@ -229,12 +231,12 @@ def test_sampled_list_loop():
 
 def test_sampled_list_loop_validation():
     samples = [i_d_loop(3, 0.1 * k) for k in range(4)]
-    with pytest.raises(ValueError):
-        pi1_winding(samples)  # endpoints differ
-    with pytest.raises(ValueError):
-        pi1_winding([WORKED, WORKED])  # too short
+    with pytest.raises(InputError, match="^a sampled loop must close up: first != last$"):
+        pi1_winding(samples)
+    with pytest.raises(InputError, match="^a sampled loop needs at least three entries$"):
+        pi1_winding([WORKED, WORKED])
     quintic = i_d_loop(5, 0.0)
-    with pytest.raises(ValueError, match="share"):
+    with pytest.raises(InputError, match="^the models of a sampled loop must share one degree$"):
         pi1_winding([i_d_loop(3, 0.0), quintic, i_d_loop(3, 0.0)])
 
 
@@ -306,6 +308,28 @@ def test_a_ray_that_meets_the_loop_tangentially_is_replaced():
     with pytest.raises(case31._DegenerateRay):
         case31._ray_crossings(a, b, *case31._odd_parts(a.f1, b.f1), 0)
     assert pi1_winding([a, b, c, a]) == pi1_dense_lift([a, b, c, a]) == 0
+
+
+def test_a_ray_along_a_segment_is_replaced(monkeypatch):
+    # f1 = z^3 - z with constant (f2, f3): the first segment, (1, 0) -> (2, 0),
+    # runs along the ray t = 0, the positive real axis, so the component S
+    # across it vanishes at both ends and Q = h_b S_a - h_a S_b is zero
+    one = ExactPolynomial.one()
+    vertices = [(1, 0), (2, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    loop = [Model31(z**3 - z, one * a, one * b) for a, b in vertices]
+    with pytest.raises(case31._DegenerateRay):
+        case31._ray_crossings(*loop[:2], *case31._odd_parts(z**3 - z, z**3 - z), 0)
+    rays = []
+    count = case31._ray_crossings
+
+    def spy(*segment_and_ray):
+        rays.append(segment_and_ray[-1])
+        return count(*segment_and_ray)
+
+    monkeypatch.setattr(case31, "_ray_crossings", spy)
+    assert pi1_winding(loop) == pi1_dense_lift(loop) == 1
+    # t = 0 is given up at its first segment, and the class comes from a later ray
+    assert rays[0] == 0 and 0 not in rays[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,31 @@ def test_pi1_on_a_loop_that_leaves_the_space_is_domain_error(capsys, monkeypatch
     code, out, err = run(capsys, ["pi1"], json.dumps(loop), monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith("nonresultant: ") and "segment 0" in err and "[1/3, 1/3]" in err
+
+
+def _constant_model(d, f2, f3):
+    """f1 = z^d with constant f2 and f3, as model JSON."""
+    return {"f1": ["0"] * d + ["1"], "f2": [f2], "f3": [f3]}
+
+
+A, B, C = (_constant_model(3, *v) for v in [("1", "0"), ("0", "1"), ("-1", "0")])
+
+
+@pytest.mark.parametrize(
+    "loop, code, message",
+    [
+        ([], 2, "input error: a sampled loop needs at least three entries"),
+        ([A, A], 2, "input error: a sampled loop needs at least three entries"),
+        ([A, B, C], 2, "input error: a sampled loop must close up: first != last"),
+        ([A, _constant_model(5, "0", "1"), B, A], 2, "input error: the models of a sampled loop must share one degree"),
+        ([_constant_model(2, *v) for v in [("1", "0"), ("0", "1"), ("1", "0")]], 1, "the alternating evaluation needs odd degree"),
+    ],
+    ids=["empty", "two", "unclosed", "mixed-degrees", "even-degree"],
+)
+def test_pi1_on_a_malformed_loop(capsys, monkeypatch, loop, code, message):
+    # a list that is not a closed loop of one degree is a usage error; an
+    # even degree is a domain error, as is a loop that leaves the space
+    assert run(capsys, ["pi1"], json.dumps(loop), monkeypatch) == (code, "", f"nonresultant: {message}\n")
 
 
 def test_pi1_on_sampled_loop(capsys, monkeypatch):
@@ -420,6 +449,44 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
             code = exc.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_session() -> list:
+    """(command, shown stdout) for each `$ ` line of the README's CLI session,
+    with its continuation lines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    session = re.search(r"```sh\n(\$ .*?)```", text, re.S)[1]
+    calls = []
+    for chunk in re.split(r"\n(?=\$ )", session):
+        lines = chunk.rstrip("\n").split("\n")
+        k = 1
+        while lines[k - 1].endswith("\\"):
+            k += 1
+        calls.append(("\n".join(lines[:k])[2:], "".join(line + "\n" for line in lines[k:])))
+    return calls
+
+
+README_SESSION = _readme_session()
+
+
+@pytest.mark.parametrize(
+    "command, shown", README_SESSION, ids=[c.split("nonresultant ")[1].split()[0] for c, _ in README_SESSION]
+)
+def test_readme_cli_session(tmp_path, command, shown):
+    # each call runs as written, pipes included, with `python -m nonresultant`
+    # in place of the installed script
+    program = f"{shlex.quote(sys.executable)} -m nonresultant"
+    line = re.sub(r"(^|\|\s*)nonresultant\b", lambda m: m[1] + program, command)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(["sh", "-c", line], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == shown
+    out = re.search(r"--out (\S+)", command)
+    if out:
+        assert json.loads((tmp_path / out[1]).read_text(encoding="utf-8"))["trials"] == 2000
 
 
 def _loop_json(d, samples):

@@ -41,6 +41,7 @@ from nonresultant.exactalg import (
     _components,
     _isolate_squarefree,
     _root_bound_exponent,
+    _scalar,
     _scalar_parts,
 )
 from oracles import (
@@ -57,6 +58,7 @@ from oracles import (
     isolate_squarefree_every_point,
     isolate_squarefree_fractions,
     lagrange,
+    q_i_product,
     rational_value_fractions,
     real_roots_fractions,
     refine_fractions,
@@ -98,9 +100,8 @@ def random_poly(rng, degree, monic=True, gaussian=False):
         return random_rational(rng)
 
     coeffs = [scalar() for _ in range(degree)]
-    coeffs.append(
-        F(1) if monic else (scalar() or F(1))
-    )
+    lead = F(1) if monic else scalar()
+    coeffs.append(F(1) if lead == 0 else lead)
     return ExactPolynomial(tuple(coeffs))
 
 
@@ -167,7 +168,7 @@ def test_from_roots_matches_the_list_pass_and_the_product_of_factors(drawn):
     assert (f._re, f._im, f._den) == (oracle._re, oracle._im, oracle._den)
     product = ExactPolynomial.one()
     for r in roots:
-        product = product * ExactPolynomial((-r, 1))
+        product = product * (z - r)
     assert f == product
     assert f.degree == len(roots) and f.is_monic
     if not roots:
@@ -233,11 +234,11 @@ def test_coefficient_view_round_trips(polys):
 def test_equal_polynomials_hash_equal():
     half = F(1, 2)
     built = [
-        ExactPolynomial.from_roots([half, -i_unit]),
+        ExactPolynomial.from_roots([half, GaussianRational(F(0), F(-1))]),
         (z - half) * (z + i_unit),
         ExactPolynomial((GaussianRational(F(0), -half), GaussianRational(F(-1, 2), F(1)), 1)),
-        ((2 * z - 1) * (3 * z + 3 * i_unit)) * F(1, 6),
-        (z * z + z * (i_unit - half)) - half * i_unit,
+        ((2 * z - 1) * (3 * z + GaussianRational(F(0), F(3)))) * F(1, 6),
+        (z * z + z * i_unit - half * z) - GaussianRational(F(0), half),
         ExactPolynomial.from_roots([F(2, 4), GaussianRational(F(0), F(-3, 3))]),
     ]
     assert all(p == built[0] for p in built)
@@ -259,17 +260,17 @@ def test_exact_div_by_gaussian_leading_coefficient():
     assert g.monic() * lead == g
 
 
-def test_gaussian_scalar_arithmetic():
+def test_gaussian_rational_is_an_exact_value():
     a = GaussianRational(F(1, 2), F(3))
-    b = GaussianRational(F(2), F(-1))
-    assert a + b == GaussianRational(F(5, 2), F(2))
-    assert a * b == GaussianRational(F(4), F(11, 2))
-    assert (a / b) * b == a
-    assert a.conjugate().im == -a.im
+    assert a.conjugate() == GaussianRational(F(1, 2), F(-3))
     assert GaussianRational(F(2), F(0)) == F(2)
     assert hash(GaussianRational(F(2), F(0))) == hash(F(2))
     assert complex(i_unit) == 1j
-    assert i_unit**2 == F(-1)
+    # it has no arithmetic of its own, so ExactPolynomial's applies from either side
+    assert i_unit * z == z * i_unit
+    assert i_unit + z == z + i_unit
+    assert i_unit - z == -(z - i_unit)
+    assert not any(hasattr(a, name) for name in ("__add__", "__mul__", "__neg__", "__truediv__", "__pow__"))
 
 
 def test_evaluate_exact_and_float():
@@ -285,6 +286,8 @@ def test_derivative_rules():
     assert (z**2).derivative() == 2 * z
     assert (z**3).derivative(2) == 6 * z
     assert (z**3).derivative(5).is_zero
+    with pytest.raises(ValueError, match="^derivative order must be nonnegative$"):
+        z.derivative(-1)
     rng = random.Random(7)
     for _ in range(25):
         f = random_poly(rng, rng.randint(0, 4), monic=False)
@@ -337,11 +340,7 @@ def test_gcd_matches_factor_multiset_oracle():
 
 def test_gcd_matches_factor_multiset_oracle_gaussian():
     rng = random.Random(43)
-    pool = [
-        GaussianRational(F(a), F(b)).canonical()
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-    ]
+    pool = [_scalar(a, b, 1) for a in range(-2, 3) for b in range(-2, 3)]
     for _ in range(60):
         roots_f = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         roots_g = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
@@ -357,7 +356,7 @@ def test_gcd_common_factor_property():
         # case runs over Q(i)
         gaussian = k % 3 == 2
         unit = i_unit if gaussian else F(1)
-        f = ExactPolynomial.from_roots([F(k) * unit for k in rng.sample(range(1, 9), 2)])
+        f = ExactPolynomial.from_roots([q_i_product(k, unit) for k in rng.sample(range(1, 9), 2)])
         g = ExactPolynomial.from_roots([F(-k) for k in rng.sample(range(1, 9), 2)])
         h = random_poly(rng, rng.randint(1, 3), monic=False, gaussian=gaussian)
         assert gcd_exact(f * h, g * h) == h.monic() * gcd_exact(f, g)
@@ -372,15 +371,16 @@ def test_gcd_scaling_invariance():
 
 
 # (1+i)**9 * (2+i)**4 * 6: Gaussian content the PRS must carry through
-LARGE_CONTENT = GaussianRational(F(1), F(1)) ** 9 * GaussianRational(F(2), F(1)) ** 4 * 6
+ONE_PLUS_I = GaussianRational(F(1), F(1))
+LARGE_CONTENT = q_i_product(*[ONE_PLUS_I] * 9, *[GaussianRational(F(2), F(1))] * 4, 6)
 LARGE_CONTENT_SCALES = [
     LARGE_CONTENT,
-    LARGE_CONTENT * GaussianRational(F(3), F(-2)) ** 5 * F(1, 7),
+    q_i_product(LARGE_CONTENT, *[GaussianRational(F(3), F(-2))] * 5, F(1, 7)),
     F(-12),
-    GaussianRational(F(1), F(1)) ** 16,
+    q_i_product(*[ONE_PLUS_I] * 16),
 ]
 GAUSSIAN_ROOT_POOL = [
-    GaussianRational(F(a, c), F(b, c)).canonical()
+    _scalar(a, b, c)
     for a in range(-2, 3)
     for b in range(-2, 3)
     for c in (1, 3)
@@ -474,7 +474,7 @@ def test_gcd_many_folds_mixed_families_like_the_pairwise_fold():
     # families of 2-6 entries mixing zero polynomials, nonzero constants,
     # real and Gaussian products, and the large contents above
     rng = random.Random(56)
-    scales = [F(1), LARGE_CONTENT, LARGE_CONTENT * F(1, 7), F(-12), GaussianRational(F(1), F(1)) ** 16]
+    scales = [F(1), LARGE_CONTENT, q_i_product(LARGE_CONTENT, F(1, 7)), F(-12), LARGE_CONTENT_SCALES[-1]]
     pool = [F(k, 2) for k in range(-2, 3)] + [GaussianRational(F(a), F(b)) for a in (-1, 1) for b in (-1, 2)]
     kinds = ["zero", "constant", "product", "product", "product"]
     seen = Counter()
@@ -525,10 +525,8 @@ def test_gaussian_gcd_with_large_content_matches_sympy():
 
     def to_sympy(f):
         def scalar(c):
-            c = GaussianRational.of(c)
-            return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-                c.im.numerator, c.im.denominator
-            )
+            re, im, den = _scalar_parts(c)
+            return sympy.Rational(re, den) + sympy.I * sympy.Rational(im, den)
 
         return sympy.Poly([scalar(c) for c in reversed(f.coefficients)], x, domain="QQ_I")
 
@@ -549,6 +547,8 @@ def test_gaussian_gcd_with_large_content_matches_sympy():
 def test_squarefree_frozen_example():
     f = z**3 + z**2
     assert squarefree_decomposition(f) == [(z + 1, 1), (z, 2)]
+    with pytest.raises(ValueError, match="^squarefree decomposition of the zero polynomial$"):
+        squarefree_decomposition(ExactPolynomial.zero())
 
 
 def test_squarefree_reconstruction_property():
@@ -1132,6 +1132,19 @@ def test_cauchy_index_matches_pole_oracle():
         assert count_distinct_real_roots(f) == distinct
 
 
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (ExactPolynomial.zero(), ExactPolynomial.zero(), "the Cauchy index needs a nonzero denominator"),
+        (z * z, z - i_unit, "Sturm counting needs real coefficients"),
+        (z, z * z, "the Cauchy index needs deg g < deg f"),
+    ],
+)
+def test_cauchy_index_input_checks(f, g, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cauchy_index(f, g)
+
+
 def test_real_roots_rejects_nonreal_and_zero():
     with pytest.raises(ValueError):
         real_roots_exact(ExactPolynomial.zero())
@@ -1182,10 +1195,7 @@ def _planted_products():
         planted.append(sorted(roots, key=lambda c: (c.real, c.imag)))
         polys.append(
             ExactPolynomial.from_roots(
-                [
-                    GaussianRational(F(int(2 * r.real), 2), F(int(2 * r.imag), 2)).canonical()
-                    for r in roots
-                ]
+                [_scalar(int(2 * r.real), int(2 * r.imag), 2) for r in roots]
             )
         )
     return polys, planted
@@ -1479,7 +1489,7 @@ def test_batch_clusters_equal_single_row_clusters(monkeypatch):
 
 
 def test_complex_roots_of_a_coefficient_beyond_the_float_range_raise():
-    for f in (z**2 + 10**400, z**2 + F(1, 10**400) * z + 1 + F(10**400, 3) * i_unit):
+    for f in (z**2 + 10**400, z**2 + F(1, 10**400) * z + 1 + GaussianRational(F(0), F(10**400, 3))):
         with pytest.raises(ValueError, match="beyond the float range"):
             complex_roots_numeric(f)
 
@@ -1532,7 +1542,7 @@ def test_resultant_matches_sylvester_oracle():
         g = random_poly(rng, rng.randint(0, 5), monic=k % 3 == 0, gaussian=gaussian and k % 4 == 1)
         exact = resultant_exact(f, g)
         assert exact == resultant_sylvester(f, g)
-        assert isinstance(exact, F) or not exact.is_real
+        assert isinstance(exact, F) or exact.im != 0
     # a shared root makes the resultant vanish over Q(i) as over Q
     f = random_poly(rng, 3, gaussian=True) * (z - i_unit)
     assert resultant_exact(f, (z - i_unit) * (z + 3)) == 0 == resultant_sylvester(f, z - i_unit)
@@ -1548,7 +1558,7 @@ def test_interpolate_equispaced_matches_lagrange_oracle():
         nodes = [F(i, n) for i in range(n + 1)]
         for gaussian in (False, True):
             values = [
-                GaussianRational(rational(), rational()).canonical() if gaussian else rational()
+                GaussianRational(rational(), rational()) if gaussian else rational()
                 for _ in nodes
             ]
             if n % 3 == 0:

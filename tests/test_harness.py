@@ -363,8 +363,8 @@ def test_complex_field_paths_are_certified_exactly():
     path = certify_path(a, c)
     assert path.certified and path.violations == ()
     # (1,2): z^2 - (1+i)z + (1-t)i has a double root exactly at t = 1/2
-    f = SystemTuple((z**2 - z * (1 + i_unit) + i_unit,), 2, FIELD_COMPLEX)
-    g = SystemTuple((z**2 - z * (1 + i_unit),), 2, FIELD_COMPLEX)
+    f = SystemTuple((z**2 - z - z * i_unit + i_unit,), 2, FIELD_COMPLEX)
+    g = SystemTuple((z**2 - z - z * i_unit,), 2, FIELD_COMPLEX)
     cert = locate_violation(f, g)
     assert (cert.kind, cert.lo, cert.hi) == ("discriminant_root", F(1, 2), F(1, 2))
     assert not certify_path(f, g).certified

@@ -269,6 +269,20 @@ def test_rp1_degree_rejects_common_roots(f, g):
         rp1_degree(f, g)
 
 
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (z, z * z, "the pair must share one positive degree"),
+        (ExactPolynomial.one(), ExactPolynomial.one(), "the pair must share one positive degree"),
+        (2 * z, z + 1, "the pair must be monic"),
+        (z, z + GaussianRational(F(0), F(1)), "the real-axis degree needs real coefficients"),
+    ],
+)
+def test_rp1_degree_input_checks(f, g, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rp1_degree(f, g)
+
+
 def test_rp1_degree_antisymmetry_under_swap():
     f = (z - 0) * (z - 2)
     g = (z - 1) * (z - 3)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonresultant import exactalg, nonres
-from nonresultant.exactalg import ExactPolynomial, GaussianRational
+from nonresultant.exactalg import ExactPolynomial, GaussianRational, _scalar
 from nonresultant.nonres import (
     FIELD_COMPLEX,
     FIELD_REAL,
@@ -21,7 +21,7 @@ from nonresultant.nonres import (
     max_common_multiplicity,
     stability_dimension,
 )
-from oracles import jet_by_sums
+from oracles import jet_by_sums, q_i_product
 
 z = ExactPolynomial.variable()
 
@@ -183,7 +183,7 @@ def planted_roots(rng, m, n, field, max_degree=None):
     if field == FIELD_REAL:
         pool = [F(k, 2) for k in range(-4, 5)] + [GaussianRational(F(1), F(1)), GaussianRational(F(-1, 2), F(2))]
     else:
-        pool = [GaussianRational(F(a), F(b, 2)).canonical() for a in range(-1, 2) for b in range(-2, 3)]
+        pool = [_scalar(2 * a, b, 2) for a in range(-1, 2) for b in range(-2, 3)]
 
     def degree(roots):
         pairs = sum(isinstance(r, GaussianRational) for r in roots) if field == FIELD_REAL else 0
@@ -278,8 +278,8 @@ def test_gcd_route_builds_no_derivative_when_deg_g_is_below_n(monkeypatch, entri
 
 LARGE_SCALES = [F(10**25 + 13), F(3**52, 2**80 + 1), F(1, 10**24 + 7), F(-(7**28) * 6**3, 5)]
 LARGE_GAUSSIAN_SCALES = [
-    GaussianRational(F(10**12 + 1), F(1 - 10**12)) ** 2,
-    GaussianRational(F(1), F(1)) ** 80 * GaussianRational(F(2), F(1)) ** 30 * F(1, 11),
+    q_i_product(*[GaussianRational(F(10**12 + 1), F(1 - 10**12))] * 2),
+    q_i_product(*[GaussianRational(F(1), F(1))] * 80, *[GaussianRational(F(2), F(1))] * 30, F(1, 11)),
 ]
 
 
@@ -297,7 +297,7 @@ def test_membership_routes_on_planted_tuples_with_large_coefficients(time_limit,
     m, n = shape
     scales = LARGE_SCALES + (LARGE_GAUSSIAN_SCALES if field == FIELD_COMPLEX else [])
     scale = scales[k % len(scales)]
-    entries = [[r * scale for r in roots] for roots in planted_roots(random.Random(seed), m, n, field, 12)]
+    entries = [[q_i_product(r, scale) for r in roots] for roots in planted_roots(random.Random(seed), m, n, field, 12)]
     want = member_by_roots(entries, n)
     with time_limit(20):
         t = tuple_from_factor_lists(entries, n, field)

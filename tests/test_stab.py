@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nonresultant.case12 import component_of_12
 from nonresultant.case31 import Model31, i_d_loop, phi_inverse, pi1_winding
-from nonresultant.exactalg import ExactPolynomial, poly_from_json, real_roots_exact
+from nonresultant.exactalg import ExactPolynomial, cauchy_root_bound, poly_from_json, real_roots_exact
 from nonresultant import stab
 from nonresultant.nonres import (
     FIELD_COMPLEX,
@@ -203,6 +203,14 @@ def test_stabilize_multiplicity_rejects_n1():
         stabilize_multiplicity(linear_triple(), 100)
 
 
+def test_stabilize_multiplicity_rejects_T_at_the_root_bound():
+    t = SystemTuple(((z - 1) * (z + 1),), 2, FIELD_REAL)
+    bound = cauchy_root_bound(list(t.polys))
+    with pytest.raises(ValueError, match="^T must exceed the root bound of the entries$"):
+        stabilize_multiplicity(t, bound)
+    assert is_member(stabilize_multiplicity(t, bound + F(1, 10**9)))
+
+
 def test_stabilize_multiplicity_pair():
     t = SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL)
     out = stabilize_multiplicity(t, recommended_T(t))
@@ -313,11 +321,19 @@ def test_report_refuses_inputs_outside_the_space():
         stabilize_with_report(SystemTuple(((z - 1) ** 3, (z - 1) ** 3 * z), 3, FIELD_REAL))
 
 
+def test_report_when_no_stabilization_applies():
+    # a pair with multiplicity bound 1
+    with pytest.raises(ValueError, match=r"^no stabilization applies to this \(m, n\)$"):
+        stabilize_with_report(SystemTuple((z, z + 1), 1, FIELD_REAL))
+
+
 def test_report_explicit_case_override():
     t = SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL)
     report = stabilize_with_report(t, case="mult")
     assert report.case == "mult"
     with pytest.raises(ValueError):
         stabilize_with_report(t, case="31")  # wrong shape for the triple map
+    with pytest.raises(ValueError, match="^case '12' needs a single polynomial with multiplicity bound 2$"):
+        stabilize_with_report(t, case="12")
     with pytest.raises(ValueError):
         stabilize_with_report(t, case="nope")
