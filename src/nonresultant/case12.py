@@ -69,6 +69,13 @@ def component_of_12(f: ExactPolynomial) -> int:
     return (f.degree - _check_squarefree(f)) // 2
 
 
+def _coordinate(convert, x):
+    try:
+        return convert(x)
+    except OverflowError:
+        raise ValueError("a configuration coordinate lies beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class HalfPlaneConfig:
     """A split root configuration: real points ascending, upper-half-plane
@@ -79,8 +86,8 @@ class HalfPlaneConfig:
     upper_points: tuple
 
     def __post_init__(self):
-        reals = tuple(float(x) for x in self.real_points)
-        uppers = tuple(complex(u) for u in self.upper_points)
+        reals = tuple(_coordinate(float, x) for x in self.real_points)
+        uppers = tuple(_coordinate(complex, u) for u in self.upper_points)
         if not all(map(cmath.isfinite, reals + uppers)):
             raise ValueError("configuration points must be finite")
         if any(u.imag <= 0 for u in uppers):
@@ -128,7 +135,7 @@ class HalfPlaneConfig:
                 raise ValueError("booleans are not coordinates")
             if not all(isinstance(x, (int, float)) for x in entry):
                 raise ValueError(f"configuration point {entry!r} has a coordinate that is not a number")
-            re, im = float(entry[0]), float(entry[1])
+            re, im = (_coordinate(float, x) for x in entry)
             if im == 0:
                 reals.append(re)
             elif -math.inf < im < 0:  # a non-finite im goes on to be rejected

@@ -47,6 +47,8 @@ def _read_json(args):
         raise InputError(
             f"malformed JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON: nested too deeply") from exc
 
 
 def _parsed(build, obj):
@@ -161,7 +163,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     t = _parsed(SystemTuple.from_json, _read_json(args))
-    report = stabilize_with_report(t, T=args.T, case=args.case)
+    report = stabilize_with_report(t, T=args.T)
     _emit(report.to_json())
     return 0
 
@@ -248,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "tuple; stabilizing the vertices of a (3,1) loop one by one needs --T set to stab.loop_T "
         "of the whole loop, or the loop's class may change)",
     )
-    p.add_argument("--case", default=None, choices=["31", "12", "mult"], help="construction override")
 
     p = add("sweep", _cmd_sweep, "seeded invariant sweep report", needs_input=False)
     p.add_argument("--case", required=True, choices=["21", "12", "31"])

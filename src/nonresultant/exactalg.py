@@ -37,11 +37,12 @@ Real roots are isolated by Sturm's theorem: the signed remainder chain is
 built over Z with positive content stripped at each step, once per
 polynomial (it is cached on it, and a chain ending in a constant proves the
 input squarefree, so Yun is skipped), and sign variations are counted at p/q
-from the integer q**d * f(p/q).  Bisection runs on integer numerators only,
-over an explicit worklist of dyadic intervals, and produces refinable
-isolating intervals whose endpoints are dyadic rationals.  An exact rational
-hit during bisection is returned as a degenerate interval [r, r].  Rounding
-a root to its float uses quadratic interval refinement instead of halving.
+from the integer q**d * f(p/q), with f's value in the same pass.  Bisection
+starts from the box of one root bound, Fujiwara's power of 2, runs on integer
+numerators only, over an explicit worklist of dyadic intervals, and produces
+refinable isolating intervals whose endpoints are dyadic rationals.  An exact
+rational hit is returned as a degenerate interval [r, r].  Rounding a root to
+its float uses quadratic interval refinement instead of halving.
 
 Complex roots are the eigenvalues of the companion matrices, one `eigvals`
 call per degree group for its real rows and one for the others; these are
@@ -825,22 +826,21 @@ def _yun(w: ExactPolynomial, g: ExactPolynomial) -> list:
 # Each factor is isolated as its positive-leading primitive numerators with
 # its own chain, which for f alone is the cached one.
 #
-# Isolation starts from (-2**j, 2**j) with 2**j the least power of 2 above
-# the Cauchy bound, taken from one integer quotient, and works through an
+# One root bound decides where the roots are: f has none of modulus >= 2**e,
+# for the e of Fujiwara's bound that `_root_bound_exponent` reads from bit
+# lengths and confirms with one exact inequality.  Isolation starts from
+# (-2**e, 2**e), or (-1, 1) when e < 0, so that a cell narrower than 1 lies
+# on one side of 0 (violation brackets rely on it), and works through an
 # explicit worklist of dyadic cells (a/2**k, b/2**k), each carrying the
 # chain's sign variations V and f's sign at both ends: a cell holding one
 # root, with neither end a root, is output, and any other nonempty cell is
 # halved.  A midpoint that is itself a root is output as [r, r] and stays an
 # end of both halves.  V skips zeros, so it is right-continuous and drops by
 # one at each root: V(a) - V(b) counts the roots in (a, b], one too many for
-# the open cell when f(b) = 0.  Every point is evaluated once, and the chain
-# starts with +-f, so the same values give f's sign.  f has no root of
-# modulus >= 2**e, for the e of Fujiwara's bound that `_root_bound_exponent`
-# reads from bit lengths and confirms with one exact inequality; by Sturm's
-# theorem V and f's sign at a point there are those at -inf or +inf, read
-# once from the chain's leading coefficients, and no chain element is
-# evaluated (other elements may vanish beyond the bound; the count does not
-# depend on them).
+# the open cell when f(b) = 0.  At the box's ends, by Sturm's theorem, V and
+# f's sign are those at -inf and +inf, read from the chain's leading
+# coefficients; every midpoint is read once, by one pass over the chain that
+# gives f's sign too (`_chain_at`).
 #
 # `RealRoot.refine` brings lo and hi over one denominator and bisects the
 # numerators; its intervals are part of the output (violation brackets, sweep
@@ -905,6 +905,13 @@ def _variations(values: Iterable[int]) -> int:
                 out += 1
             neg = v < 0
     return out
+
+
+def _chain_at(chain: list, p: int, q: int) -> tuple:
+    """(V, q**d * chain[0](p/q)) at p/q, q > 0, in one pass over the chain;
+    chain[0] is f's primitive part, so the value has f's roots."""
+    values = [_value_at(c, p, q) for c in chain]
+    return _variations(values), values[0]
 
 
 def _variations_at_inf(chain: list) -> tuple:
@@ -1146,37 +1153,22 @@ def _root_bound_exponent(cs: Sequence[int]) -> int:
 
 def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
     """Isolating intervals/exact points for a squarefree integer polynomial
-    with Sturm chain `chain` (unused, and may be None, below degree 2), as
-    sorted (lo, hi, sign of f at lo) triples of Fractions: open dyadic
-    cells whose ends are not roots, and the midpoints that are roots."""
+    of degree >= 1 with Sturm chain `chain` (unused, and may be None, at
+    degree 1), as sorted (lo, hi, sign of f at lo) triples of Fractions:
+    open dyadic cells whose ends are not roots, and the midpoints that are
+    roots, found by halving the box of `_root_bound_exponent`."""
     d = len(cs) - 1
-    if d < 1:
-        return []
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    # the least 2**j >= top / lead = 1 + max|a_k| / |a_d|, the Cauchy bound
-    lead = abs(cs[-1])
-    top = lead + max(abs(c) for c in cs[:-1])
-    b = 1 << (-(-top // lead) - 1).bit_length()
-    # no root lies at or beyond 2**e, so there V and f's sign are those at -+inf
-    e = _root_bound_exponent(cs)
+    # no root lies at or beyond 2**e <= b, so at -+b V and f's sign are those
+    # at -+inf
+    b = 1 << max(_root_bound_exponent(cs), 0)
     s_inf = _sign(cs[-1])
     v_minus, v_plus = _variations_at_inf(chain)
-    at_inf = ((v_minus, -s_inf if d % 2 else s_inf), (v_plus, s_inf))
     flip = s_inf * _sign(chain[0][-1])  # the chain starts with flip * f
-
-    def var(p: int, k: int) -> tuple:
-        # (sign variations of the chain, f's sign) at p / 2**k
-        z = min((p & -p).bit_length() - 1, k) if p else k
-        p, k = p >> z, k - z
-        if p and p.bit_length() > k + e:  # |p| / 2**k >= 2**e
-            return at_inf[p > 0]
-        values = [_value_at(c, p, 1 << k) for c in chain]
-        return _variations(values), _sign(values[0]) * flip
-
     out = []
-    work = [(-b, b, 0, *var(-b, 0), *var(b, 0))]
+    work = [(-b, b, 0, v_minus, -s_inf if d % 2 else s_inf, v_plus, s_inf)]
     while work:
         lo, hi, k, v_lo, s_lo, v_hi, s_hi = work.pop()
         count = v_lo - v_hi - (s_hi == 0)  # roots in (lo/2**k, hi/2**k)
@@ -1187,7 +1179,9 @@ def _isolate_squarefree(cs: Sequence[int], chain: Optional[list]) -> list:
             out.append((Fraction(lo, q), Fraction(hi, q), s_lo))
             continue
         mid, k = lo + hi, k + 1
-        v, s = var(mid, k)
+        z = min((mid & -mid).bit_length() - 1, k) if mid else k  # to lowest terms
+        v, value = _chain_at(chain, mid >> z, 1 << (k - z))
+        s = _sign(value) * flip
         if s == 0:
             r = Fraction(mid, 1 << k)
             out.append((r, r, 0))
@@ -1257,7 +1251,8 @@ def sign_at(f: ExactPolynomial, p: int, q: int) -> int:
 def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
     """Whether the real polynomial f != 0 vanishes somewhere in the closed
     interval [lo, hi] of rationals lo <= hi: at an end, or, by Sturm's theorem,
-    where the sign variations of the chain of f and f' drop between them."""
+    where the sign variations of the chain of f and f' drop between them.  One
+    pass over the chain at each end reads f's value and the variations."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("the interval's ends are reversed: lo > hi")
@@ -1265,14 +1260,10 @@ def has_real_root_between(f: ExactPolynomial, lo, hi) -> bool:
         raise ValueError("the zero polynomial has every root")
     if not f.is_real:
         raise ValueError("Sturm counting needs real coefficients")
-    cs = f._re
-    if len(cs) < 2:
+    if f.degree < 1:
         return False
-    ends = [(x.numerator, x.denominator) for x in (lo, hi)]
-    if any(_sign_at(cs, p, q) == 0 for p, q in ends):
-        return True
-    v_lo, v_hi = (_variations(_value_at(c, p, q) for c in f.sturm_chain) for p, q in ends)
-    return v_lo > v_hi
+    (v_lo, f_lo), (v_hi, f_hi) = (_chain_at(f.sturm_chain, x.numerator, x.denominator) for x in (lo, hi))
+    return f_lo == 0 or f_hi == 0 or v_lo > v_hi
 
 
 def cauchy_root_bound(polys: Sequence[ExactPolynomial]) -> Fraction:

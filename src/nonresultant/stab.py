@@ -138,37 +138,31 @@ def loop_T(loop) -> Fraction:
     return max(T, cauchy_root_bound(cross) + 1) if cross else T
 
 
-def stabilize_with_report(t: SystemTuple, T=None, case: Optional[str] = None) -> StabilizationReport:
-    """Route to the construction named by `case` ('31', '12', or 'mult';
-    inferred from (m, n) when omitted, with '12' only for field R) and
-    record what happened.  The output keeps the input's field.
+def stabilize_with_report(t: SystemTuple, T=None) -> StabilizationReport:
+    """Route to the construction for (m, n) ('31'; '12', over R only; or
+    'mult') and record what happened.  The output keeps the input's field.
 
     `member_in` and `member_out` are True whenever a report is returned: the
     constructions (for case '12', `component_of_12`) raise outside the space."""
-    if case is None:
-        if t.m == 3 and t.n == 1:
-            case = "31"
-        elif t.m == 1 and t.n == 2 and t.field == FIELD_REAL:
-            case = "12"
-        elif t.n >= 2:
-            case = "mult"
-        else:
-            raise ValueError("no stabilization applies to this (m, n)")
+    if t.m == 3 and t.n == 1:
+        case = "31"
+    elif t.m == 1 and t.n == 2 and t.field == FIELD_REAL:
+        case = "12"
+    elif t.n >= 2:
+        case = "mult"
+    else:
+        raise ValueError("no stabilization applies to this (m, n)")
     T = recommended_T(t) if T is None else _as_fraction(T)
     label_in = label_out = None
     if case == "31":
         out = stabilize_31(t, T)
     elif case == "12":
-        if t.m != 1 or t.n != 2:
-            raise ValueError("case '12' needs a single polynomial with multiplicity bound 2")
         label_in = component_of_12(t.polys[0])
         g = stabilize_12(t.polys[0], T)
         out = SystemTuple((g,), 2, t.field)
         label_out = component_of_12(g)
-    elif case == "mult":
-        out = stabilize_multiplicity(t, T)
     else:
-        raise ValueError(f"unknown stabilization case {case!r}")
+        out = stabilize_multiplicity(t, T)
     return StabilizationReport(
         case=case,
         T_used=T,

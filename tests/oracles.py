@@ -13,11 +13,11 @@ instead of gcds and remainder sequences; resultants from the root-product
 formula or the Sylvester determinant instead of remainder sequences; real
 root isolation and refinement by recursive bisection on Fractions instead of
 integer numerators, and isolation on integer numerators with the whole chain
-evaluated at every point instead of the count at infinity read beyond a root
-bound; the first violation of a path with every root of its boundary
-polynomial refined instead of the roots outside [0, 1] skipped;
-interpolation by Lagrange basis products instead of forward differences;
-path samples by the exact gcd route at every sample instead of the sign of the
+evaluated at every point, the ends of the root bound's box included, instead
+of the counts at infinity read there; the first violation of a path with
+every root of its boundary polynomial refined instead of the roots outside
+[0, 1] skipped; interpolation by Lagrange basis products instead of forward
+differences; path samples by the exact gcd route at every sample instead of the sign of the
 path's boundary polynomial; JSON coefficients by one `Fraction` per value
 instead of integer parts; products of linear factors by one pass over the
 numerator lists per root instead of Kronecker substitution; single-linkage
@@ -602,25 +602,37 @@ def _sign_at_fraction(cs, x: Fraction) -> int:
     return _sign_of(s)
 
 
+def _isolation_box(cs) -> int:
+    """max(2**e, 1) for the root bound 2**e of `exactalg._root_bound_exponent`
+    of integer coefficients cs of degree >= 2 with a nonzero lower one, by
+    its definition in Fraction arithmetic: e0 = max ceil((bits(a_k) -
+    bits(a_d) + 1) / (d - k)) over the nonzero a_k, kept when |a_d| x**d >
+    sum_{k<d} |a_k| x**k at x = 2**e0, else e0 + 1."""
+    d, lead = len(cs) - 1, abs(cs[-1])
+    e = max(
+        math.ceil(Fraction(abs(a).bit_length() - lead.bit_length() + 1, d - k))
+        for k, a in enumerate(cs[:-1])
+        if a
+    )
+    x = Fraction(2) ** e
+    if lead * x**d <= sum(abs(a) * x**k for k, a in enumerate(cs[:-1])):
+        x *= 2
+    return max(int(x), 1)
+
+
 def isolate_squarefree_fractions(cs) -> list:
-    """Isolating intervals/exact points of a squarefree integer polynomial,
-    as sorted (lo, hi, sign at lo), by recursive Sturm bisection of
-    Fraction intervals starting from (-b, b), b the power of 2 at or above
-    the Cauchy bound.  An interval is output when it holds one root and
+    """Isolating intervals/exact points of a squarefree integer polynomial
+    of degree >= 1, as sorted (lo, hi, sign at lo), by recursive Sturm
+    bisection of Fraction intervals starting from (-b, b), b the box of
+    `_isolation_box`.  An interval is output when it holds one root and
     neither end is a root; a midpoint that is a root is output as [r, r]
     and stays an end of both halves."""
     d = len(cs) - 1
-    if d < 1:
-        return []
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
     chain = _sturm_chain(cs, [k * c for k, c in enumerate(cs)][1:])
-    lead = abs(cs[-1])
-    bound = 1 + max(abs(c) for c in cs[:-1]) / Fraction(lead)
-    b = Fraction(1)
-    while b < bound:
-        b *= 2
+    b = Fraction(_isolation_box(cs))
     out = []
 
     def var(x: Fraction) -> int:
@@ -648,26 +660,20 @@ def isolate_squarefree_fractions(cs) -> list:
 
 def isolate_squarefree_every_point(cs: Sequence[int], chain: Optional[list]) -> list:
     """Isolating intervals/exact points for a squarefree integer polynomial
-    with Sturm chain `chain` (unused, and may be None, below degree 2), as
-    sorted (lo, hi, sign of f at lo) triples of Fractions.
+    of degree >= 1 with Sturm chain `chain` (unused, and may be None, at
+    degree 1), as sorted (lo, hi, sign of f at lo) triples of Fractions.
 
     The reference for `exactalg._isolate_squarefree`: the same dyadic cells
-    on integer numerators, with the whole chain and f read at both ends of
-    every cell visited (no root bound, nothing carried from the parent cell)
-    and the Cauchy bound's power of 2 found by doubling.  Each point is
-    evaluated once per call, at p/2**k in lowest terms, and cached."""
+    on integer numerators, starting from the box of `_isolation_box`, with
+    the whole chain and f read at both ends of every cell visited (the
+    box's ends too, where the program reads the counts at infinity; nothing
+    is carried from the parent cell).  Each point is evaluated once per
+    call, at p/2**k in lowest terms, and cached."""
     d = len(cs) - 1
-    if d < 1:
-        return []
     if d == 1:
         r = Fraction(-cs[0], cs[1])
         return [(r, r, 0)]
-    # 2**e >= 1 + max|a_k| / |a_d|, the Cauchy bound
-    lead = abs(cs[-1])
-    top = lead + max(abs(c) for c in cs[:-1])
-    b = 1
-    while b * lead < top:
-        b <<= 1
+    b = _isolation_box(cs)
 
     seen: dict = {}
 

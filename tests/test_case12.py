@@ -210,6 +210,18 @@ def test_configuration_validation():
     assert cfg.upper_points == (1j, 2 + 1j)
 
 
+def test_configuration_coordinates_beyond_the_float_range_are_refused():
+    # float(10**400) overflows; the error names the range, not the conversion
+    for build in (
+        lambda: HalfPlaneConfig((10**400,), ()),
+        lambda: HalfPlaneConfig((), (F(-(10**400)),)),
+        lambda: HalfPlaneConfig.from_json([[1, 10**400]]),
+        lambda: HalfPlaneConfig.from_json([[-(10**400), 0]]),
+    ):
+        with pytest.raises(ValueError, match="^a configuration coordinate lies beyond the float range$"):
+            build()
+
+
 def test_configuration_json_round_trip():
     cfg = HalfPlaneConfig((-2.0, 0.5), (1 + 1j, 1 + 2j))
     doc = cfg.to_json()

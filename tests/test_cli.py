@@ -120,6 +120,18 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_deeply_nested_json_is_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, ["member"], "[" * 100_000 + "]" * 100_000, monkeypatch)
+    assert (code, out, err) == (2, "", "nonresultant: input error: malformed JSON: nested too deeply\n")
+
+
+def test_stabilize_rejects_a_shift_that_is_not_rational(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilize", "--T", "abc"])
+    assert exc.value.code == 2
+    assert "expected a rational 'p/q', got 'abc'" in capsys.readouterr().err
+
+
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, ["member", "--input", "/nonexistent/path.json"])
     assert code == 2
@@ -223,16 +235,17 @@ A, B, C = (_constant_model(3, *v) for v in [("1", "0"), ("0", "1"), ("-1", "0")]
 @pytest.mark.parametrize(
     "loop, code, message",
     [
+        (A, 2, "input error: loop JSON must be a list of model objects"),
         ([], 2, "input error: a sampled loop needs at least three entries"),
         ([A, A], 2, "input error: a sampled loop needs at least three entries"),
         ([A, B, C], 2, "input error: a sampled loop must close up: first != last"),
         ([A, _constant_model(5, "0", "1"), B, A], 2, "input error: the models of a sampled loop must share one degree"),
         ([_constant_model(2, *v) for v in [("1", "0"), ("0", "1"), ("1", "0")]], 1, "the alternating evaluation needs odd degree"),
     ],
-    ids=["empty", "two", "unclosed", "mixed-degrees", "even-degree"],
+    ids=["not-a-list", "empty", "two", "unclosed", "mixed-degrees", "even-degree"],
 )
 def test_pi1_on_a_malformed_loop(capsys, monkeypatch, loop, code, message):
-    # a list that is not a closed loop of one degree is a usage error; an
+    # a document that is not a closed loop of one degree is a usage error; an
     # even degree is a domain error, as is a loop that leaves the space
     assert run(capsys, ["pi1"], json.dumps(loop), monkeypatch) == (code, "", f"nonresultant: {message}\n")
 
@@ -283,6 +296,13 @@ def test_electric_degree_rejects_coordinates_that_are_not_numbers(capsys, monkey
     assert code == 2
     assert out == ""
     assert "not a number" in err
+
+
+@pytest.mark.parametrize("doc", ["[[1, 1%s]]" % ("0" * 400), "[[-1%s, 0]]" % ("0" * 400)], ids=["im", "re"])
+def test_electric_degree_rejects_coordinates_beyond_the_float_range(capsys, monkeypatch, doc):
+    code, out, err = run(capsys, ["electric-degree"], doc, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "nonresultant: input error: a configuration coordinate lies beyond the float range\n"
 
 
 @pytest.mark.parametrize(
@@ -397,6 +417,11 @@ def test_sweep_31_at_degree_one_is_domain_error(capsys):
     code, out, err = run(capsys, ["sweep", "--case", "31", "--d", "1", "--trials", "3", "--seed", "1"])
     assert (code, out) == (1, "")
     assert "degree >= 2" in err
+
+
+def test_sweep_31_at_even_degree_is_domain_error(capsys):
+    code, out, err = run(capsys, ["sweep", "--case", "31", "--d", "4", "--trials", "3", "--seed", "1"])
+    assert (code, out, err) == (1, "", "nonresultant: the triple-case sweep needs odd d\n")
 
 
 def test_sweep_beyond_the_sampling_lattice_names_it(capsys):

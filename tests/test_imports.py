@@ -2,8 +2,9 @@
 or exported, every module-level private name of the package or of the tests
 is used, every package module's ``__all__`` names exactly what it defines
 for the public, every public oracle is used by a test, no handler of the
-package catches every exception, and the package holds no ``assert``
-statement (``python -O`` strips them, so a check must raise).
+package catches every exception, the package holds no ``assert``
+statement (``python -O`` strips them, so a check must raise), and the
+project's one version number is the package's ``__version__``.
 
 pyflakes, ruff and flake8 are not dependencies, so the check reads each
 module's syntax tree with the standard library.  ``__init__.py`` re-exports
@@ -12,6 +13,8 @@ by design, and ``from __future__`` imports are directives, not names.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import nonresultant
 
@@ -251,3 +254,11 @@ def test_package_has_no_assert_statements():
         if (lines := _assert_statements(p.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_the_project_version_is_the_package_version():
+    # pyproject.toml declares no version of its own: setuptools reads it
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "nonresultant.__version__"}

@@ -162,6 +162,12 @@ def test_eval_natural_map_beyond_the_float_range_is_scaled():
     assert eval_natural_map(t, far).proportional_to(ProjectivePoint((1, 1)))
 
 
+def test_eval_natural_map_needs_entries_of_one_degree():
+    t = SystemTuple((z, z * z + 1), 1, FIELD_REAL)
+    with pytest.raises(ValueError, match="^the point map needs entries of one common degree$"):
+        eval_natural_map(t, F(1))
+
+
 def test_eval_natural_map_equivariance():
     rng = random.Random(3)
     for _ in range(25):

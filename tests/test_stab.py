@@ -266,9 +266,8 @@ def test_report_on_a_complex_single_polynomial_keeps_its_field():
     assert report.output.field == FIELD_COMPLEX and is_member(report.output)
     # a C-tagged tuple with real coefficients stays C-tagged on either route
     t = SystemTuple(((z - 1) * (z * z + 1),), 2, FIELD_COMPLEX)
-    assert stabilize_with_report(t).case == "mult"
-    for case in (None, "12"):
-        assert stabilize_with_report(t, case=case).output.field == FIELD_COMPLEX
+    report = stabilize_with_report(t)
+    assert report.case == "mult" and report.output.field == FIELD_COMPLEX
 
 
 def test_report_multiplicity_fallback():
@@ -325,15 +324,3 @@ def test_report_when_no_stabilization_applies():
     # a pair with multiplicity bound 1
     with pytest.raises(ValueError, match=r"^no stabilization applies to this \(m, n\)$"):
         stabilize_with_report(SystemTuple((z, z + 1), 1, FIELD_REAL))
-
-
-def test_report_explicit_case_override():
-    t = SystemTuple((z * (z - 1), z * (z + 1)), 2, FIELD_REAL)
-    report = stabilize_with_report(t, case="mult")
-    assert report.case == "mult"
-    with pytest.raises(ValueError):
-        stabilize_with_report(t, case="31")  # wrong shape for the triple map
-    with pytest.raises(ValueError, match="^case '12' needs a single polynomial with multiplicity bound 2$"):
-        stabilize_with_report(t, case="12")
-    with pytest.raises(ValueError):
-        stabilize_with_report(t, case="nope")
